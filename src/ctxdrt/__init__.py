@@ -74,7 +74,6 @@ from .projection import (
     build_tasks,
     candidate_readings,
     check_reading,
-    enumerate_readings,
     project,
     resolve_alpha,
 )

@@ -8,14 +8,13 @@ stated exactly once.
 
 ``extract`` turns a box containing anaphoric material into one such
 formula: each accommodation site contributes a nesting level carrying only
-the context material that level adds, and each admissible way of binding
-the inner anaphors becomes a disjunct at its site, tagged so prover
-verdicts map back to readings.
+the context material that level adds, and each reading that
+``projection.candidate_readings`` admits at that site becomes a disjunct
+there, tagged so prover verdicts map back to readings.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -24,24 +23,20 @@ from .drs import (
     ALPHA_BODY,
     DRS,
     DrsPath,
-    Referent,
     condition_contains_alpha,
     is_simple_anaphor,
     merge,
     path_str,
     presupposed_referents,
     sub_drs_at,
-    substitute_condition,
     validate,
 )
 from .projection import (
     EMPTY_BACKGROUND,
     BackgroundTheory,
-    NotAccommodatable,
     ProjectionError,
     Reading,
     _alpha_body_at,
-    _split_body,
     _task_content,
     accommodation_sites,
     candidate_readings,
@@ -56,6 +51,7 @@ __all__ = [
     "Formula",
     "conj",
     "formula_at",
+    "auto_tag_positions",
     "TaggedTask",
     "Extraction",
     "extract",
@@ -123,6 +119,23 @@ def formula_at(formula: Formula, position: tuple[int, ...]) -> Formula:
     return cur
 
 
+def auto_tag_positions(formula: Formula) -> dict[tuple[int, ...], str]:
+    """Tags for every box-literal position, in depth-first order."""
+    tags: dict[tuple[int, ...], str] = {}
+
+    def walk(f: Formula, position: tuple[int, ...]) -> None:
+        if isinstance(f, DrsLit):
+            tags[position] = "t%d" % (len(tags) + 1)
+        elif isinstance(f, In):
+            walk(f.body, position + (0,))
+        elif isinstance(f, (Conj, Disj)):
+            for i, item in enumerate(f.items):
+                walk(item, position + (i,))
+
+    walk(formula, ())
+    return tags
+
+
 @dataclass(frozen=True)
 class TaggedTask:
     """One accommodation check in the extracted formula.
@@ -149,60 +162,53 @@ class Extraction:
         return {t.position: t.tag for t in self.tasks}
 
 
-_ReadingKey = tuple[str, DrsPath, tuple[tuple[Referent, Referent], ...]]
-
-
 class _Check:
-    """A disjunction of substituted alpha bodies checked at one level."""
+    """A disjunction of accommodated alpha bodies checked at one level."""
 
-    def __init__(self, disjuncts: tuple[DRS, ...], keys: list[list[_ReadingKey]]) -> None:
-        self.disjuncts = disjuncts
-        self.keys = keys  # parallel to disjuncts
+    def __init__(self, readings: list[Reading]) -> None:
+        self.disjuncts = tuple(r.accommodated for r in readings)
+        self.readings = [[r] for r in readings]  # parallel to disjuncts
 
-    def merge_keys(self, other: "_Check") -> None:
-        for mine, theirs in zip(self.keys, other.keys):
-            mine.extend(k for k in theirs if k not in mine)
+
+def _add_check(parts: list, check: _Check) -> None:
+    """Append a check, or fold its readings into an equal one already there."""
+    for existing in parts:
+        if isinstance(existing, _Check) and existing.disjuncts == check.disjuncts:
+            for mine, theirs in zip(existing.readings, check.readings):
+                mine.extend(r for r in theirs if r not in mine)
+            return
+    parts.append(check)
 
 
 class _Layer:
     """One context level: the box content a site adds, plus its checks."""
 
-    def __init__(self, site_path: DrsPath, delta: DRS, refs: tuple[Referent, ...]) -> None:
+    def __init__(self, site_path: DrsPath, delta: DRS) -> None:
         self.site_path = site_path
         self.delta = delta
-        self.refs = refs
         self.checks: list[_Check] = []
         self.children: list[_Layer] = []
 
-    def child(self, site_path: DrsPath, delta: DRS, universe: tuple[Referent, ...]) -> "_Layer":
+    def child(self, site_path: DrsPath, delta: DRS) -> "_Layer":
         for existing in self.children:
             if existing.site_path == site_path:
                 return existing
-        refs = self.refs + tuple(r for r in universe if r not in self.refs)
-        layer = _Layer(site_path, delta, refs)
+        layer = _Layer(site_path, delta)
         self.children.append(layer)
         return layer
-
-    def add_check(self, check: _Check) -> None:
-        for existing in self.checks:
-            if existing.disjuncts == check.disjuncts:
-                existing.merge_keys(check)
-                return
-        self.checks.append(check)
 
 
 def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
     """Restate every informativity task of ``root`` as one nested formula.
 
-    Alpha-free conditions fold into the context level of the box that
-    carries them; each level is emitted once, as one ``in`` wrapper, and a
-    level that adds nothing collapses into its parent.  Inner simple
-    anaphors are bound against the referents available at each site, which
-    also enforces the free-variable constraint: a site offering no
-    admissible binding contributes no check.
+    The checks are the readings ``candidate_readings`` admits, grouped by
+    accommodation site.  Alpha-free conditions fold into the context level
+    of the box that carries them; each level is emitted once, as one
+    ``in`` wrapper, and a level that adds nothing collapses into its
+    parent.  A site at which the free-variable constraint admits no
+    binding contributes no check.
     """
-    report = validate(root)
-    if not report.pure:
+    if not validate(root).pure:
         raise ValueError("impure input")
     presupposed = presupposed_referents(root)
     alphas = []
@@ -222,112 +228,63 @@ def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
                 )
         alphas.append(path)
 
-    root_delta = merge(bg.merged_for(root), _task_content(root, presupposed))
-    root_layer = _Layer((), root_delta, tuple(root.universe))
-    reading_index: dict[_ReadingKey, Reading] = {}
-
+    root_layer = _Layer((), merge(bg.merged_for(root), _task_content(root, presupposed)))
     for alpha_path in alphas:
-        body = _alpha_body_at(alpha_path, root)
-        anaphors, core = _split_body(body)
-        if not core:
-            raise NotAccommodatable(
-                "alpha body at %s has no conditions to accommodate" % path_str(alpha_path)
-            )
+        by_site: defaultdict[DrsPath, list[Reading]] = defaultdict(list)
         for reading in candidate_readings(root, alpha_path)[0]:
-            key = (reading.site_kind, reading.site_path, reading.resolution.bindings)
-            reading_index[key] = reading
+            by_site[reading.site_path].append(reading)
         layer = root_layer
-        for kind, site_path in accommodation_sites(alpha_path, root):
+        for _, site_path in accommodation_sites(alpha_path, root):
             if site_path != ():
                 site_box = sub_drs_at(site_path, root)
-                layer = layer.child(
-                    site_path, _task_content(site_box, presupposed), site_box.universe
-                )
-            allowed = set(layer.refs) | report.free
-            disjuncts: list[DRS] = []
-            keys: list[list[_ReadingKey]] = []
-            for combo in itertools.product(layer.refs, repeat=len(anaphors)):
-                theta = dict(zip(anaphors, combo))
-                box = DRS(body.universe, tuple(substitute_condition(c, theta) for c in core))
-                if not validate(box).free <= allowed:
-                    continue
-                disjuncts.append(box)
-                keys.append([(kind, site_path, tuple(zip(anaphors, combo)))])
-            if disjuncts:
-                layer.add_check(_Check(tuple(disjuncts), keys))
+                layer = layer.child(site_path, _task_content(site_box, presupposed))
+            if site_path in by_site:
+                _add_check(layer.checks, _Check(by_site[site_path]))
 
     # Assemble: each layer becomes an in-wrapper around its checks and its
     # children; empty-delta layers splice into their parent, merging any
     # check that is already present there.
-    _Part = tuple  # ("check", _Check) | ("in", DRS, list[_Part])
+    _Part = Union[_Check, tuple]  # _Check | (context box, list[_Part])
 
     def emit(layer: _Layer) -> list[_Part]:
-        parts: list[_Part] = [("check", c) for c in layer.checks]
-
-        def splice(new_parts: list[_Part]) -> None:
-            for part in new_parts:
-                if part[0] == "check":
-                    for existing in parts:
-                        if existing[0] == "check" and existing[1].disjuncts == part[1].disjuncts:
-                            existing[1].merge_keys(part[1])
-                            break
-                    else:
-                        parts.append(part)
-                else:
-                    parts.append(part)
-
+        parts: list[_Part] = list(layer.checks)
         for child in layer.children:
             inner = emit(child)
             if not inner:
                 continue
-            if child.delta.is_empty():
-                splice(inner)
-            else:
-                parts.append(("in", child.delta, inner))
+            if not child.delta.is_empty():
+                parts.append((child.delta, inner))
+                continue
+            for part in inner:
+                if isinstance(part, _Check):
+                    _add_check(parts, part)
+                else:
+                    parts.append(part)
         return parts
 
-    lit_meta: dict[int, list[_ReadingKey]] = {}
+    readings_of: dict[int, list[Reading]] = {}
 
     def realize(parts: list[_Part]) -> Optional[Formula]:
         items: list[Formula] = []
         for part in parts:
-            if part[0] == "check":
-                check = part[1]
-                lits = [DrsLit(d) for d in check.disjuncts]
-                for lit, ks in zip(lits, check.keys):
-                    lit_meta[id(lit)] = ks
+            if isinstance(part, _Check):
+                lits = [DrsLit(d) for d in part.disjuncts]
+                for lit, readings in zip(lits, part.readings):
+                    readings_of[id(lit)] = readings
                 items.append(lits[0] if len(lits) == 1 else Disj(tuple(lits)))
             else:
-                _, delta, inner = part
-                body = realize(inner)
-                if body is not None:
-                    items.append(In(delta, body))
+                delta, inner = part
+                items.append(In(delta, realize(inner)))
         return conj(items)
 
-    top_parts = emit(root_layer)
-    body = realize(top_parts)
+    body = realize(emit(root_layer))
     if body is None:
         return Extraction(None, ())
     formula = body if root_layer.delta.is_empty() else In(root_layer.delta, body)
-
     tasks: list[TaggedTask] = []
-
-    def walk(f: Formula, position: tuple[int, ...]) -> None:
-        if isinstance(f, DrsLit):
-            keys = lit_meta.get(id(f))
-            if keys is not None:
-                tag = "t%d" % (len(tasks) + 1)
-                readings = tuple(reading_index[k] for k in keys if k in reading_index)
-                tasks.append(TaggedTask(tag, position, f.drs, readings))
-            return
-        if isinstance(f, In):
-            walk(f.body, position + (0,))
-            return
-        if isinstance(f, (Conj, Disj)):
-            for i, item in enumerate(f.items):
-                walk(item, position + (i,))
-
-    walk(formula, ())
+    for position, tag in auto_tag_positions(formula).items():
+        lit = formula_at(formula, position)
+        tasks.append(TaggedTask(tag, position, lit.drs, tuple(readings_of[id(lit)])))
     return Extraction(formula, tuple(tasks))
 
 

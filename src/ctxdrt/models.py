@@ -105,38 +105,24 @@ def drs_to_fol(box: DRS) -> FolFormula:
     )
 
 
-def _exists_under_forall(f: FolFormula, under: bool) -> bool:
+def _exists_under_forall(f: FolFormula, negated: bool, under: bool = False) -> bool:
+    """Whether an existential-strength quantifier sits in universal scope.
+
+    Negation flips the quantifier force of everything below; quantifiers
+    under an odd number of negations count by their effective kind.
+    """
     if isinstance(f, FAtom):
         return False
     if isinstance(f, FNot):
-        # Negation flips the quantifier force of everything below; treat
-        # quantifiers under an odd number of negations by their effective kind.
-        return _exists_under_forall_neg(f.body, under)
+        return _exists_under_forall(f.body, not negated, under)
     if isinstance(f, (FAnd, FOr)):
-        return any(_exists_under_forall(i, under) for i in f.items)
-    if isinstance(f, FExists):
-        if under and f.variables:
-            return True
-        return _exists_under_forall(f.body, under)
-    if isinstance(f, FForall):
-        return _exists_under_forall(f.body, under or bool(f.variables))
-    raise TypeError
-
-
-def _exists_under_forall_neg(f: FolFormula, under: bool) -> bool:
-    if isinstance(f, FAtom):
-        return False
-    if isinstance(f, FNot):
-        return _exists_under_forall(f.body, under)
-    if isinstance(f, (FAnd, FOr)):
-        return any(_exists_under_forall_neg(i, under) for i in f.items)
-    if isinstance(f, FExists):
-        # Negated existential acts universally.
-        return _exists_under_forall_neg(f.body, under or bool(f.variables))
-    if isinstance(f, FForall):
-        if under and f.variables:
-            return True
-        return _exists_under_forall_neg(f.body, under)
+        return any(_exists_under_forall(i, negated, under) for i in f.items)
+    if isinstance(f, (FExists, FForall)):
+        if isinstance(f, FExists) != negated:  # existential strength
+            if under and f.variables:
+                return True
+            return _exists_under_forall(f.body, negated, under)
+        return _exists_under_forall(f.body, negated, under or bool(f.variables))
     raise TypeError
 
 

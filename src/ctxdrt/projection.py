@@ -63,7 +63,6 @@ __all__ = [
     "resolve_alpha",
     "apply_resolution",
     "candidate_readings",
-    "enumerate_readings",
     "build_tasks",
     "check_reading",
     "project",
@@ -337,10 +336,6 @@ def candidate_readings(
     return admitted, blocked
 
 
-def enumerate_readings(root: DRS, alpha_path: DrsPath) -> list[Reading]:
-    return candidate_readings(root, alpha_path)[0]
-
-
 def _task_content(box: DRS, presupposed: frozenset[Referent]) -> DRS:
     """The box's assertable content: conditions that neither contain an
     anaphoric sub-box nor mention a still-unresolved presupposed referent."""
@@ -404,17 +399,21 @@ def check_reading(
 
     The prover returns "closed", "open_saturated", or "open_bounded" for
     the informativity task; a closed task means the accommodation is
-    redundant and the reading fails.
+    redundant and the reading fails.  A consistency search that hits the
+    model checker's resource ceiling leaves the reading undecided.
     """
-    from .models import model_check
+    from .models import ResourceLimit, model_check
 
     informativity, consistency = tasks
     status = prover(informativity)
     informative = {"closed": "fail", "open_saturated": "pass", "open_bounded": "unknown"}[
         status
     ]
-    mc = model_check(consistency.premise, None, max_domain=model_bound)
-    consistent = {"satisfiable": "pass", "refuted": "fail", "unknown": "unknown"}[mc.status]
+    try:
+        mc_status = model_check(consistency.premise, None, max_domain=model_bound).status
+    except ResourceLimit:
+        mc_status = "unknown"
+    consistent = {"satisfiable": "pass", "refuted": "fail", "unknown": "unknown"}[mc_status]
     return ReadingVerdict(informative, consistent)
 
 

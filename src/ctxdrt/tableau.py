@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .drs import DRS, Alpha, Atom, Condition, Imp, Neg, Or, Referent
-from .lcon import Conj, Disj, DrsLit, Extraction, Formula, In, extract
+from .lcon import Conj, Disj, DrsLit, Extraction, Formula, In, auto_tag_positions, extract
 from .models import AlphaRemaining
 from .projection import (
     EMPTY_BACKGROUND,
@@ -32,8 +32,8 @@ from .projection import (
     InferenceTask,
     ProjectionError,
     build_tasks,
+    candidate_readings,
     eligible_alpha_paths,
-    enumerate_readings,
 )
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "unify",
     "labels_compatible",
     "close_branch",
-    "auto_tag_positions",
     "prove_lcon",
     "naive_prove",
     "default_task_prover",
@@ -185,7 +184,20 @@ class LitNode:
     pred: str
     args: tuple[Term, ...]
     index: int
-    origin: str = ""
+
+
+def _closure_pairs(literals: list[LitNode]) -> list[tuple[LitNode, LitNode]]:
+    """Complementary, context-compatible (positive, negative) literal pairs."""
+    positives = [n for n in literals if n.label.polarity == "+"]
+    negatives = [n for n in literals if n.label.polarity == "-"]
+    return [
+        (pos, neg)
+        for pos in positives
+        for neg in negatives
+        if pos.pred == neg.pred
+        and len(pos.args) == len(neg.args)
+        and labels_compatible(pos.label, neg.label)
+    ]
 
 
 def close_branch(
@@ -196,17 +208,10 @@ def close_branch(
     Returns the most general unifier and the (positive, negative) pair;
     the substitution is the caller's to apply, branch-locally.
     """
-    positives = [n for n in literals if n.label.polarity == "+"]
-    negatives = [n for n in literals if n.label.polarity == "-"]
-    for pos in positives:
-        for neg in negatives:
-            if pos.pred != neg.pred or len(pos.args) != len(neg.args):
-                continue
-            if not labels_compatible(pos.label, neg.label):
-                continue
-            subst = _unify_args(pos.args, neg.args, {})
-            if subst is not None:
-                return subst, (pos, neg)
+    for pos, neg in _closure_pairs(literals):
+        subst = _unify_args(pos.args, neg.args, {})
+        if subst is not None:
+            return subst, (pos, neg)
     return None
 
 
@@ -395,10 +400,10 @@ class _Engine:
         if self.nodes > self.bounds.depth_limit:
             raise _DepthExceeded
 
-    def _lit(self, label: Label, atom: Atom, env: dict, origin: str) -> LitNode:
+    def _lit(self, label: Label, atom: Atom, env: dict) -> LitNode:
         self._tick()
         args = tuple(env.get(a, Const(a.name)) for a in atom.args)
-        return LitNode(label, atom.predicate, args, self.nodes, origin)
+        return LitNode(label, atom.predicate, args, self.nodes)
 
     # -- shared context expansion (once per in-wrapper) -------------------------
 
@@ -415,7 +420,7 @@ class _Engine:
             self.stats.bump("+:condition")
             self.stats.bump_context(print_condition(cond))
             if isinstance(cond, Atom):
-                shared.lits.append(self._lit(label, cond, env, "+:condition"))
+                shared.lits.append(self._lit(label, cond, env))
             elif isinstance(cond, Imp):
                 shared.gammas.append(_GammaTemplate(label, "imp", cond, tuple(env.items())))
             elif isinstance(cond, (Neg, Or)):
@@ -441,7 +446,7 @@ class _Engine:
         if isinstance(payload, _BranchPoint):
             return [list(alt) for alt in payload.alternatives]
         if isinstance(payload, Atom):
-            branch.lits.append(self._lit(label, payload, env, sign + ":atom"))
+            branch.lits.append(self._lit(label, payload, env))
             return None
         if isinstance(payload, DRS):
             if sign == "+":
@@ -555,18 +560,6 @@ class _Engine:
 
     # -- closure ---------------------------------------------------------------------
 
-    def _pairs(self, branch: _Branch) -> list[tuple[LitNode, LitNode]]:
-        positives = [n for n in branch.lits if n.label.polarity == "+"]
-        negatives = [n for n in branch.lits if n.label.polarity == "-"]
-        return [
-            (pos, neg)
-            for pos in positives
-            for neg in negatives
-            if pos.pred == neg.pred
-            and len(pos.args) == len(neg.args)
-            and labels_compatible(pos.label, neg.label)
-        ]
-
     def _close_all(self, branch_pairs: list, subst: dict) -> Optional[dict]:
         """Find one substitution closing every branch at once.
 
@@ -637,7 +630,7 @@ class _Engine:
                 branches = self._saturate(branch0, list(base_items), budget)
                 if not branches:
                     return CLOSED
-                branch_pairs = [self._pairs(b) for b in branches]
+                branch_pairs = [_closure_pairs(b.lits) for b in branches]
                 closing = None
                 if all(branch_pairs):
                     closing = self._close_all(branch_pairs, {})
@@ -657,23 +650,6 @@ class _Engine:
 
 
 # -- public proving interface ---------------------------------------------------------
-
-
-def auto_tag_positions(formula: Formula) -> dict[tuple[int, ...], str]:
-    """Tags for every box-literal position, in depth-first order."""
-    tags: dict[tuple[int, ...], str] = {}
-
-    def walk(f: Formula, position: tuple[int, ...]) -> None:
-        if isinstance(f, DrsLit):
-            tags[position] = "t%d" % (len(tags) + 1)
-        elif isinstance(f, In):
-            walk(f.body, position + (0,))
-        elif isinstance(f, (Conj, Disj)):
-            for i, item in enumerate(f.items):
-                walk(item, position + (i,))
-
-    walk(formula, ())
-    return tags
 
 
 def prove_lcon(
@@ -793,7 +769,7 @@ def compare_cost(
     naive_verdicts: list[tuple[str, str]] = []
     for alpha_path in eligible_alpha_paths(root):
         try:
-            readings = enumerate_readings(root, alpha_path)
+            readings = candidate_readings(root, alpha_path)[0]
         except ProjectionError:
             readings = []
         for reading in readings:

@@ -16,7 +16,6 @@ from ctxdrt.projection import (
     build_tasks,
     candidate_readings,
     eligible_alpha_paths,
-    enumerate_readings,
     project,
     resolve_alpha,
 )
@@ -128,7 +127,7 @@ def test_criterion_7_oracle_equivalence_on_corpus():
                     shared[reading.ref] = by_tag[tagged.tag]
         for path in eligible_alpha_paths(root):
             try:
-                readings = enumerate_readings(root, path)
+                readings = candidate_readings(root, path)[0]
             except NotAccommodatable:
                 continue
             for reading in readings:

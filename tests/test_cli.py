@@ -93,6 +93,22 @@ def test_readings_exit_3_on_unknown(hank_file, bg_file):
     assert code == 3
 
 
+def test_readings_exit_3_on_model_resource_ceiling(tmp_path, bg_file):
+    # a 13-place predicate makes the consistency search exceed its ground
+    # atom ceiling: that verdict is undecided, not an input error
+    path = tmp_path / "wide.drs"
+    path.write_text(
+        HANK.replace("[x |", "[x, z |", 1).replace(
+            "married(x),", "married(x), p(x), not [ | p(z)], r(%s)," % ",".join("x" * 13), 1
+        ),
+        encoding="utf-8",
+    )
+    code, stdout, stderr = run(RunConfig("readings", (str(path),), background=bg_file))
+    assert code == 3
+    assert not stderr
+    assert stdout == "no admissible reading\n"
+
+
 def test_extract_prints_reference_formula(hank_file):
     code, stdout, _ = run(RunConfig("extract", (hank_file,)))
     assert code == 0

@@ -15,8 +15,8 @@ from ctxdrt.lcon import (
 from ctxdrt.projection import (
     ProjectionError,
     build_tasks,
+    candidate_readings,
     eligible_alpha_paths,
-    enumerate_readings,
 )
 from ctxdrt.text import parse_drs, parse_lcon, print_drs, print_lcon
 
@@ -45,10 +45,22 @@ def test_extraction_tags_map_back_to_readings(hank):
         "intermediate@2.ante;v->y",
         "local@2.cons;v->y",
     ]
-    for task in extraction.tasks:
-        node = formula_at(extraction.formula, task.position)
-        assert isinstance(node, DrsLit)
-        assert node.drs == task.conclusion
+    # two alphas whose readings share site kind, site and bindings: each
+    # task must still name the readings of its own alpha
+    two_alphas = parse_drs("[x | p(x), alpha:[u | q(u)], alpha:[w | r(w)]]")
+    for box in (hank, two_alphas):
+        extraction = extract(box)
+        for task in extraction.tasks:
+            node = formula_at(extraction.formula, task.position)
+            assert isinstance(node, DrsLit)
+            assert node.drs == task.conclusion
+            assert task.readings
+            for r in task.readings:
+                assert r.accommodated == task.conclusion
+    assert [r.alpha_path for t in extraction.tasks for r in t.readings] == [
+        ((1, "alpha"),),
+        ((2, "alpha"),),
+    ]
 
 
 def test_extraction_blocks_inadmissible_bindings(every_man):
@@ -91,7 +103,7 @@ def test_naive_restatement_duplicates_context(hank):
     # restating every informativity task separately repeats the shared
     # premise material once per task
     (path,) = eligible_alpha_paths(hank)
-    tasks = [build_tasks(r, hank)[0] for r in enumerate_readings(hank, path)]
+    tasks = [build_tasks(r, hank)[0] for r in candidate_readings(hank, path)[0]]
     naive = Conj(tuple(In(t.premise, DrsLit(t.conclusion)) for t in tasks))
     stats = context_sharing_depth(naive)
     assert stats.in_wrappers == 5

@@ -100,10 +100,10 @@ def test_unknown_outside_controllable_fragment():
 
 
 def test_postulate_consistency_found_by_search(hank, marriage_bg):
-    from ctxdrt.projection import build_tasks, eligible_alpha_paths, enumerate_readings
+    from ctxdrt.projection import build_tasks, candidate_readings, eligible_alpha_paths
 
     (path,) = eligible_alpha_paths(hank)
-    for reading in enumerate_readings(hank, path):
+    for reading in candidate_readings(hank, path)[0]:
         _, consistency = build_tasks(reading, hank, marriage_bg)
         assert model_check(consistency.premise, None, max_domain=3).status == "satisfiable"
 

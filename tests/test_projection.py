@@ -13,7 +13,6 @@ from ctxdrt.projection import (
     candidate_readings,
     check_reading,
     eligible_alpha_paths,
-    enumerate_readings,
     project,
     resolve_alpha,
 )
@@ -72,12 +71,12 @@ def test_global_accommodation_blocked_by_free_variable(every_man):
 def test_contentless_alpha_not_accommodatable():
     box = parse_drs("[x | man(x), alpha:[v | ]]")
     with pytest.raises(NotAccommodatable):
-        enumerate_readings(box, alpha_of(box))
+        candidate_readings(box, alpha_of(box))
 
 
 def test_reading_results_are_pure_and_alpha_free(hank):
     root_free = validate(hank).free
-    for reading in enumerate_readings(hank, alpha_of(hank)):
+    for reading in candidate_readings(hank, alpha_of(hank))[0]:
         report = validate(reading.result)
         assert report.pure
         assert report.free <= root_free
@@ -86,7 +85,7 @@ def test_reading_results_are_pure_and_alpha_free(hank):
 
 
 def test_build_tasks_instantiates_site_rows(hank):
-    readings = enumerate_readings(hank, alpha_of(hank))
+    readings = candidate_readings(hank, alpha_of(hank))[0]
     by_ref = {r.ref: r for r in readings}
     global_reading = by_ref["global@-;v->x"]
     informativity, consistency = build_tasks(global_reading, hank)
@@ -109,7 +108,7 @@ def test_premises_grow_inward_along_sites():
         root = corpus_drs(rng)
         for path in eligible_alpha_paths(root):
             try:
-                readings = enumerate_readings(root, path)
+                readings = candidate_readings(root, path)[0]
             except NotAccommodatable:
                 continue
             by_site: dict = {}
@@ -122,7 +121,7 @@ def test_premises_grow_inward_along_sites():
 
 
 def test_exactly_five_task_pairs(hank):
-    tasks = [build_tasks(r, hank) for r in enumerate_readings(hank, alpha_of(hank))]
+    tasks = [build_tasks(r, hank) for r in candidate_readings(hank, alpha_of(hank))[0]]
     assert len(tasks) == 5
     assert all(inf.kind == "informativity" and con.kind == "consistency" for inf, con in tasks)
 
@@ -130,7 +129,7 @@ def test_exactly_five_task_pairs(hank):
 def test_check_reading_filters_redundant_accommodation(hank, marriage_bg):
     prover = default_task_prover()
     verdicts = {}
-    for reading in enumerate_readings(hank, alpha_of(hank)):
+    for reading in candidate_readings(hank, alpha_of(hank))[0]:
         verdicts[reading.ref] = check_reading(
             build_tasks(reading, hank, marriage_bg), prover
         )
@@ -193,7 +192,7 @@ def test_background_theory_renames_apart(hank):
     clashing = BackgroundTheory((parse_drs("[ | [x | married(x)] => [y | wife(y), of(y,x)]]"),))
     merged = clashing.merged_for(hank)
     assert validate(merged).pure
-    readings = enumerate_readings(hank, alpha_of(hank))
+    readings = candidate_readings(hank, alpha_of(hank))[0]
     task, _ = build_tasks(readings[0], hank, clashing)
     assert validate(task.premise).pure
 

@@ -215,10 +215,10 @@ def test_closing_survives_premise_growth():
         for ref, status in report.naive_verdicts:
             if status != CLOSED:
                 continue
-            from ctxdrt.projection import enumerate_readings, build_tasks, eligible_alpha_paths
+            from ctxdrt.projection import build_tasks, candidate_readings, eligible_alpha_paths
             from ctxdrt.drs import merge, validate
             for path in eligible_alpha_paths(root):
-                for reading in enumerate_readings(root, path):
+                for reading in candidate_readings(root, path)[0]:
                     if reading.ref != ref:
                         continue
                     task, _ = build_tasks(reading, root)
