@@ -17,7 +17,7 @@ from typing import Optional
 
 from .drs import DrsError, path_str, validate
 from .lcon import context_sharing_depth, extract
-from .models import ResourceLimit
+from .models import AlphaRemaining, ResourceLimit
 from .projection import (
     BackgroundTheory,
     NoAdmissibleReading,
@@ -379,7 +379,7 @@ def run(config: RunConfig) -> tuple[int, str, str]:
             "",
             "error: %s (offsets %d..%d)\n" % (exc.message, exc.span.start, exc.span.end),
         )
-    except (DrsError, ProjectionError, ResourceLimit, ValueError) as exc:
+    except (AlphaRemaining, DrsError, ProjectionError, ResourceLimit, ValueError) as exc:
         return EXIT_INPUT_ERROR, "", "error: %s\n" % exc
     return code, "".join(out), ""
 

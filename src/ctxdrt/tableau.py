@@ -187,16 +187,21 @@ class LitNode:
 
 
 def _closure_pairs(literals: list[LitNode]) -> list[tuple[LitNode, LitNode]]:
-    """Complementary, context-compatible (positive, negative) literal pairs."""
-    positives = [n for n in literals if n.label.polarity == "+"]
-    negatives = [n for n in literals if n.label.polarity == "-"]
+    """Complementary, context-compatible (positive, negative) literal pairs.
+
+    Positive-major, negatives in branch order: closure search charges its
+    steps in this order, so the order is part of the verdict under bounds.
+    """
+    negatives: dict[tuple[str, int], list[LitNode]] = {}
+    for n in literals:
+        if n.label.polarity == "-":
+            negatives.setdefault((n.pred, len(n.args)), []).append(n)
     return [
         (pos, neg)
-        for pos in positives
-        for neg in negatives
-        if pos.pred == neg.pred
-        and len(pos.args) == len(neg.args)
-        and labels_compatible(pos.label, neg.label)
+        for pos in literals
+        if pos.label.polarity == "+"
+        for neg in negatives.get((pos.pred, len(pos.args)), ())
+        if labels_compatible(pos.label, neg.label)
     ]
 
 
@@ -605,10 +610,8 @@ class _Engine:
                 return True
             return False
 
-        for branch in branches:
-            for lit in branch.lits:
-                for arg in lit.args:
-                    add(arg)
+        for arg in {arg for branch in branches for lit in branch.lits for arg in lit.args}:
+            add(arg)
         return terms
 
     def run_task(self, label: Label, goal: DRS, shared: _Shared, env: dict) -> str:

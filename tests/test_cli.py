@@ -174,6 +174,14 @@ def test_prove_exit_3_on_bounded(tmp_path, hank_file, bg_file):
     assert code == 3
 
 
+def test_prove_rejects_anaphoric_input_with_exit_2(hank_file):
+    # a box with alphas is no context formula: an input error, not "no reading"
+    code, stdout, stderr = run(RunConfig("prove", (hank_file,)))
+    assert code == 2
+    assert not stdout
+    assert stderr.startswith("error: ")
+
+
 def test_compare_reports_fivefold_saving(hank_file, bg_file):
     code, stdout, _ = run(
         RunConfig("compare", (hank_file,), background=bg_file, json_output=True)

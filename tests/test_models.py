@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 
+from ctxdrt import models
 from ctxdrt.models import (
     AlphaRemaining,
     FAnd,
@@ -8,6 +12,7 @@ from ctxdrt.models import (
     FForall,
     FNot,
     FOr,
+    ModelCheckResult,
     ResourceLimit,
     drs_to_fol,
     model_check,
@@ -113,3 +118,57 @@ def test_resource_limit_is_signalled():
     box = parse_drs("[ | p(a), not [ | p(a)], q(a,a)]")
     with pytest.raises(ResourceLimit):
         model_check(box, None, max_domain=3, atom_ceiling=3)
+
+
+FACTS = ", ".join("f%d(x)" % i for i in range(300))
+
+
+def test_unit_propagation_assigns_root_facts_at_once(monkeypatch):
+    box = parse_drs(
+        "[x | hank(x), married(x), %s, [m | married(m)] => [w | wife(w), of(w,m)]]" % FACTS
+    )
+    calls = []
+    search = models._sat
+
+    def counting(g, assignment):
+        calls.append(1)
+        return search(g, assignment)
+
+    monkeypatch.setattr(models, "_sat", counting)
+    assert model_check(box, None, max_domain=3) == ModelCheckResult("satisfiable", 1)
+    assert len(calls) <= 3  # one nested call per root fact without propagation
+
+
+def test_unit_propagation_finds_clash_among_root_facts():
+    box = parse_drs("[x | %s, not [ | f7(x)]]" % FACTS)
+    assert model_check(box, None, max_domain=3).status == "refuted"
+
+
+def _random_ground(rng, keys, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return ("lit", rng.choice(keys), rng.random() < 0.5)
+    items = tuple(_random_ground(rng, keys, depth - 1) for _ in range(rng.randrange(4)))
+    return (rng.choice(("and", "or")), items)
+
+
+def _truth(g, values):
+    if g[0] == "lit":
+        return values[g[1]] == g[2]
+    if g[0] == "and":
+        return all(_truth(i, values) for i in g[1])
+    return any(_truth(i, values) for i in g[1])
+
+
+def test_sat_agrees_with_truth_tables():
+    rng = random.Random(5)
+    keys = [("p", (i,)) for i in range(4)]
+    for _ in range(2000):
+        g = _random_ground(rng, keys, 4)
+        satisfiable = any(
+            _truth(g, dict(zip(keys, row)))
+            for row in itertools.product((True, False), repeat=len(keys))
+        )
+        found = models._sat(g, {})
+        assert (found is not None) == satisfiable
+        if found is not None:
+            assert models._simplify(g, found) == models._GTRUE

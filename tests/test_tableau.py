@@ -14,6 +14,7 @@ from ctxdrt.tableau import (
     Label,
     LitNode,
     SkolemApp,
+    _closure_pairs,
     close_branch,
     compare_cost,
     labels_compatible,
@@ -58,6 +59,30 @@ def test_closure_compatibility_is_symmetric():
         a = Label(rng.randrange(4), frozenset(rng.sample(range(4, 9), rng.randrange(3))), "+")
         b = Label(rng.randrange(4), frozenset(rng.sample(range(4, 9), rng.randrange(3))), "-")
         assert labels_compatible(a, b) == labels_compatible(b, a)
+
+
+def test_closure_pairs_keep_product_order():
+    # closure search charges steps in pair order, so the indexed filter must
+    # list pairs exactly as the plain positives x negatives filter does
+    rng = random.Random(11)
+    for _ in range(300):
+        lits = []
+        for i in range(rng.randrange(12)):
+            pred, arity = rng.choice([("p", 1), ("p", 2), ("q", 1), ("r", 2)])
+            accessible = frozenset(rng.sample(range(4, 8), rng.randrange(3)))
+            label = Label(rng.randrange(4), accessible, rng.choice("+-"))
+            lits.append(LitNode(label, pred, (A,) * arity, i))
+        positives = [n for n in lits if n.label.polarity == "+"]
+        negatives = [n for n in lits if n.label.polarity == "-"]
+        expected = [
+            (pos, neg)
+            for pos in positives
+            for neg in negatives
+            if pos.pred == neg.pred
+            and len(pos.args) == len(neg.args)
+            and labels_compatible(pos.label, neg.label)
+        ]
+        assert _closure_pairs(lits) == expected
 
 
 def test_unify_occurs_check():
