@@ -396,6 +396,7 @@ class ValidationReport:
     pure: bool
     free: frozenset[Referent]
     duplicates: tuple[Referent, ...]
+    bound: frozenset[Referent] = frozenset()
 
 
 def validate(box: DRS) -> ValidationReport:
@@ -403,8 +404,21 @@ def validate(box: DRS) -> ValidationReport:
 
     A box is pure when no referent is introduced by two universes.  A
     referent occurs free when an atom uses it at a position where no
-    accessible universe introduces it.
+    accessible universe introduces it; ``bound`` holds every referent some
+    universe introduces.
+
+    The report is computed once per box instance and kept on it (boxes
+    are immutable).  It is not shared between equal boxes: equality
+    ignores order, and ``duplicates`` follows the stored order.
     """
+    report = box.__dict__.get("_report")
+    if report is None:
+        report = _validation_report(box)
+        object.__setattr__(box, "_report", report)
+    return report
+
+
+def _validation_report(box: DRS) -> ValidationReport:
     all_refs: list[Referent] = []
     _collect_universes(box, all_refs)
     seen: set[Referent] = set()
@@ -433,7 +447,9 @@ def validate(box: DRS) -> ValidationReport:
                 walk(cond.body, env)
 
     walk(box, frozenset())
-    return ValidationReport(pure=not dups, free=frozenset(free), duplicates=tuple(dups))
+    return ValidationReport(
+        pure=not dups, free=frozenset(free), duplicates=tuple(dups), bound=frozenset(seen)
+    )
 
 
 def rename_apart(box: DRS, taken: Iterable[str]) -> tuple[DRS, dict[str, str]]:

@@ -195,17 +195,9 @@ class BackgroundTheory:
 EMPTY_BACKGROUND = BackgroundTheory(())
 
 
-def _all_referents(box: DRS) -> set[Referent]:
-    refs: set[Referent] = set(validate(box).free)
-
-    def go(b: DRS) -> None:
-        refs.update(b.universe)
-        for cond in b.conditions:
-            for _, child in condition_children(cond):
-                go(child)
-
-    go(box)
-    return refs
+def _all_referents(box: DRS) -> frozenset[Referent]:
+    report = validate(box)
+    return report.free | report.bound
 
 
 def _alpha_body_at(alpha_path: DrsPath, root: DRS) -> DRS:
@@ -292,6 +284,12 @@ def candidate_readings(
     Candidates are the product of sites with bindings of the inner simple
     anaphors; a candidate is blocked when accommodation would leave a
     referent free that was not free in the input.
+
+    Only the moved conditions can gain free occurrences (deleting the
+    alpha removes occurrences, and the site's universe only grows), so the
+    constraint is checked on the accommodated box against the referents
+    bound at the site: the universes of every site up to and including it,
+    scoped as ``validate`` scopes them.
     """
     body = _alpha_body_at(alpha_path, root)
     anaphors, core = _split_body(body)
@@ -313,8 +311,7 @@ def candidate_readings(
             accommodated = DRS(
                 body.universe, tuple(substitute_condition(c, theta) for c in core)
             )
-            result = extend_drs_at(pruned, site_path, accommodated)
-            new_free = validate(result).free - root_free
+            new_free = validate(accommodated).free - site_refs - root_free
             outside = tuple(sorted(set(combo) - site_refs))
             resolution = Resolution(tuple(zip(anaphors, combo)))
             if new_free or outside:
@@ -330,6 +327,7 @@ def candidate_readings(
                     )
                 )
             else:
+                result = extend_drs_at(pruned, site_path, accommodated)
                 admitted.append(
                     Reading(kind, site_path, alpha_path, resolution, accommodated, result)
                 )

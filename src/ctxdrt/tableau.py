@@ -16,12 +16,17 @@ search uses free variables for universal strength, Skolem terms over the
 variables in scope for existential strength, and iterative deepening on
 instantiation counts; exhausted bounds yield "open_bounded", never a
 wrong verdict.
+
+Each task indexes the context literals it inherits once, by predicate,
+arity and polarity.  Its branches hold only the literals they add, so no
+branch or deepening round copies or rescans the context to find closure
+pairs or ground terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .drs import DRS, Alpha, Atom, Condition, Imp, Neg, Or, Referent
 from .lcon import Conj, Disj, DrsLit, Extraction, Formula, In, auto_tag_positions, extract
@@ -220,6 +225,77 @@ def close_branch(
     return None
 
 
+def _ground_terms(args: Iterable[Term]) -> set[Term]:
+    """The ground argument terms, with the ground subterms met on the way."""
+    terms: set[Term] = set()
+
+    def add(term: Term) -> bool:
+        if isinstance(term, Const):
+            terms.add(term)
+            return True
+        if isinstance(term, SkolemApp) and all(add(a) for a in term.args):
+            terms.add(term)
+            return True
+        return False
+
+    for arg in args:
+        add(arg)
+    return terms
+
+
+class _ContextIndex:
+    """One task's shared context literals, indexed once for all its branches.
+
+    Branches hold only the literals they add.  ``pairs`` and ``ground_terms``
+    give what ``_closure_pairs`` and ``_ground_terms`` give over the context
+    literals followed by the branch's, without rescanning the context; the
+    context literals must come in ascending ``index`` order, as node ticks
+    give them.
+    """
+
+    def __init__(self, lits: list[LitNode]) -> None:
+        self.positives: dict[tuple[str, int], list[LitNode]] = {}
+        self.negatives: dict[tuple[str, int], list[LitNode]] = {}
+        for n in lits:
+            side = self.positives if n.label.polarity == "+" else self.negatives
+            side.setdefault((n.pred, len(n.args)), []).append(n)
+        # context positives that meet a context negative, in context order
+        self.matched = [
+            n
+            for n in lits
+            if n.label.polarity == "+" and (n.pred, len(n.args)) in self.negatives
+        ]
+        self.args = {arg for n in lits for arg in n.args}
+        self.ground = _ground_terms(self.args)
+
+    def pairs(self, lits: list[LitNode]) -> list[tuple[LitNode, LitNode]]:
+        """``_closure_pairs(context + lits)``, in the same order."""
+        negatives: dict[tuple[str, int], list[LitNode]] = {}
+        for n in lits:
+            if n.label.polarity == "-":
+                negatives.setdefault((n.pred, len(n.args)), []).append(n)
+        positives = list(self.matched)
+        extra = [k for k in negatives if k not in self.negatives and k in self.positives]
+        if extra:
+            for key in extra:
+                positives.extend(self.positives[key])
+            positives.sort(key=lambda n: n.index)
+        positives.extend(n for n in lits if n.label.polarity == "+")
+        out: list[tuple[LitNode, LitNode]] = []
+        for pos in positives:
+            key = (pos.pred, len(pos.args))
+            for side in (self.negatives, negatives):
+                for neg in side.get(key, ()):
+                    if labels_compatible(pos.label, neg.label):
+                        out.append((pos, neg))
+        return out
+
+    def ground_terms(self, branches: list["_Branch"]) -> set[Term]:
+        """``_ground_terms`` over the context and every branch's literals."""
+        args = {arg for b in branches for lit in b.lits for arg in lit.args} - self.args
+        return self.ground | _ground_terms(args)
+
+
 # -- statistics -----------------------------------------------------------------
 
 
@@ -407,7 +483,7 @@ class _Engine:
 
     def _lit(self, label: Label, atom: Atom, env: dict) -> LitNode:
         self._tick()
-        args = tuple(env.get(a, Const(a.name)) for a in atom.args)
+        args = tuple(env[a] if a in env else Const(a.name) for a in atom.args)
         return LitNode(label, atom.predicate, args, self.nodes)
 
     # -- shared context expansion (once per in-wrapper) -------------------------
@@ -598,22 +674,6 @@ class _Engine:
                 return found
         return None
 
-    def _ground_terms(self, branches: list[_Branch]) -> set[Term]:
-        terms: set[Term] = set()
-
-        def add(term: Term) -> bool:
-            if isinstance(term, Const):
-                terms.add(term)
-                return True
-            if isinstance(term, SkolemApp) and all(add(a) for a in term.args):
-                terms.add(term)
-                return True
-            return False
-
-        for arg in {arg for branch in branches for lit in branch.lits for arg in lit.args}:
-            add(arg)
-        return terms
-
     def run_task(self, label: Label, goal: DRS, shared: _Shared, env: dict) -> str:
         """Decide one entailment question against the shared contexts.
 
@@ -625,15 +685,16 @@ class _Engine:
         if self.exhausted:
             return OPEN_BOUNDED
         self.closure_steps = 0
+        context = _ContextIndex(shared.lits)
         base_gammas = [_GammaState(t) for t in shared.gammas]
         base_items: list[_Item] = list(shared.deferred) + [(label.signed("-"), goal, env)]
         for budget in range(self.bounds.gamma_limit + 1):
-            branch0 = _Branch(list(shared.lits), (), [g.copy() for g in base_gammas])
+            branch0 = _Branch([], (), [g.copy() for g in base_gammas])
             try:
                 branches = self._saturate(branch0, list(base_items), budget)
                 if not branches:
                     return CLOSED
-                branch_pairs = [_closure_pairs(b.lits) for b in branches]
+                branch_pairs = [context.pairs(b.lits) for b in branches]
                 closing = None
                 if all(branch_pairs):
                     closing = self._close_all(branch_pairs, {})
@@ -645,7 +706,7 @@ class _Engine:
             if closing is not None:
                 self.stats.closures += len(branches)
                 return CLOSED
-            ground = max(1, len(self._ground_terms(branches)))
+            ground = max(1, len(context.ground_terms(branches)))
             states = [g for b in branches for g in b.gammas]
             if all(g.count >= ground**g.template.var_count for g in states):
                 return OPEN_SATURATED

@@ -1,14 +1,33 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from ctxdrt.drs import Atom, Referent, validate
+from ctxdrt import drs
+from ctxdrt.drs import (
+    DRS,
+    Atom,
+    Neg,
+    Referent,
+    accessible_referents,
+    alpha_condition_paths,
+    delete_alpha,
+    extend_drs_at,
+    sub_drs_at,
+    substitute_condition,
+    validate,
+)
+from ctxdrt.lcon import extract
 from ctxdrt.projection import (
     BackgroundTheory,
     NoAdmissibleReading,
     NotAccommodatable,
     NotAnAlpha,
+    _alpha_body_at,
+    _split_body,
+    accommodation_sites,
     build_tasks,
     candidate_readings,
     check_reading,
@@ -16,10 +35,13 @@ from ctxdrt.projection import (
     project,
     resolve_alpha,
 )
-from ctxdrt.tableau import default_task_prover
+from ctxdrt.tableau import default_task_prover, prove_lcon
 from ctxdrt.text import parse_drs, print_drs
 
-from gen import corpus_drs
+from conftest import HANK
+from gen import corpus_drs, drs_boxes
+
+CORPUS_SEED = 20260808
 
 
 def alpha_of(box):
@@ -204,3 +226,106 @@ def test_background_theory_rejects_impure_postulates():
     impure = DRS((x,), (Atom("p", (x,)), Imp(DRS((x,), ()), DRS((), (Atom("q", (x,)),)))))
     with pytest.raises(ValueError):
         BackgroundTheory((impure,))
+
+
+def readings_by_whole_result(root, alpha_path):
+    """The free-variable constraint as stated: validate every whole result."""
+    body = _alpha_body_at(alpha_path, root)
+    anaphors, core = _split_body(body)
+    pool = accessible_referents(alpha_path, root)
+    root_free = validate(root).free
+    pruned = delete_alpha(root, alpha_path)
+    admitted, blocked = [], []
+    site_refs: set = set()
+    for kind, site_path in accommodation_sites(alpha_path, root):
+        site_refs |= set(sub_drs_at(site_path, root).universe)
+        for combo in itertools.product(pool, repeat=len(anaphors)):
+            theta = dict(zip(anaphors, combo))
+            accommodated = DRS(
+                body.universe, tuple(substitute_condition(c, theta) for c in core)
+            )
+            result = extend_drs_at(pruned, site_path, accommodated)
+            free = tuple(sorted(validate(result).free - root_free))
+            outside = tuple(sorted(set(combo) - site_refs))
+            key = (kind, site_path, tuple(zip(anaphors, combo)), print_drs(accommodated))
+            if free or outside:
+                blocked.append(key + (free, outside))
+            else:
+                admitted.append(key + (print_drs(result),))
+    return admitted, blocked
+
+
+def assert_readings_match_whole_result_check(root):
+    for path in alpha_condition_paths(root):
+        try:
+            admitted, blocked = candidate_readings(root, path)
+        except NotAccommodatable:
+            continue
+        got_admitted = [
+            (
+                r.site_kind,
+                r.site_path,
+                r.resolution.bindings,
+                print_drs(r.accommodated),
+                print_drs(r.result),
+            )
+            for r in admitted
+        ]
+        got_blocked = [
+            (
+                b.site_kind,
+                b.site_path,
+                b.resolution.bindings,
+                print_drs(b.accommodated),
+                b.free,
+                b.inaccessible,
+            )
+            for b in blocked
+        ]
+        assert (got_admitted, got_blocked) == readings_by_whole_result(root, path)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drs_boxes)
+def test_site_free_check_matches_whole_result_on_generated_boxes(box):
+    assume(validate(box).pure)
+    assert_readings_match_whole_result_check(box)
+
+
+def test_site_free_check_matches_whole_result_on_corpus():
+    rng = random.Random(CORPUS_SEED)
+    for _ in range(2000):
+        assert_readings_match_whole_result_check(corpus_drs(rng))
+
+
+def test_large_boxes_are_validated_once(monkeypatch, marriage_bg):
+    # hank with 300 more root facts: each box of that size should be walked
+    # by validate once, however many readings and tasks look at it
+    facts = ", ".join("f%d(x)" % i for i in range(300))
+    source = HANK.replace("married(x),", "married(x), %s," % facts, 1)
+    misses = []
+    compute = drs._validation_report
+
+    def counting(box):
+        if len(box.conditions) >= 300:
+            misses.append(box)
+        return compute(box)
+
+    monkeypatch.setattr(drs, "_validation_report", counting)
+    project(parse_drs(source), marriage_bg)
+    assert 0 < len(misses) <= 11  # the premise of each of the 10 tasks, and the input
+    misses.clear()
+    extraction = extract(parse_drs(source), marriage_bg)
+    prove_lcon(extraction.formula, extraction.tag_positions())
+    assert len(misses) <= 1
+
+
+def test_validation_report_is_kept_per_instance():
+    # equal boxes (universes are sets) still report duplicates in their own order
+    x, y = Referent("x"), Referent("y")
+    first = DRS((x, y), (Neg(DRS((x, y), ())),))
+    second = DRS((y, x), (Neg(DRS((y, x), ())),))
+    assert first == second
+    assert validate(first).duplicates == (x, y)
+    assert validate(second).duplicates == (y, x)
+    assert validate(first).duplicates == (x, y)

@@ -14,7 +14,9 @@ from ctxdrt.tableau import (
     Label,
     LitNode,
     SkolemApp,
+    _Branch,
     _closure_pairs,
+    _ContextIndex,
     close_branch,
     compare_cost,
     labels_compatible,
@@ -83,6 +85,59 @@ def test_closure_pairs_keep_product_order():
             and labels_compatible(pos.label, neg.label)
         ]
         assert _closure_pairs(lits) == expected
+
+
+def test_context_index_matches_flat_scan():
+    # a task indexes its context literals once; closure pairs and ground
+    # terms must come out as the flat scan over context + branch gives them
+    rng = random.Random(12)
+    for _ in range(400):
+        counter = iter(range(1, 10**6))
+
+        def random_term(depth=0):
+            roll = rng.random()
+            if roll < 0.35:
+                return Const(rng.choice("abc"))
+            if roll < 0.6:
+                return FreeVar(rng.randrange(3))
+            if depth >= 2:
+                return SkolemApp(rng.randrange(3))
+            args = tuple(random_term(depth + 1) for _ in range(rng.randrange(3)))
+            return SkolemApp(rng.randrange(3), args)
+
+        def random_lits(count):
+            out = []
+            for _ in range(count):
+                pred, arity = rng.choice([("p", 1), ("p", 2), ("q", 1), ("r", 2)])
+                accessible = frozenset(rng.sample(range(4, 8), rng.randrange(3)))
+                label = Label(rng.randrange(4), accessible, rng.choice("+-"))
+                args = tuple(random_term() for _ in range(arity))
+                out.append(LitNode(label, pred, args, next(counter)))
+            return out
+
+        context = random_lits(rng.randrange(10))
+        branches = [
+            _Branch(random_lits(rng.randrange(8)), (), []) for _ in range(rng.randrange(1, 4))
+        ]
+        index = _ContextIndex(context)
+        for branch in branches:
+            assert index.pairs(branch.lits) == _closure_pairs(context + branch.lits)
+
+        flat: set = set()
+
+        def add(term):
+            if isinstance(term, Const):
+                flat.add(term)
+                return True
+            if isinstance(term, SkolemApp) and all(add(a) for a in term.args):
+                flat.add(term)
+                return True
+            return False
+
+        everything = context + [n for b in branches for n in b.lits]
+        for arg in {a for n in everything for a in n.args}:
+            add(arg)
+        assert index.ground_terms(branches) == flat
 
 
 def test_unify_occurs_check():
