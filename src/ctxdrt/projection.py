@@ -63,6 +63,7 @@ __all__ = [
     "resolve_alpha",
     "apply_resolution",
     "candidate_readings",
+    "site_premises",
     "build_tasks",
     "check_reading",
     "project",
@@ -347,31 +348,48 @@ def _task_content(box: DRS, presupposed: frozenset[Referent]) -> DRS:
     )
 
 
-def build_tasks(
-    reading: Reading, root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND
-) -> tuple[InferenceTask, InferenceTask]:
-    """The informativity and consistency tasks for one reading.
+def site_premises(
+    root: DRS, alpha_path: DrsPath, bg: BackgroundTheory = EMPTY_BACKGROUND
+) -> dict[DrsPath, DRS]:
+    """The task premise of every accommodation site of one alpha.
 
-    The shared premise is the background theory, the site's context box,
-    and the site's own assertable content.  Informativity asks whether
-    that premise already entails the accommodated material; consistency
-    asks whether premise plus accommodated material is satisfiable.
+    A site's premise is the background theory, the site's context box and
+    the site's own assertable content.  Walking the sites outermost first,
+    each premise is the previous one plus the assertable content of its
+    own box: the condition housing the alpha at each level is not
+    assertable, and an antecedent is listed before its consequent, so
+    this is the context box's content in its order.
     """
     presupposed = presupposed_referents(root)
-    site_box = sub_drs_at(reading.site_path, root)
-    ctx = context_drs(reading.site_path, root)
-    premise = merge_all(
-        [
-            bg.merged_for(root),
-            _task_content(ctx, presupposed),
-            _task_content(site_box, presupposed),
-        ]
-    )
+    premise = bg.merged_for(root)
+    premises: dict[DrsPath, DRS] = {}
+    for _, site_path in accommodation_sites(alpha_path, root):
+        premise = merge(premise, _task_content(sub_drs_at(site_path, root), presupposed))
+        premises[site_path] = premise
+    return premises
+
+
+def _reading_tasks(reading: Reading, premise: DRS) -> tuple[InferenceTask, InferenceTask]:
     informativity = InferenceTask("informativity", premise, reading.accommodated, reading.ref)
     consistency = InferenceTask(
         "consistency", merge(premise, reading.accommodated), None, reading.ref
     )
     return informativity, consistency
+
+
+def build_tasks(
+    reading: Reading, root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND
+) -> tuple[InferenceTask, InferenceTask]:
+    """The informativity and consistency tasks for one reading.
+
+    The premise is the reading's site premise (see ``site_premises``).
+    Informativity asks whether that premise already entails the
+    accommodated material; consistency asks whether premise plus
+    accommodated material is satisfiable.  ``project`` builds the site
+    premises once per alpha instead of once per reading.
+    """
+    premises = site_premises(root, reading.alpha_path, bg)
+    return _reading_tasks(reading, premises[reading.site_path])
 
 
 @dataclass(frozen=True)
@@ -475,8 +493,10 @@ def project(
     Resolution is preferred: a resolvable alpha is deleted and its
     referents renamed, without generating accommodation readings.  An
     unresolvable alpha is accommodated every admissible way; readings
-    failing informativity or consistency are dropped.  All surviving
-    alpha-free boxes are returned with their decision trails.
+    failing informativity or consistency are dropped.  The site premises
+    are built once per accommodated alpha and shared by every reading at
+    a site, so each is validated once.  All surviving alpha-free boxes
+    are returned with their decision trails.
     """
     if prover is None:
         from .tableau import default_task_prover
@@ -509,8 +529,10 @@ def project(
         except NotAccommodatable:
             readings, blocked = [], []
         blocked_all.extend(blocked)
+        premises = site_premises(box, target, bg) if readings else {}
         for reading in readings:
-            verdict = check_reading(build_tasks(reading, box, bg), prover, model_bound)
+            tasks = _reading_tasks(reading, premises[reading.site_path])
+            verdict = check_reading(tasks, prover, model_bound)
             checks.append(CheckRecord(target, reading, verdict))
             if verdict.admitted:
                 step = ProjectionStep(target, "accommodated", reading.ref)

@@ -26,7 +26,7 @@ pairs or ground terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .drs import DRS, Alpha, Atom, Condition, Imp, Neg, Or, Referent
 from .lcon import Conj, Disj, DrsLit, Extraction, Formula, In, auto_tag_positions, extract
@@ -36,9 +36,10 @@ from .projection import (
     BackgroundTheory,
     InferenceTask,
     ProjectionError,
-    build_tasks,
+    _reading_tasks,
     candidate_readings,
     eligible_alpha_paths,
+    site_premises,
 )
 
 __all__ = [
@@ -183,8 +184,7 @@ def labels_compatible(a: Label, b: Label) -> bool:
     return a.context == b.context or a.context in b.accessible or b.context in a.accessible
 
 
-@dataclass(frozen=True)
-class LitNode:
+class LitNode(NamedTuple):
     label: Label
     pred: str
     args: tuple[Term, ...]
@@ -836,8 +836,9 @@ def compare_cost(
             readings = candidate_readings(root, alpha_path)[0]
         except ProjectionError:
             readings = []
+        premises = site_premises(root, alpha_path, bg) if readings else {}
         for reading in readings:
-            informativity, _ = build_tasks(reading, root, bg)
+            informativity, _ = _reading_tasks(reading, premises[reading.site_path])
             status, stats = naive_prove(informativity, bounds)
             naive_stats.absorb(stats)
             naive_verdicts.append((reading.ref, status))

@@ -20,6 +20,7 @@ both languages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .drs import DRS, Alpha, Atom, Condition, Imp, Neg, Or, Referent
 from .lcon import Conj, Disj, DrsLit, Formula, In
@@ -57,8 +58,7 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # one of: ident, kw, punct, eof
     value: str
     start: int

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -222,3 +224,23 @@ def test_main_entry_point(capsys, hank_file):
     assert main(["parse", hank_file]) == 0
     captured = capsys.readouterr()
     assert captured.out.strip() == HANK
+
+
+def test_module_entry_point_matches_main(capsys):
+    from ctxdrt.cli import main
+
+    hank, bg = os.path.join(CASES, "hank.drs"), os.path.join(CASES, "marriage.bg")
+    argv = ["readings", hank, "--bg", bg]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "ctxdrt", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (code, expected)
+    assert code == 0 and expected

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from ctxdrt import drs
+from ctxdrt import drs, projection
 from ctxdrt.drs import (
     DRS,
     Atom,
@@ -13,8 +13,11 @@ from ctxdrt.drs import (
     Referent,
     accessible_referents,
     alpha_condition_paths,
+    context_drs,
     delete_alpha,
     extend_drs_at,
+    merge_all,
+    presupposed_referents,
     sub_drs_at,
     substitute_condition,
     validate,
@@ -27,6 +30,7 @@ from ctxdrt.projection import (
     NotAnAlpha,
     _alpha_body_at,
     _split_body,
+    _task_content,
     accommodation_sites,
     build_tasks,
     candidate_readings,
@@ -34,6 +38,7 @@ from ctxdrt.projection import (
     eligible_alpha_paths,
     project,
     resolve_alpha,
+    site_premises,
 )
 from ctxdrt.tableau import default_task_prover, prove_lcon
 from ctxdrt.text import parse_drs, print_drs
@@ -313,7 +318,9 @@ def test_large_boxes_are_validated_once(monkeypatch, marriage_bg):
 
     monkeypatch.setattr(drs, "_validation_report", counting)
     project(parse_drs(source), marriage_bg)
-    assert 0 < len(misses) <= 11  # the premise of each of the 10 tasks, and the input
+    # the premise of each of the 3 sites, the consistency premise of each
+    # of the 5 readings, and the input
+    assert 0 < len(misses) <= 9
     misses.clear()
     extraction = extract(parse_drs(source), marriage_bg)
     prove_lcon(extraction.formula, extraction.tag_positions())
@@ -329,3 +336,93 @@ def test_validation_report_is_kept_per_instance():
     assert validate(first).duplicates == (x, y)
     assert validate(second).duplicates == (y, x)
     assert validate(first).duplicates == (x, y)
+
+
+def premises_rebuilt_per_site(root, alpha_path, bg):
+    """Each site's premise built from the root, as one reading's tasks state it."""
+    presupposed = presupposed_referents(root)
+    out = []
+    for _, site_path in accommodation_sites(alpha_path, root):
+        premise = merge_all(
+            [
+                bg.merged_for(root),
+                _task_content(context_drs(site_path, root), presupposed),
+                _task_content(sub_drs_at(site_path, root), presupposed),
+            ]
+        )
+        out.append((site_path, premise.universe, premise.conditions))
+    return out
+
+
+def assert_site_premises_match_rebuilt(root, bg):
+    for path in alpha_condition_paths(root):
+        premises = site_premises(root, path, bg).items()
+        got = [(site, p.universe, p.conditions) for site, p in premises]
+        assert got == premises_rebuilt_per_site(root, path, bg)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drs_boxes)
+def test_site_premises_match_rebuilt_premises_on_generated_boxes(box):
+    assume(validate(box).pure)
+    assert_site_premises_match_rebuilt(box, BackgroundTheory())
+
+
+def test_site_premises_match_rebuilt_premises_on_corpus(marriage_bg):
+    rng = random.Random(CORPUS_SEED)
+    for _ in range(2000):
+        root = corpus_drs(rng)
+        assert_site_premises_match_rebuilt(root, BackgroundTheory())
+        assert_site_premises_match_rebuilt(root, marriage_bg)
+
+
+def possessive(t):
+    # every man_t likes his wife
+    return (
+        "[y{0} | man{0}(y{0})] => [ | likes(y{0},u{0}),"
+        " alpha:[u{0} | wife(u{0}), of(u{0},v{0}), alpha:[v{0} | ]]]".format(t)
+    )
+
+
+def test_site_premises_match_rebuilt_premises_on_families(marriage_bg):
+    rng = random.Random(5)
+    texts = []
+    for m in (0, 3, 40):  # family M: hank with m more root facts, shuffled
+        conds = ["hank(x)", "married(x)"] + ["f%d(x)" % i for i in range(m)]
+        rng.shuffle(conds)
+        texts.append("[x | %s, %s]" % (", ".join(conds), possessive(0)))
+    for k in range(1, 5):  # family K: hank is married, then k possessive sentences
+        sentences = ", ".join(possessive(t) for t in range(k))
+        texts.append("[x | hank(x), married(x), %s]" % sentences)
+    for text in texts:
+        root = parse_drs(text)
+        # the boxes project meets after accommodating one alpha, too
+        boxes = [root]
+        for path in eligible_alpha_paths(root):
+            boxes += [r.result for r in candidate_readings(root, path)[0]]
+        for box in boxes:
+            assert_site_premises_match_rebuilt(box, marriage_bg)
+
+
+def test_project_builds_premises_once_per_alpha(monkeypatch, marriage_bg):
+    facts = ", ".join("f%d(x)" % i for i in range(300))
+    box = parse_drs(HANK.replace("married(x),", "married(x), %s," % facts, 1))
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    merged_for = BackgroundTheory.merged_for
+    monkeypatch.setattr(BackgroundTheory, "merged_for", counted("merged_for", merged_for))
+    monkeypatch.setattr(
+        projection,
+        "presupposed_referents",
+        counted("presupposed_referents", presupposed_referents),
+    )
+    outcome = project(box, marriage_bg)
+    assert len(outcome.checks) == 5
+    assert calls == {"merged_for": 1, "presupposed_referents": 1}
