@@ -188,6 +188,13 @@ def _ground(f: FolFormula, env: dict[str, int], domain: range, positive: bool):
 
 
 def _simplify(g, assignment: dict):
+    """``g`` under ``assignment``, with constant children folded away.
+
+    A node whose literal children include a key and its complement is
+    decided outright: an "and" node is false and an "or" node true under
+    every assignment, so satisfiability is unchanged and the search need
+    not split on that key.
+    """
     kind = g[0]
     if kind == "lit":
         _, key, positive = g
@@ -195,21 +202,19 @@ def _simplify(g, assignment: dict):
         if value is None:
             return g
         return _GTRUE if value == positive else _GFALSE
+    absorbing, neutral = (_GFALSE, _GTRUE) if kind == "and" else (_GTRUE, _GFALSE)
     items = []
+    signs: dict = {}
     for item in g[1]:
         s = _simplify(item, assignment)
-        if kind == "and":
-            if s == _GFALSE:
-                return _GFALSE
-            if s != _GTRUE:
-                items.append(s)
-        else:
-            if s == _GTRUE:
-                return _GTRUE
-            if s != _GFALSE:
-                items.append(s)
+        if s == absorbing:
+            return absorbing
+        if s[0] == "lit" and signs.setdefault(s[1], s[2]) != s[2]:
+            return absorbing
+        if s != neutral:
+            items.append(s)
     if not items:
-        return _GTRUE if kind == "and" else _GFALSE
+        return neutral
     if len(items) == 1:
         return items[0]
     return (kind, tuple(items))

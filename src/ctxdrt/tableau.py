@@ -36,7 +36,6 @@ from .projection import (
     BackgroundTheory,
     InferenceTask,
     ProjectionError,
-    _reading_tasks,
     candidate_readings,
     eligible_alpha_paths,
     site_premises,
@@ -87,27 +86,26 @@ DEFAULT_BOUNDS = Bounds()
 # -- terms and unification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeVar:
+class FreeVar(NamedTuple):
     id: int
 
 
-@dataclass(frozen=True)
-class SkolemApp:
+class SkolemApp(NamedTuple):
     fn: int
     args: tuple["Term", ...] = ()
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str
 
 
+# Terms are named tuples: ids are ints and names strs, so no two term types
+# compare equal, and hashing and equality run in C.
 Term = Union[FreeVar, SkolemApp, Const]
 
 
 def _resolve(term: Term, subst: dict) -> Term:
-    while isinstance(term, FreeVar) and term in subst:
+    while type(term) is FreeVar and term in subst:
         term = subst[term]
     return term
 
@@ -116,8 +114,10 @@ def _occurs(var: FreeVar, term: Term, subst: dict) -> bool:
     term = _resolve(term, subst)
     if term == var:
         return True
-    if isinstance(term, SkolemApp):
-        return any(_occurs(var, a, subst) for a in term.args)
+    if type(term) is SkolemApp:
+        for arg in term.args:
+            if _occurs(var, arg, subst):
+                return True
     return False
 
 
@@ -130,15 +130,15 @@ def unify(a: Term, b: Term, subst: Optional[dict] = None) -> Optional[dict]:
         s, t = _resolve(s, out), _resolve(t, out)
         if s == t:
             continue
-        if isinstance(s, FreeVar):
+        if type(s) is FreeVar:
             if _occurs(s, t, out):
                 return None
             out[s] = t
-        elif isinstance(t, FreeVar):
+        elif type(t) is FreeVar:
             if _occurs(t, s, out):
                 return None
             out[t] = s
-        elif isinstance(s, SkolemApp) and isinstance(t, SkolemApp):
+        elif type(s) is SkolemApp and type(t) is SkolemApp:
             if s.fn != t.fn or len(s.args) != len(t.args):
                 return None
             pending.extend(zip(s.args, t.args))
@@ -641,33 +641,46 @@ class _Engine:
 
     # -- closure ---------------------------------------------------------------------
 
-    def _close_all(self, branch_pairs: list, subst: dict) -> Optional[dict]:
+    def _close_all(self, branches: list, subst: dict) -> Optional[dict]:
         """Find one substitution closing every branch at once.
 
         Most-constrained-first: commit the branch with the fewest pairs
         still unifiable under the running substitution, so conflicts
         surface early instead of after exploring hopeless prefixes.
+
+        Each branch comes as ``(charge, pairs)``: ``charge`` is its full
+        pair count and ``pairs`` the pairs still live.  A pair that fails
+        to unify under a substitution fails under every extension of it,
+        so a branch hands down only the pairs that unified here; the
+        options, and the order they are tried in, are those of the full
+        list.  Looking at a branch still costs ``charge`` closure steps,
+        so the step bound trips exactly where a scan of every pair would.
         """
-        if not branch_pairs:
+        if not branches:
             return subst
+        narrowed = list(branches)
         best_index = -1
         best_options: Optional[list[dict]] = None
-        for i, pairs in enumerate(branch_pairs):
+        for i, (charge, pairs) in enumerate(branches):
+            self.closure_steps += charge
+            if self.closure_steps > self.bounds.depth_limit:
+                raise _ClosureExceeded
             options: list[dict] = []
-            for pos, neg in pairs:
-                self.closure_steps += 1
-                if self.closure_steps > self.bounds.depth_limit:
-                    raise _ClosureExceeded
-                trial = _unify_args(pos.args, neg.args, subst)
-                if trial is not None and trial not in options:
-                    options.append(trial)
+            live = []
+            for pair in pairs:
+                trial = _unify_args(pair[0].args, pair[1].args, subst)
+                if trial is not None:
+                    live.append(pair)
+                    if trial not in options:
+                        options.append(trial)
             if not options:
                 return None
+            narrowed[i] = (charge, live)
             if best_options is None or len(options) < len(best_options):
                 best_index, best_options = i, options
                 if len(best_options) == 1:
                     break
-        rest = branch_pairs[:best_index] + branch_pairs[best_index + 1 :]
+        rest = narrowed[:best_index] + narrowed[best_index + 1 :]
         for trial in best_options:
             found = self._close_all(rest, trial)
             if found is not None:
@@ -697,7 +710,7 @@ class _Engine:
                 branch_pairs = [context.pairs(b.lits) for b in branches]
                 closing = None
                 if all(branch_pairs):
-                    closing = self._close_all(branch_pairs, {})
+                    closing = self._close_all([(len(p), p) for p in branch_pairs], {})
             except _DepthExceeded:
                 self.exhausted = True
                 return OPEN_BOUNDED
@@ -838,7 +851,9 @@ def compare_cost(
             readings = []
         premises = site_premises(root, alpha_path, bg) if readings else {}
         for reading in readings:
-            informativity, _ = _reading_tasks(reading, premises[reading.site_path])
+            informativity = InferenceTask(
+                "informativity", premises[reading.site_path], reading.accommodated, reading.ref
+            )
             status, stats = naive_prove(informativity, bounds)
             naive_stats.absorb(stats)
             naive_verdicts.append((reading.ref, status))

@@ -163,6 +163,41 @@ def _drs_strategy() -> st.SearchStrategy[DRS]:
 drs_boxes = _drs_strategy()
 
 
+def _nested_alpha_strategy() -> st.SearchStrategy[DRS]:
+    """Boxes with one alpha nested under implications, negations and
+    disjunctions, and assertable content beside it at every level, so the
+    alpha has several accommodation sites that each add premise content."""
+    universe = st.lists(_referent, max_size=2, unique_by=lambda r: r.name).map(tuple)
+    atoms = st.lists(_atom, min_size=1, max_size=2)
+    plain = st.builds(DRS, universe, atoms.map(tuple))
+
+    def beside(housing):
+        # the housing condition at a random place among the level's atoms
+        return st.builds(
+            lambda u, xs, h, i: DRS(u, tuple(xs[:i] + [h] + xs[i:])),
+            universe,
+            atoms,
+            housing,
+            st.integers(0, 2),
+        )
+
+    return st.recursive(
+        beside(st.builds(Alpha, plain)),
+        lambda inner: beside(
+            st.one_of(
+                st.builds(Neg, inner),
+                st.builds(Imp, plain, inner),
+                st.builds(Imp, inner, plain),
+                st.builds(Or, inner, plain),
+            )
+        ),
+        max_leaves=4,
+    )
+
+
+nested_alpha_boxes = _nested_alpha_strategy()
+
+
 def _lcon_strategy() -> st.SearchStrategy:
     nonempty_box = st.builds(
         DRS,

@@ -139,6 +139,21 @@ def test_unit_propagation_assigns_root_facts_at_once(monkeypatch):
     assert len(calls) <= 3  # one nested call per root fact without propagation
 
 
+def test_complementary_children_decide_their_node(monkeypatch):
+    # every one of the 3^5 disjuncts at domain size 3 holds r(f) and not r(f)
+    box = parse_drs("[a,b,e,f,c | q(a,b), p(a), not [ | r(f)], r(c), r(f)]")
+    calls = []
+    search = models._sat
+
+    def counting(g, assignment):
+        calls.append(1)
+        return search(g, assignment)
+
+    monkeypatch.setattr(models, "_sat", counting)
+    assert model_check(box, None, max_domain=3).status == "unknown"
+    assert len(calls) <= 3  # one per domain size; splitting through the clashes took 1,217
+
+
 def test_unit_propagation_finds_clash_among_root_facts():
     box = parse_drs("[x | %s, not [ | f7(x)]]" % FACTS)
     assert model_check(box, None, max_domain=3).status == "refuted"
@@ -159,16 +174,35 @@ def _truth(g, values):
     return any(_truth(i, values) for i in g[1])
 
 
+def _plant_clash(rng, g, kind, key):
+    """``g`` with one node replaced by a ``kind`` node over it, ``key`` and its complement."""
+    if g[0] != "lit" and g[1] and rng.random() < 0.6:
+        i = rng.randrange(len(g[1]))
+        items = list(g[1])
+        items[i] = _plant_clash(rng, items[i], kind, key)
+        return (g[0], tuple(items))
+    items = [g, ("lit", key, True), ("lit", key, False)]
+    rng.shuffle(items)
+    return (kind, tuple(items))
+
+
 def test_sat_agrees_with_truth_tables():
     rng = random.Random(5)
+    plant = random.Random(6)
     keys = [("p", (i,)) for i in range(4)]
     for _ in range(2000):
-        g = _random_ground(rng, keys, 4)
-        satisfiable = any(
-            _truth(g, dict(zip(keys, row)))
-            for row in itertools.product((True, False), repeat=len(keys))
-        )
-        found = models._sat(g, {})
-        assert (found is not None) == satisfiable
-        if found is not None:
-            assert models._simplify(g, found) == models._GTRUE
+        plain = _random_ground(rng, keys, 4)
+        key = plant.choice(keys)
+        for g in (
+            plain,
+            _plant_clash(plant, plain, "and", key),
+            _plant_clash(plant, plain, "or", key),
+        ):
+            satisfiable = any(
+                _truth(g, dict(zip(keys, row)))
+                for row in itertools.product((True, False), repeat=len(keys))
+            )
+            found = models._sat(g, {})
+            assert (found is not None) == satisfiable
+            if found is not None:
+                assert models._simplify(g, found) == models._GTRUE

@@ -40,11 +40,11 @@ from ctxdrt.projection import (
     resolve_alpha,
     site_premises,
 )
-from ctxdrt.tableau import default_task_prover, prove_lcon
+from ctxdrt.tableau import compare_cost, default_task_prover, prove_lcon
 from ctxdrt.text import parse_drs, print_drs
 
 from conftest import HANK
-from gen import corpus_drs, drs_boxes
+from gen import corpus_drs, drs_boxes, nested_alpha_boxes
 
 CORPUS_SEED = 20260808
 
@@ -325,6 +325,11 @@ def test_large_boxes_are_validated_once(monkeypatch, marriage_bg):
     extraction = extract(parse_drs(source), marriage_bg)
     prove_lcon(extraction.formula, extraction.tag_positions())
     assert len(misses) <= 1
+    misses.clear()
+    compare_cost(parse_drs(source), marriage_bg)
+    # compare_cost proves only informativity: the input and the premise of
+    # each of the 3 sites, and no consistency premise
+    assert 0 < len(misses) <= 4
 
 
 def test_validation_report_is_kept_per_instance():
@@ -362,7 +367,7 @@ def assert_site_premises_match_rebuilt(root, bg):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(drs_boxes)
+@given(nested_alpha_boxes)
 def test_site_premises_match_rebuilt_premises_on_generated_boxes(box):
     assume(validate(box).pure)
     assert_site_premises_match_rebuilt(box, BackgroundTheory())

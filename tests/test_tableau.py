@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from ctxdrt import tableau
 from ctxdrt.lcon import DrsLit, In, extract
 from ctxdrt.projection import InferenceTask
 from ctxdrt.tableau import (
@@ -16,7 +18,10 @@ from ctxdrt.tableau import (
     SkolemApp,
     _Branch,
     _closure_pairs,
+    _ClosureExceeded,
     _ContextIndex,
+    _Engine,
+    _unify_args,
     close_branch,
     compare_cost,
     labels_compatible,
@@ -87,37 +92,39 @@ def test_closure_pairs_keep_product_order():
         assert _closure_pairs(lits) == expected
 
 
+def random_term(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.35:
+        return Const(rng.choice("abc"))
+    if roll < 0.6:
+        return FreeVar(rng.randrange(3))
+    if depth >= 2:
+        return SkolemApp(rng.randrange(3))
+    args = tuple(random_term(rng, depth + 1) for _ in range(rng.randrange(3)))
+    return SkolemApp(rng.randrange(3), args)
+
+
+def random_lits(rng, count, counter):
+    out = []
+    for _ in range(count):
+        pred, arity = rng.choice([("p", 1), ("p", 2), ("q", 1), ("r", 2)])
+        accessible = frozenset(rng.sample(range(4, 8), rng.randrange(3)))
+        label = Label(rng.randrange(4), accessible, rng.choice("+-"))
+        args = tuple(random_term(rng) for _ in range(arity))
+        out.append(LitNode(label, pred, args, next(counter)))
+    return out
+
+
 def test_context_index_matches_flat_scan():
     # a task indexes its context literals once; closure pairs and ground
     # terms must come out as the flat scan over context + branch gives them
     rng = random.Random(12)
     for _ in range(400):
         counter = iter(range(1, 10**6))
-
-        def random_term(depth=0):
-            roll = rng.random()
-            if roll < 0.35:
-                return Const(rng.choice("abc"))
-            if roll < 0.6:
-                return FreeVar(rng.randrange(3))
-            if depth >= 2:
-                return SkolemApp(rng.randrange(3))
-            args = tuple(random_term(depth + 1) for _ in range(rng.randrange(3)))
-            return SkolemApp(rng.randrange(3), args)
-
-        def random_lits(count):
-            out = []
-            for _ in range(count):
-                pred, arity = rng.choice([("p", 1), ("p", 2), ("q", 1), ("r", 2)])
-                accessible = frozenset(rng.sample(range(4, 8), rng.randrange(3)))
-                label = Label(rng.randrange(4), accessible, rng.choice("+-"))
-                args = tuple(random_term() for _ in range(arity))
-                out.append(LitNode(label, pred, args, next(counter)))
-            return out
-
-        context = random_lits(rng.randrange(10))
+        context = random_lits(rng, rng.randrange(10), counter)
         branches = [
-            _Branch(random_lits(rng.randrange(8)), (), []) for _ in range(rng.randrange(1, 4))
+            _Branch(random_lits(rng, rng.randrange(8), counter), (), [])
+            for _ in range(rng.randrange(1, 4))
         ]
         index = _ContextIndex(context)
         for branch in branches:
@@ -138,6 +145,107 @@ def test_context_index_matches_flat_scan():
         for arg in {a for n in everything for a in n.args}:
             add(arg)
         assert index.ground_terms(branches) == flat
+
+
+def reference_close_all(engine, branch_pairs, subst):
+    """Closure search as it was before pruning: unify every pair at every level."""
+    if not branch_pairs:
+        return subst
+    best_index = -1
+    best_options = None
+    for i, pairs in enumerate(branch_pairs):
+        options = []
+        for pos, neg in pairs:
+            engine.closure_steps += 1
+            if engine.closure_steps > engine.bounds.depth_limit:
+                raise _ClosureExceeded
+            trial = _unify_args(pos.args, neg.args, subst)
+            if trial is not None and trial not in options:
+                options.append(trial)
+        if not options:
+            return None
+        if best_options is None or len(options) < len(best_options):
+            best_index, best_options = i, options
+            if len(best_options) == 1:
+                break
+    rest = branch_pairs[:best_index] + branch_pairs[best_index + 1 :]
+    for trial in best_options:
+        found = reference_close_all(engine, rest, trial)
+        if found is not None:
+            return found
+    return None
+
+
+def test_pruned_closure_search_matches_full_scan(monkeypatch):
+    # pruning pairs that failed higher up must find the same substitution,
+    # charge the same closure steps and trip the same step bounds
+    rng = random.Random(13)
+    unify_calls = []
+    plain_unify = tableau.unify
+
+    def counting_unify(a, b, subst=None):
+        unify_calls.append(1)
+        return plain_unify(a, b, subst)
+
+    monkeypatch.setattr(tableau, "unify", counting_unify)
+    calls = {"reference": 0, "pruned": 0}
+    seen = set()
+    for _ in range(300):
+        counter = iter(range(1, 10**6))
+        branch_pairs = []
+        for _ in range(rng.randrange(1, 5)):
+            pairs = []
+            for _ in range(rng.randrange(1, 7)):
+                pos, neg = random_lits(rng, 2, counter)
+                args = tuple(random_term(rng) for _ in pos.args)
+                pairs.append((pos, neg._replace(pred=pos.pred, args=args)))
+            branch_pairs.append(pairs)
+        for limit in (5, 20, 100, 20000):
+            results = {}
+            for route in ("reference", "pruned"):
+                engine = _Engine(Bounds(depth_limit=limit))
+                del unify_calls[:]
+                try:
+                    if route == "reference":
+                        found = reference_close_all(engine, branch_pairs, {})
+                    else:
+                        found = engine._close_all([(len(p), p) for p in branch_pairs], {})
+                    results[route] = (found, engine.closure_steps)
+                except _ClosureExceeded:
+                    results[route] = "exceeded"
+                calls[route] += len(unify_calls)
+            assert results["pruned"] == results["reference"]
+            seen.add("exceeded" if results["pruned"] == "exceeded" else results["pruned"][0] is None)
+    assert seen == {"exceeded", True, False}
+    assert calls["pruned"] < calls["reference"]
+
+
+def test_terms_are_tuples_with_the_dataclass_repr_and_hash():
+    from dataclasses import field, make_dataclass
+
+    old = {
+        FreeVar: make_dataclass("FreeVar", [("id", int)], frozen=True),
+        SkolemApp: make_dataclass(
+            "SkolemApp", [("fn", int), ("args", tuple, field(default=()))], frozen=True
+        ),
+        Const: make_dataclass("Const", [("name", str)], frozen=True),
+    }
+
+    def as_dataclass(term):
+        if type(term) is SkolemApp:
+            return old[SkolemApp](term.fn, tuple(as_dataclass(a) for a in term.args))
+        return old[type(term)](*term)
+
+    terms = [FreeVar(1), Const("1"), SkolemApp(1)]
+    assert len(set(terms)) == 3
+    for a, b in itertools.combinations(terms, 2):
+        assert a != b
+    assert SkolemApp(2) == SkolemApp(2, ())
+    rng = random.Random(14)
+    terms += [random_term(rng) for _ in range(200)]
+    for term in terms:
+        assert repr(term) == repr(as_dataclass(term))
+        assert hash(term) == hash(as_dataclass(term))
 
 
 def test_unify_occurs_check():
