@@ -27,13 +27,7 @@ from .projection import (
     project,
     resolve_alpha,
 )
-from .tableau import (
-    OPEN_BOUNDED,
-    Bounds,
-    compare_cost,
-    default_task_prover,
-    prove_lcon,
-)
+from .tableau import DEFAULT_BOUNDS, OPEN_BOUNDED, Bounds, compare_cost, prove_lcon
 from .text import ParseError, parse_drs, parse_lcon, print_drs, print_lcon
 
 __all__ = ["RunConfig", "run", "emit_json", "main"]
@@ -51,15 +45,16 @@ class RunConfig:
     command: str
     inputs: tuple[str, ...]
     background: Optional[str] = None
-    gamma_limit: int = 5
-    depth_limit: int = 20000
+    gamma_limit: int = DEFAULT_BOUNDS.gamma_limit
+    depth_limit: int = DEFAULT_BOUNDS.depth_limit
     model_bound: int = 3
     json_output: bool = False
     no_filter: bool = False
 
     def __post_init__(self) -> None:
-        if self.gamma_limit < 0 or self.depth_limit <= 0 or self.model_bound <= 0:
-            raise ValueError("limits must be positive")
+        self.bounds  # Bounds rejects a negative gamma or non-positive depth limit
+        if self.model_bound <= 0:
+            raise ValueError("model size must be positive")
 
     @property
     def bounds(self) -> Bounds:
@@ -194,9 +189,8 @@ def _cmd_readings(config: RunConfig, out: list[str]) -> int:
                 out.append("blocked %s@%s: %s\n" % (b.site_kind, path_str(b.site_path), b.reason))
         return EXIT_OK
 
-    prover = default_task_prover(config.bounds)
     try:
-        outcome = project(box, bg, prover, config.model_bound)
+        outcome = project(box, bg, config.bounds, config.model_bound)
     except NoAdmissibleReading as failure:
         unknown = any(c.verdict.unknown for c in failure.checks)
         if config.json_output:
@@ -398,32 +392,29 @@ def _build_parser() -> argparse.ArgumentParser:
         ("prove", False, True),
         ("compare", True, True),
     ]:
-        cmd = sub.add_parser(name)
+        # unset options stay off the namespace, so RunConfig supplies defaults
+        cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         cmd.add_argument("input", help="input file (.drs, or .lcon for prove)")
         cmd.add_argument("--json", action="store_true", dest="json_output")
         if with_bg:
-            cmd.add_argument("--bg", dest="background", default=None)
+            cmd.add_argument("--bg", dest="background")
         if with_bounds:
-            cmd.add_argument("--gamma", type=int, default=5, dest="gamma_limit")
-            cmd.add_argument("--depth", type=int, default=20000, dest="depth_limit")
+            cmd.add_argument("--gamma", type=int, dest="gamma_limit")
+            cmd.add_argument("--depth", type=int, dest="depth_limit")
         if name == "readings":
-            cmd.add_argument("--model-size", type=int, default=3, dest="model_bound")
+            cmd.add_argument("--model-size", type=int, dest="model_bound")
             cmd.add_argument("--no-filter", action="store_true", dest="no_filter")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        inputs=(args.input,),
-        background=getattr(args, "background", None),
-        gamma_limit=getattr(args, "gamma_limit", 5),
-        depth_limit=getattr(args, "depth_limit", 20000),
-        model_bound=getattr(args, "model_bound", 3),
-        json_output=args.json_output,
-        no_filter=getattr(args, "no_filter", False),
-    )
+    parser = _build_parser()
+    args = vars(parser.parse_args(argv))
+    args["inputs"] = (args.pop("input"),)
+    try:
+        config = RunConfig(**args)
+    except ValueError as exc:
+        parser.error(str(exc))
     code, stdout, stderr = run(config)
     if stdout:
         sys.stdout.write(stdout)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .drs import (
     ALPHA_BODY,
@@ -40,6 +40,9 @@ from .drs import (
     substitute_free,
     validate,
 )
+
+if TYPE_CHECKING:
+    from .tableau import Bounds
 
 __all__ = [
     "ProjectionError",
@@ -408,26 +411,29 @@ class ReadingVerdict:
 
 def check_reading(
     tasks: tuple[InferenceTask, InferenceTask],
-    prover: Callable[[InferenceTask], str],
+    bounds: Optional["Bounds"] = None,
     model_bound: int = 3,
 ) -> ReadingVerdict:
-    """Decide a reading: prover for entailment, model search for consistency.
+    """Decide a reading: tableau for entailment, model search for consistency.
 
-    The prover returns "closed", "open_saturated", or "open_bounded" for
-    the informativity task; a closed task means the accommodation is
-    redundant and the reading fails.  A consistency search that hits the
-    model checker's resource ceiling leaves the reading undecided.
+    The informativity task goes to ``tableau.naive_prove`` under ``bounds``
+    (default ``tableau.DEFAULT_BOUNDS``); a closed task means the
+    accommodation is redundant and the reading fails.  A consistency search
+    that hits the model checker's resource ceiling leaves the reading
+    undecided.
     """
-    from .models import ResourceLimit, model_check
+    from . import models, tableau  # tableau imports this module
 
     informativity, consistency = tasks
-    status = prover(informativity)
+    status, _ = tableau.naive_prove(
+        informativity, tableau.DEFAULT_BOUNDS if bounds is None else bounds
+    )
     informative = {"closed": "fail", "open_saturated": "pass", "open_bounded": "unknown"}[
         status
     ]
     try:
-        mc_status = model_check(consistency.premise, None, max_domain=model_bound).status
-    except ResourceLimit:
+        mc_status = models.model_check(consistency.premise, None, max_domain=model_bound).status
+    except models.ResourceLimit:
         mc_status = "unknown"
     consistent = {"satisfiable": "pass", "refuted": "fail", "unknown": "unknown"}[mc_status]
     return ReadingVerdict(informative, consistent)
@@ -485,7 +491,7 @@ def eligible_alpha_paths(box: DRS) -> list[DrsPath]:
 def project(
     root: DRS,
     bg: BackgroundTheory = EMPTY_BACKGROUND,
-    prover: Optional[Callable[[InferenceTask], str]] = None,
+    bounds: Optional["Bounds"] = None,
     model_bound: int = 3,
 ) -> ProjectOutcome:
     """Resolve or accommodate every alpha, innermost first.
@@ -495,13 +501,10 @@ def project(
     unresolvable alpha is accommodated every admissible way; readings
     failing informativity or consistency are dropped.  The site premises
     are built once per accommodated alpha and shared by every reading at
-    a site, so each is validated once.  All surviving alpha-free boxes
-    are returned with their decision trails.
+    a site, so each is validated once.  Each reading is checked by
+    ``check_reading`` under ``bounds`` and ``model_bound``.  All surviving
+    alpha-free boxes are returned with their decision trails.
     """
-    if prover is None:
-        from .tableau import default_task_prover
-
-        prover = default_task_prover()
     report = validate(root)
     if not report.pure:
         raise ValueError(
@@ -532,7 +535,7 @@ def project(
         premises = site_premises(box, target, bg) if readings else {}
         for reading in readings:
             tasks = _reading_tasks(reading, premises[reading.site_path])
-            verdict = check_reading(tasks, prover, model_bound)
+            verdict = check_reading(tasks, bounds, model_bound)
             checks.append(CheckRecord(target, reading, verdict))
             if verdict.admitted:
                 step = ProjectionStep(target, "accommodated", reading.ref)

@@ -26,7 +26,7 @@ pairs or ground terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .drs import DRS, Alpha, Atom, Condition, Imp, Neg, Or, Referent
 from .lcon import Conj, Disj, DrsLit, Extraction, Formula, In, auto_tag_positions, extract
@@ -40,6 +40,7 @@ from .projection import (
     eligible_alpha_paths,
     site_premises,
 )
+from .text import print_condition
 
 __all__ = [
     "CLOSED",
@@ -60,7 +61,6 @@ __all__ = [
     "close_branch",
     "prove_lcon",
     "naive_prove",
-    "default_task_prover",
     "CompareReport",
     "compare_cost",
 ]
@@ -460,7 +460,6 @@ class _Engine:
         self._skolem = 0
         self._context = 0
         self.exhausted = False
-        self.label_edges: list[tuple[Label, Label]] = []
 
     # Fresh symbol supplies are owned by the proof attempt, so re-running
     # the same input yields identical trees and statistics.
@@ -489,8 +488,6 @@ class _Engine:
     # -- shared context expansion (once per in-wrapper) -------------------------
 
     def expand_context(self, label: Label, box: DRS, shared: _Shared) -> None:
-        from .text import print_condition
-
         env = dict(shared.env)
         if box.universe:
             self.stats.bump("+:universe")
@@ -515,10 +512,12 @@ class _Engine:
     # -- per-task expansion -------------------------------------------------------
 
     def _step(self, item: _Item, branch: _Branch) -> Optional[list[list[_Item]]]:
-        """Expand one item.
+        """Expand one item: a box, a condition or an instantiation.
 
-        Non-branching rules mutate the branch (or return a single
-        alternative); branching rules return one item list per child.
+        Formula structure (``in``, ``&``, ``|``) never reaches a task; the
+        spine of ``prove_lcon`` takes it apart.  Non-branching rules mutate
+        the branch (or return a single alternative); branching rules return
+        one item list per child.
         """
         label, payload, env = item
         sign = label.polarity
@@ -570,29 +569,6 @@ class _Engine:
             return [[(label, payload.left, env), (label, payload.right, env)]]
         if isinstance(payload, Alpha):
             raise AlphaRemaining("anaphoric material reached the prover")
-        if isinstance(payload, DrsLit):
-            return [[(label, payload.drs, env)]]
-        if isinstance(payload, In):
-            j = self.fresh_context()
-            inner = Label(j, label.accessible | {label.context}, "+")
-            self.label_edges.append((label, inner))
-            self.stats.bump(sign + ":in")
-            if sign == "-":
-                return [[(inner, payload.context, env), (inner.signed("-"), payload.body, env)]]
-            return [
-                [(inner.signed("-"), payload.context, env)],
-                [(inner, payload.body, env)],
-            ]
-        if isinstance(payload, Conj):
-            self.stats.bump(sign + ":conj")
-            if sign == "+":
-                return [[(label, i, env) for i in payload.items]]
-            return [[(label, i, env)] for i in payload.items]
-        if isinstance(payload, Disj):
-            self.stats.bump(sign + ":disj")
-            if sign == "+":
-                return [[(label, i, env)] for i in payload.items]
-            return [[(label, i, env) for i in payload.items]]
         raise TypeError("cannot expand %r" % (payload,))
 
     def _instantiate(self, state: _GammaState, branch: _Branch) -> list[_Item]:
@@ -757,7 +733,6 @@ def prove_lcon(
         if isinstance(f, In):
             j = engine.fresh_context()
             inner = Label(j, label.accessible | {label.context}, "+")
-            engine.label_edges.append((label, inner))
             engine.stats.bump("-:in")
             mark = shared.mark()
             try:
@@ -792,13 +767,6 @@ def naive_prove(task: InferenceTask, bounds: Bounds = DEFAULT_BOUNDS) -> tuple[s
         position = (0,)
     verdict, stats = prove_lcon(formula, {position: "task"}, bounds)
     return verdict["task"], stats
-
-
-def default_task_prover(bounds: Bounds = DEFAULT_BOUNDS) -> Callable[[InferenceTask], str]:
-    def prover(task: InferenceTask) -> str:
-        return naive_prove(task, bounds)[0]
-
-    return prover
 
 
 # -- shared-vs-naive cost comparison ------------------------------------------------

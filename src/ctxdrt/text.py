@@ -139,12 +139,6 @@ class _Parser:
             return self.next()
         raise self.fail({value})
 
-    def expect_kw(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.value == word:
-            return self.next()
-        raise self.fail({word})
-
     def ident(self) -> str:
         tok = self.peek()
         if tok.kind == "ident":

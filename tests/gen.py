@@ -137,7 +137,7 @@ _atom = st.builds(
 )
 
 
-def _drs_strategy() -> st.SearchStrategy[DRS]:
+def _drs_strategy(alphas: bool = True) -> st.SearchStrategy[DRS]:
     def universe_and_conditions(conditions):
         return st.builds(
             DRS,
@@ -153,7 +153,7 @@ def _drs_strategy() -> st.SearchStrategy[DRS]:
                 st.builds(Neg, inner),
                 st.builds(Imp, inner, inner),
                 st.builds(Or, inner, inner),
-                st.builds(Alpha, inner),
+                *([st.builds(Alpha, inner)] if alphas else []),
             )
         ),
         max_leaves=6,
@@ -161,6 +161,7 @@ def _drs_strategy() -> st.SearchStrategy[DRS]:
 
 
 drs_boxes = _drs_strategy()
+alpha_free_boxes = _drs_strategy(alphas=False)
 
 
 def _nested_alpha_strategy() -> st.SearchStrategy[DRS]:
@@ -198,15 +199,15 @@ def _nested_alpha_strategy() -> st.SearchStrategy[DRS]:
 nested_alpha_boxes = _nested_alpha_strategy()
 
 
-def _lcon_strategy() -> st.SearchStrategy:
+def _lcon_strategy(boxes: st.SearchStrategy[DRS]) -> st.SearchStrategy:
     nonempty_box = st.builds(
         DRS,
         st.lists(_referent, min_size=1, max_size=3, unique_by=lambda r: r.name).map(tuple),
         st.lists(_atom, max_size=2).map(tuple),
     )
     base = st.one_of(
-        st.builds(DrsLit, drs_boxes),
-        st.builds(In, nonempty_box, st.builds(DrsLit, drs_boxes)),
+        st.builds(DrsLit, boxes),
+        st.builds(In, nonempty_box, st.builds(DrsLit, boxes)),
     )
     return st.recursive(
         base,
@@ -219,4 +220,5 @@ def _lcon_strategy() -> st.SearchStrategy:
     )
 
 
-lcon_formulas = _lcon_strategy()
+lcon_formulas = _lcon_strategy(drs_boxes)
+alpha_free_lcon_formulas = _lcon_strategy(alpha_free_boxes)

@@ -218,6 +218,20 @@ def test_run_config_validates_limits():
         RunConfig("parse", ("x",), depth_limit=0)
 
 
+@pytest.mark.parametrize(
+    "flag", [["--depth", "0"], ["--gamma", "-1"], ["--model-size", "0"]]
+)
+def test_invalid_bound_is_a_usage_error(capsys, hank_file, flag):
+    from ctxdrt.cli import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(["readings", hank_file, *flag])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "must be positive" in captured.err and "Traceback" not in captured.err
+
+
 def test_main_entry_point(capsys, hank_file):
     from ctxdrt.cli import main
 

@@ -40,7 +40,7 @@ from ctxdrt.projection import (
     resolve_alpha,
     site_premises,
 )
-from ctxdrt.tableau import compare_cost, default_task_prover, prove_lcon
+from ctxdrt.tableau import compare_cost, prove_lcon
 from ctxdrt.text import parse_drs, print_drs
 
 from conftest import HANK
@@ -154,12 +154,9 @@ def test_exactly_five_task_pairs(hank):
 
 
 def test_check_reading_filters_redundant_accommodation(hank, marriage_bg):
-    prover = default_task_prover()
     verdicts = {}
     for reading in candidate_readings(hank, alpha_of(hank))[0]:
-        verdicts[reading.ref] = check_reading(
-            build_tasks(reading, hank, marriage_bg), prover
-        )
+        verdicts[reading.ref] = check_reading(build_tasks(reading, hank, marriage_bg))
     binding_x = [ref for ref in verdicts if "v->x" in ref]
     binding_y = [ref for ref in verdicts if "v->y" in ref]
     assert binding_x and binding_y

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from ctxdrt import tableau
-from ctxdrt.lcon import DrsLit, In, extract
+from ctxdrt.lcon import auto_tag_positions, extract
 from ctxdrt.projection import InferenceTask
 from ctxdrt.tableau import (
     CLOSED,
@@ -31,7 +32,7 @@ from ctxdrt.tableau import (
 )
 from ctxdrt.text import parse_drs, parse_lcon
 
-from gen import corpus_drs
+from gen import alpha_free_lcon_formulas, corpus_drs
 
 
 def lit(ctx, acc, pol, pred, *args):
@@ -311,39 +312,33 @@ def test_exhausted_budget_reports_open_bounded(hank, marriage_bg):
     assert OPEN_BOUNDED in verdict.as_dict().values()
 
 
-def test_positive_in_rule_branches():
-    from ctxdrt.tableau import _Branch, _Engine
+def test_spine_labels_nest_with_fresh_contexts(hank, marriage_bg, monkeypatch):
+    seen: list[Label] = []
+    expand = _Engine.expand_context
 
-    engine = _Engine(Bounds())
-    label = Label(0, frozenset(), "+")
-    payload = In(parse_drs("[x | p(x)]"), DrsLit(parse_drs("[ | q(x)]")))
-    alternatives = engine._step((label, payload, {}), _Branch([], (), []))
-    assert len(alternatives) == 2
-    (ctx_item,), (body_item,) = alternatives
-    assert ctx_item[0].polarity == "-" and body_item[0].polarity == "+"
-    assert ctx_item[0].context == body_item[0].context == 1
-    assert ctx_item[0].accessible == frozenset({0})
+    def recording(self, label, box, shared):
+        seen.append(label)
+        return expand(self, label, box, shared)
 
-
-def test_label_edges_grow_sigma_and_fresh_ids(hank, marriage_bg):
-    from ctxdrt.tableau import _Engine, _Shared
-
+    monkeypatch.setattr(_Engine, "expand_context", recording)
     extraction = extract(hank, marriage_bg)
-    verdict, _ = prove_lcon(extraction.formula, extraction.tag_positions())
-    # re-run on an inspectable engine
-    engine = _Engine(Bounds())
-    shared = _Shared()
-    l0 = Label(0, frozenset(), "-")
-    j1 = engine.fresh_context()
-    l1 = Label(j1, frozenset({0}), "+")
-    engine.label_edges.append((l0, l1))
-    engine.expand_context(l1, extraction.formula.context, shared)
-    j2 = engine.fresh_context()
-    l2 = Label(j2, frozenset({0, j1}), "+")
-    engine.label_edges.append((l1, l2))
-    for parent, child in engine.label_edges:
-        assert parent.accessible <= child.accessible
-        assert child.context > parent.context
+    prove_lcon(extraction.formula, extraction.tag_positions())
+    assert len(seen) >= 2
+    outer = {0: Label(0, frozenset(), "-")}
+    for label in seen:
+        assert label.context not in outer  # a fresh context id
+        parent = outer.get(max(label.accessible, default=None))
+        assert parent is not None
+        assert label.accessible == parent.accessible | {parent.context}
+        outer[label.context] = label
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(alpha_free_lcon_formulas)
+def test_prove_lcon_gives_one_status_per_box_literal(formula):
+    verdict, _ = prove_lcon(formula, None, Bounds(gamma_limit=2, depth_limit=2000))
+    assert len(verdict.statuses) == len(auto_tag_positions(formula))
+    assert {s for _, s in verdict.statuses} <= {CLOSED, OPEN_SATURATED, OPEN_BOUNDED}
 
 
 def test_deterministic_statistics(hank, marriage_bg):
