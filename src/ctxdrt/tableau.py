@@ -21,6 +21,11 @@ Each task indexes the context literals it inherits once, by predicate,
 arity and polarity.  Its branches hold only the literals they add, so no
 branch or deepening round copies or rescans the context to find closure
 pairs or ground terms.
+
+Proof state is copied with ``.copy()`` and literals: CPython's ``dict()``
+and ``list()`` constructors and ``tuple()`` over a generator allocate past
+the free lists, so their objects count toward the next garbage collection
+even after they die, and wide contexts set off full collections mid-proof.
 """
 
 from __future__ import annotations
@@ -123,7 +128,7 @@ def _occurs(var: FreeVar, term: Term, subst: dict) -> bool:
 
 def unify(a: Term, b: Term, subst: Optional[dict] = None) -> Optional[dict]:
     """Most general unifier extending ``subst``, or None; occurs check on."""
-    out = {} if subst is None else dict(subst)
+    out = {} if subst is None else subst.copy()
     pending = [(a, b)]
     while pending:
         s, t = pending.pop()
@@ -197,17 +202,7 @@ def _closure_pairs(literals: list[LitNode]) -> list[tuple[LitNode, LitNode]]:
     Positive-major, negatives in branch order: closure search charges its
     steps in this order, so the order is part of the verdict under bounds.
     """
-    negatives: dict[tuple[str, int], list[LitNode]] = {}
-    for n in literals:
-        if n.label.polarity == "-":
-            negatives.setdefault((n.pred, len(n.args)), []).append(n)
-    return [
-        (pos, neg)
-        for pos in literals
-        if pos.label.polarity == "+"
-        for neg in negatives.get((pos.pred, len(pos.args)), ())
-        if labels_compatible(pos.label, neg.label)
-    ]
+    return _ContextIndex([]).pairs(literals)
 
 
 def close_branch(
@@ -250,15 +245,17 @@ class _ContextIndex:
     give what ``_closure_pairs`` and ``_ground_terms`` give over the context
     literals followed by the branch's, without rescanning the context; the
     context literals must come in ascending ``index`` order, as node ticks
-    give them.
+    give them.  Context positives are gathered per key when a branch
+    negative first asks for it, so a wide context costs no list per literal.
     """
 
     def __init__(self, lits: list[LitNode]) -> None:
-        self.positives: dict[tuple[str, int], list[LitNode]] = {}
+        self.lits = lits  # the caller's context list, unchanged while the task runs
+        self.positives: dict[tuple[str, int], list[LitNode]] = {}  # filled by positives_of
         self.negatives: dict[tuple[str, int], list[LitNode]] = {}
         for n in lits:
-            side = self.positives if n.label.polarity == "+" else self.negatives
-            side.setdefault((n.pred, len(n.args)), []).append(n)
+            if n.label.polarity == "-":
+                self.negatives.setdefault((n.pred, len(n.args)), []).append(n)
         # context positives that meet a context negative, in context order
         self.matched = [
             n
@@ -268,14 +265,21 @@ class _ContextIndex:
         self.args = {arg for n in lits for arg in n.args}
         self.ground = _ground_terms(self.args)
 
+    def positives_of(self, key: tuple[str, int]) -> list[LitNode]:
+        if key not in self.positives:
+            self.positives[key] = [
+                n for n in self.lits if n.label.polarity == "+" and (n.pred, len(n.args)) == key
+            ]
+        return self.positives[key]
+
     def pairs(self, lits: list[LitNode]) -> list[tuple[LitNode, LitNode]]:
         """``_closure_pairs(context + lits)``, in the same order."""
         negatives: dict[tuple[str, int], list[LitNode]] = {}
         for n in lits:
             if n.label.polarity == "-":
                 negatives.setdefault((n.pred, len(n.args)), []).append(n)
-        positives = list(self.matched)
-        extra = [k for k in negatives if k not in self.negatives and k in self.positives]
+        positives = self.matched.copy()
+        extra = [k for k in negatives if k not in self.negatives and self.positives_of(k)]
         if extra:
             for key in extra:
                 positives.extend(self.positives[key])
@@ -418,7 +422,7 @@ class _Branch:
         self.gammas = gammas
 
     def copy(self) -> "_Branch":
-        return _Branch(list(self.lits), self.scope, [g.copy() for g in self.gammas])
+        return _Branch(self.lits.copy(), self.scope, [g.copy() for g in self.gammas])
 
     def add_gamma(self, template: _GammaTemplate) -> None:
         if all(g.template != template for g in self.gammas):
@@ -440,7 +444,7 @@ class _Shared:
         self.env: dict[Referent, Term] = {}
 
     def mark(self) -> tuple:
-        return len(self.lits), len(self.gammas), len(self.deferred), dict(self.env)
+        return len(self.lits), len(self.gammas), len(self.deferred), self.env.copy()
 
     def rewind(self, mark: tuple) -> None:
         nl, ng, nd, env = mark
@@ -482,13 +486,13 @@ class _Engine:
 
     def _lit(self, label: Label, atom: Atom, env: dict) -> LitNode:
         self._tick()
-        args = tuple(env[a] if a in env else Const(a.name) for a in atom.args)
+        args = tuple([env[a] if a in env else Const(a.name) for a in atom.args])
         return LitNode(label, atom.predicate, args, self.nodes)
 
     # -- shared context expansion (once per in-wrapper) -------------------------
 
     def expand_context(self, label: Label, box: DRS, shared: _Shared) -> None:
-        env = dict(shared.env)
+        env = shared.env.copy()
         if box.universe:
             self.stats.bump("+:universe")
             self._tick()
@@ -524,14 +528,14 @@ class _Engine:
         self._tick()
 
         if isinstance(payload, _BranchPoint):
-            return [list(alt) for alt in payload.alternatives]
+            return [[*alt] for alt in payload.alternatives]
         if isinstance(payload, Atom):
             branch.lits.append(self._lit(label, payload, env))
             return None
         if isinstance(payload, DRS):
             if sign == "+":
                 self.stats.bump("+:universe" if payload.universe else "+:box")
-                env2 = dict(env)
+                env2 = env.copy()
                 for ref in payload.universe:
                     env2[ref] = self.fresh_skolem(branch.scope)
                 for _ in payload.conditions:
@@ -556,7 +560,7 @@ class _Engine:
                 branch.add_gamma(_GammaTemplate(label, "imp", payload, tuple(env.items())))
                 return None
             self.stats.bump("-:imp")
-            env2 = dict(env)
+            env2 = env.copy()
             for ref in payload.antecedent.universe:
                 env2[ref] = self.fresh_skolem(branch.scope)
             items = [(label.signed("+"), c, env2) for c in payload.antecedent.conditions]
@@ -576,12 +580,12 @@ class _Engine:
         template = state.template
         state.count += 1
         self.stats.bump("gamma:" + template.kind)
-        env = dict(template.env)
+        env = {ref: term for ref, term in template.env}
         if template.kind == "imp":
             universe = template.payload.antecedent.universe
         else:
             universe = template.payload.universe
-        fresh = tuple(self.fresh_var() for _ in universe)
+        fresh = tuple([self.fresh_var() for _ in universe])
         branch.scope = branch.scope + fresh
         env.update(zip(universe, fresh))
         label = template.label
@@ -608,7 +612,7 @@ class _Engine:
                 out: list[_Branch] = []
                 for alt in alternatives:
                     self.stats.branches += 1
-                    out.extend(self._saturate(branch.copy(), list(alt) + list(pending), budget))
+                    out.extend(self._saturate(branch.copy(), [*alt, *pending], budget))
                 return out
             state = next((g for g in branch.gammas if g.count < budget), None)
             if state is None:
@@ -634,7 +638,7 @@ class _Engine:
         """
         if not branches:
             return subst
-        narrowed = list(branches)
+        narrowed = branches.copy()
         best_index = -1
         best_options: Optional[list[dict]] = None
         for i, (charge, pairs) in enumerate(branches):
@@ -676,11 +680,11 @@ class _Engine:
         self.closure_steps = 0
         context = _ContextIndex(shared.lits)
         base_gammas = [_GammaState(t) for t in shared.gammas]
-        base_items: list[_Item] = list(shared.deferred) + [(label.signed("-"), goal, env)]
+        base_items: list[_Item] = [*shared.deferred, (label.signed("-"), goal, env)]
         for budget in range(self.bounds.gamma_limit + 1):
             branch0 = _Branch([], (), [g.copy() for g in base_gammas])
             try:
-                branches = self._saturate(branch0, list(base_items), budget)
+                branches = self._saturate(branch0, base_items.copy(), budget)
                 if not branches:
                     return CLOSED
                 branch_pairs = [context.pairs(b.lits) for b in branches]
@@ -727,7 +731,7 @@ def prove_lcon(
     def spine(f: Formula, label: Label, position: tuple[int, ...]) -> None:
         if isinstance(f, DrsLit):
             tag = position_tags[position]
-            status = engine.run_task(label, f.drs, shared, dict(shared.env))
+            status = engine.run_task(label, f.drs, shared, shared.env.copy())
             statuses.append((tag, status))
             return
         if isinstance(f, In):

@@ -69,6 +69,20 @@ def test_closure_compatibility_is_symmetric():
         assert labels_compatible(a, b) == labels_compatible(b, a)
 
 
+def plain_closure_pairs(lits):
+    """The plain positives x negatives filter, in branch order."""
+    positives = [n for n in lits if n.label.polarity == "+"]
+    negatives = [n for n in lits if n.label.polarity == "-"]
+    return [
+        (pos, neg)
+        for pos in positives
+        for neg in negatives
+        if pos.pred == neg.pred
+        and len(pos.args) == len(neg.args)
+        and labels_compatible(pos.label, neg.label)
+    ]
+
+
 def test_closure_pairs_keep_product_order():
     # closure search charges steps in pair order, so the indexed filter must
     # list pairs exactly as the plain positives x negatives filter does
@@ -80,17 +94,7 @@ def test_closure_pairs_keep_product_order():
             accessible = frozenset(rng.sample(range(4, 8), rng.randrange(3)))
             label = Label(rng.randrange(4), accessible, rng.choice("+-"))
             lits.append(LitNode(label, pred, (A,) * arity, i))
-        positives = [n for n in lits if n.label.polarity == "+"]
-        negatives = [n for n in lits if n.label.polarity == "-"]
-        expected = [
-            (pos, neg)
-            for pos in positives
-            for neg in negatives
-            if pos.pred == neg.pred
-            and len(pos.args) == len(neg.args)
-            and labels_compatible(pos.label, neg.label)
-        ]
-        assert _closure_pairs(lits) == expected
+        assert _closure_pairs(lits) == plain_closure_pairs(lits)
 
 
 def random_term(rng, depth=0):
@@ -129,7 +133,7 @@ def test_context_index_matches_flat_scan():
         ]
         index = _ContextIndex(context)
         for branch in branches:
-            assert index.pairs(branch.lits) == _closure_pairs(context + branch.lits)
+            assert index.pairs(branch.lits) == plain_closure_pairs(context + branch.lits)
 
         flat: set = set()
 
@@ -146,6 +150,17 @@ def test_context_index_matches_flat_scan():
         for arg in {a for n in everything for a in n.args}:
             add(arg)
         assert index.ground_terms(branches) == flat
+
+
+def test_context_index_gathers_positives_on_demand():
+    # a wide context costs the index no list per literal: context positives
+    # are gathered only for the keys that branch negatives ask for
+    context = [lit(1, {0}, "+", "f%d" % i, A) for i in range(50)] + [lit(1, {0}, "+", "p", A)]
+    index = _ContextIndex(context)
+    assert index.positives == {}
+    branch = [lit(2, {0, 1}, "-", "p", X), lit(2, {0, 1}, "-", "q", X)]
+    assert index.pairs(branch) == [(context[-1], branch[0])]
+    assert index.positives == {("p", 1): [context[-1]], ("q", 1): []}
 
 
 def reference_close_all(engine, branch_pairs, subst):
