@@ -6,6 +6,11 @@ sub-boxes.  Everything here is a pure function over hashable values:
 merging, sub-box addressing, accessibility, context computation,
 substitution, and well-formedness reporting.
 
+Scope: a sub-box sees the universes of every box around it, and an
+implication's consequent also sees its antecedent's universe.
+``_scoped_children`` is the one place that states this; substitution,
+validation and accessibility all walk through it.
+
 Boxes compare equal up to the order of their universe and condition lists
 (both are set-like); the stored order is still meaningful because printing
 and merging preserve it.
@@ -16,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "Referent",
@@ -199,7 +204,12 @@ ALPHA_BODY = "alpha"
 
 
 def condition_children(cond: Condition) -> tuple[tuple[str, DRS], ...]:
-    """All (selector, sub-box) pairs directly inside a condition."""
+    """All (selector, sub-box) pairs directly inside a condition.
+
+    The fields of ``Neg``, ``Imp``, ``Or`` and ``Alpha`` are exactly their
+    sub-boxes, in this order, so ``type(cond)(*boxes)`` rebuilds a
+    compound condition from new sub-boxes.
+    """
     if isinstance(cond, Atom):
         return ()
     if isinstance(cond, Neg):
@@ -213,10 +223,21 @@ def condition_children(cond: Condition) -> tuple[tuple[str, DRS], ...]:
     raise TypeError("not a condition: %r" % (cond,))
 
 
-def _child_at(cond: Condition, selector: str) -> DRS:
+def _scoped_children(cond: Condition) -> Iterator[tuple[str, DRS, tuple[Referent, ...]]]:
+    """(selector, sub-box, the extra universe that sub-box sees) per sub-box.
+
+    The scope rule lives here: a sub-box sees the universes of the boxes
+    around it, and an implication's consequent also sees its antecedent's.
+    """
     for sel, child in condition_children(cond):
+        yield sel, child, (cond.antecedent.universe if sel == IMP_CONSEQUENT else ())
+
+
+def _child_at(cond: Condition, selector: str) -> tuple[DRS, tuple[Referent, ...]]:
+    """The sub-box a selector picks, with the extra universe it sees."""
+    for sel, child, extra in _scoped_children(cond):
         if sel == selector:
-            return child
+            return child, extra
     raise InvalidPath("selector %r does not apply to %s" % (selector, type(cond).__name__))
 
 
@@ -230,7 +251,7 @@ def sub_drs_at(path: DrsPath, root: DRS) -> DRS:
             raise InvalidPath("malformed step %r" % (step,))
         if not isinstance(idx, int) or idx < 0 or idx >= len(cur.conditions):
             raise InvalidPath("condition index %r out of range" % (idx,))
-        cur = _child_at(cur.conditions[idx], sel)
+        cur = _child_at(cur.conditions[idx], sel)[0]
     return cur
 
 
@@ -245,15 +266,15 @@ def is_sub_drs(path: DrsPath, root: DRS) -> bool:
 def enumerate_sub_drss(root: DRS) -> list[DrsPath]:
     """Every sub-box occurrence, depth-first and left-to-right, root first."""
     out: list[DrsPath] = []
-
-    def go(box: DRS, prefix: DrsPath) -> None:
-        out.append(prefix)
-        for i, cond in enumerate(box.conditions):
-            for sel, child in condition_children(cond):
-                go(child, prefix + ((i, sel),))
-
-    go(root, ())
+    _sub_drs_paths(root, (), out)
     return out
+
+
+def _sub_drs_paths(box: DRS, prefix: DrsPath, out: list[DrsPath]) -> None:
+    out.append(prefix)
+    for i, cond in enumerate(box.conditions):
+        for sel, child in condition_children(cond):
+            _sub_drs_paths(child, prefix + ((i, sel),), out)
 
 
 def merge(k1: DRS, k2: DRS) -> DRS:
@@ -296,10 +317,8 @@ def accessible_referents(at: DrsPath, root: DRS) -> tuple[Referent, ...]:
     for idx, sel in at:
         if not via_alpha:
             add(cur.universe)
-        cond = cur.conditions[idx]
-        if sel == IMP_CONSEQUENT and isinstance(cond, Imp):
-            add(cond.antecedent.universe)
-        cur = _child_at(cond, sel)
+        cur, extra = _child_at(cur.conditions[idx], sel)
+        add(extra)
         via_alpha = sel == ALPHA_BODY
     if not via_alpha:
         add(cur.universe)
@@ -315,31 +334,19 @@ def context_drs(at: DrsPath, root: DRS) -> DRS:
     context of the root is empty.
     """
     sub_drs_at(at, root)  # validate
-
-    def through_box(box: DRS, path: DrsPath) -> DRS:
-        if not path:
-            return EMPTY
-        (idx, sel), rest = path[0], path[1:]
-        cond = box.conditions[idx]
-        siblings = DRS(
-            box.universe,
-            tuple(c for j, c in enumerate(box.conditions) if j != idx),
-        )
-        return merge(siblings, through_condition(cond, sel, rest))
-
-    def through_condition(cond: Condition, sel: str, rest: DrsPath) -> DRS:
-        if isinstance(cond, Imp) and sel == IMP_CONSEQUENT:
-            return merge(cond.antecedent, through_box(cond.consequent, rest))
-        return through_box(_child_at(cond, sel), rest)
-
-    return through_box(root, at)
+    return _context_through(root, at)
 
 
-def _collect_universes(box: DRS, out: list[Referent]) -> None:
-    out.extend(box.universe)
-    for cond in box.conditions:
-        for _, child in condition_children(cond):
-            _collect_universes(child, out)
+def _context_through(box: DRS, path: DrsPath) -> DRS:
+    if not path:
+        return EMPTY
+    (idx, sel), rest = path[0], path[1:]
+    cond = box.conditions[idx]
+    siblings = DRS(box.universe, box.conditions[:idx] + box.conditions[idx + 1 :])
+    inner = _context_through(_child_at(cond, sel)[0], rest)
+    if sel == IMP_CONSEQUENT:
+        inner = merge(cond.antecedent, inner)
+    return merge(siblings, inner)
 
 
 def substitute_condition(
@@ -350,25 +357,19 @@ def substitute_condition(
     Keys shadowed by an inner universe are left alone inside that box.
     """
     if isinstance(cond, Atom):
-        return Atom(cond.predicate, tuple(mapping.get(a, a) for a in cond.args))
-    if isinstance(cond, Neg):
-        return Neg(_substitute_box(cond.body, mapping))
-    if isinstance(cond, Imp):
-        inner = _substitute_box(cond.antecedent, mapping)
-        shadow = {k: v for k, v in mapping.items() if k not in cond.antecedent.universe}
-        return Imp(inner, _substitute_box(cond.consequent, shadow))
-    if isinstance(cond, Or):
-        return Or(_substitute_box(cond.left, mapping), _substitute_box(cond.right, mapping))
-    if isinstance(cond, Alpha):
-        return Alpha(_substitute_box(cond.body, mapping))
-    raise TypeError("not a condition: %r" % (cond,))
+        return Atom(cond.predicate, tuple([mapping.get(a, a) for a in cond.args]))
+    return type(cond)(
+        *[_substitute_box(child, mapping, extra) for _, child, extra in _scoped_children(cond)]
+    )
 
 
-def _substitute_box(box: DRS, mapping: dict[Referent, Referent]) -> DRS:
-    live = {k: v for k, v in mapping.items() if k not in box.universe}
+def _substitute_box(
+    box: DRS, mapping: dict[Referent, Referent], shadowed: tuple[Referent, ...] = ()
+) -> DRS:
+    live = {k: v for k, v in mapping.items() if k not in box.universe and k not in shadowed}
     if not live:
         return box
-    return DRS(box.universe, tuple(substitute_condition(c, live) for c in box.conditions))
+    return DRS(box.universe, tuple([substitute_condition(c, live) for c in box.conditions]))
 
 
 def substitute_free(box: DRS, mapping: dict[Referent, Referent]) -> DRS:
@@ -382,9 +383,7 @@ def substitute(box: DRS, source: Referent, target: Referent) -> DRS:
     Raises BoundReferent when some universe inside ``box`` introduces
     ``source``: only free occurrences may be renamed this way.
     """
-    bound: list[Referent] = []
-    _collect_universes(box, bound)
-    if source in bound:
+    if source in validate(box).bound:
         raise BoundReferent(source)
     if source == target:
         return box
@@ -419,50 +418,51 @@ def validate(box: DRS) -> ValidationReport:
 
 
 def _validation_report(box: DRS) -> ValidationReport:
-    all_refs: list[Referent] = []
-    _collect_universes(box, all_refs)
+    universes: list[Referent] = []
+    free: set[Referent] = set()
+    _scope_walk(box, frozenset(), (), universes, free)
     seen: set[Referent] = set()
     dups: list[Referent] = []
-    for ref in all_refs:
+    for ref in universes:
         if ref in seen and ref not in dups:
             dups.append(ref)
         seen.add(ref)
-
-    free: set[Referent] = set()
-
-    def walk(b: DRS, env: frozenset[Referent]) -> None:
-        env = env | frozenset(b.universe)
-        for cond in b.conditions:
-            if isinstance(cond, Atom):
-                free.update(a for a in cond.args if a not in env)
-            elif isinstance(cond, Neg):
-                walk(cond.body, env)
-            elif isinstance(cond, Imp):
-                walk(cond.antecedent, env)
-                walk(cond.consequent, env | frozenset(cond.antecedent.universe))
-            elif isinstance(cond, Or):
-                walk(cond.left, env)
-                walk(cond.right, env)
-            elif isinstance(cond, Alpha):
-                walk(cond.body, env)
-
-    walk(box, frozenset())
     return ValidationReport(
         pure=not dups, free=frozenset(free), duplicates=tuple(dups), bound=frozenset(seen)
     )
 
 
-def rename_apart(box: DRS, taken: Iterable[str]) -> tuple[DRS, dict[str, str]]:
+def _scope_walk(
+    box: DRS,
+    env: frozenset[Referent],
+    extra: tuple[Referent, ...],
+    universes: list[Referent],
+    free: set[Referent],
+) -> None:
+    """Collect the universes in order and the arguments no accessible universe binds."""
+    universes.extend(box.universe)
+    env = env.union(extra, box.universe)
+    for cond in box.conditions:
+        if isinstance(cond, Atom):
+            for arg in cond.args:
+                if arg not in env:
+                    free.add(arg)
+        else:
+            for _, child, inner in _scoped_children(cond):
+                _scope_walk(child, env, inner, universes, free)
+
+
+def rename_apart(box: DRS, taken: Iterable[str]) -> DRS:
     """Freshen every bound referent whose name collides with ``taken``.
 
     Free referents keep their names; purity of the input guarantees a
     bound name is introduced exactly once, so a global rename is safe.
+    A fresh name is the old one plus ``_n``, so no two referents compete
+    for one and the order they are renamed in does not matter.
     """
     taken_names = set(taken)
-    bound: list[Referent] = []
-    _collect_universes(box, bound)
+    bound = validate(box).bound
     used = taken_names | {r.name for r in bound}
-    mapping: dict[str, str] = {}
     renamed: dict[Referent, Referent] = {}
     for ref in bound:
         if ref.name in taken_names and ref not in renamed:
@@ -471,30 +471,19 @@ def rename_apart(box: DRS, taken: Iterable[str]) -> tuple[DRS, dict[str, str]]:
                 n += 1
             fresh = "%s_%d" % (ref.name, n)
             used.add(fresh)
-            mapping[ref.name] = fresh
             renamed[ref] = Referent(fresh)
-    if not renamed:
-        return box, {}
+    return _rename(box, renamed) if renamed else box
 
-    def rebuild(b: DRS) -> DRS:
-        universe = tuple(renamed.get(r, r) for r in b.universe)
-        conds: list[Condition] = []
-        for cond in b.conditions:
-            if isinstance(cond, Atom):
-                conds.append(
-                    Atom(cond.predicate, tuple(renamed.get(a, a) for a in cond.args))
-                )
-            elif isinstance(cond, Neg):
-                conds.append(Neg(rebuild(cond.body)))
-            elif isinstance(cond, Imp):
-                conds.append(Imp(rebuild(cond.antecedent), rebuild(cond.consequent)))
-            elif isinstance(cond, Or):
-                conds.append(Or(rebuild(cond.left), rebuild(cond.right)))
-            elif isinstance(cond, Alpha):
-                conds.append(Alpha(rebuild(cond.body)))
-        return DRS(universe, tuple(conds))
 
-    return rebuild(box), mapping
+def _rename(box: DRS, renamed: dict[Referent, Referent]) -> DRS:
+    conds: list[Condition] = []
+    for cond in box.conditions:
+        if isinstance(cond, Atom):
+            conds.append(Atom(cond.predicate, tuple([renamed.get(a, a) for a in cond.args])))
+        else:
+            boxes = [_rename(child, renamed) for _, child in condition_children(cond)]
+            conds.append(type(cond)(*boxes))
+    return DRS(tuple([renamed.get(r, r) for r in box.universe]), tuple(conds))
 
 
 def condition_contains_alpha(cond: Condition) -> bool:
@@ -528,16 +517,16 @@ def is_simple_anaphor(cond: Condition) -> bool:
 def presupposed_referents(root: DRS) -> frozenset[Referent]:
     """Referents introduced by any alpha body anywhere in the box."""
     out: set[Referent] = set()
-
-    def go(box: DRS, inside_alpha: bool) -> None:
-        if inside_alpha:
-            out.update(box.universe)
-        for cond in box.conditions:
-            for sel, child in condition_children(cond):
-                go(child, inside_alpha or sel == ALPHA_BODY)
-
-    go(root, False)
+    _presupposed(root, False, out)
     return frozenset(out)
+
+
+def _presupposed(box: DRS, inside_alpha: bool, out: set[Referent]) -> None:
+    if inside_alpha:
+        out.update(box.universe)
+    for cond in box.conditions:
+        for sel, child in condition_children(cond):
+            _presupposed(child, inside_alpha or sel == ALPHA_BODY, out)
 
 
 def alpha_condition_paths(root: DRS) -> list[DrsPath]:
@@ -550,25 +539,12 @@ def _rebuild_at(root: DRS, path: DrsPath, replacement: DRS) -> DRS:
         return replacement
     (idx, sel), rest = path[0], path[1:]
     cond = root.conditions[idx]
-    child = _child_at(cond, sel)
-    new_child = _rebuild_at(child, rest, replacement)
-    if isinstance(cond, Neg):
-        new_cond: Condition = Neg(new_child)
-    elif isinstance(cond, Imp):
-        new_cond = (
-            Imp(new_child, cond.consequent)
-            if sel == IMP_ANTECEDENT
-            else Imp(cond.antecedent, new_child)
-        )
-    elif isinstance(cond, Or):
-        new_cond = Or(new_child, cond.right) if sel == OR_LEFT else Or(cond.left, new_child)
-    elif isinstance(cond, Alpha):
-        new_cond = Alpha(new_child)
-    else:
-        raise InvalidPath("cannot rebuild through an atom")
-    conds = list(root.conditions)
-    conds[idx] = new_cond
-    return DRS(root.universe, tuple(conds))
+    new_child = _rebuild_at(_child_at(cond, sel)[0], rest, replacement)
+    boxes = [new_child if s == sel else child for s, child in condition_children(cond)]
+    return DRS(
+        root.universe,
+        root.conditions[:idx] + (type(cond)(*boxes),) + root.conditions[idx + 1 :],
+    )
 
 
 def delete_alpha(root: DRS, alpha_path: DrsPath) -> DRS:
@@ -578,7 +554,7 @@ def delete_alpha(root: DRS, alpha_path: DrsPath) -> DRS:
     sub_drs_at(alpha_path, root)  # validate
     parent_path, (idx, _) = alpha_path[:-1], alpha_path[-1]
     parent = sub_drs_at(parent_path, root)
-    conds = tuple(c for j, c in enumerate(parent.conditions) if j != idx)
+    conds = parent.conditions[:idx] + parent.conditions[idx + 1 :]
     return _rebuild_at(root, parent_path, DRS(parent.universe, conds))
 
 

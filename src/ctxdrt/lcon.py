@@ -122,18 +122,18 @@ def formula_at(formula: Formula, position: tuple[int, ...]) -> Formula:
 def auto_tag_positions(formula: Formula) -> dict[tuple[int, ...], str]:
     """Tags for every box-literal position, in depth-first order."""
     tags: dict[tuple[int, ...], str] = {}
-
-    def walk(f: Formula, position: tuple[int, ...]) -> None:
-        if isinstance(f, DrsLit):
-            tags[position] = "t%d" % (len(tags) + 1)
-        elif isinstance(f, In):
-            walk(f.body, position + (0,))
-        elif isinstance(f, (Conj, Disj)):
-            for i, item in enumerate(f.items):
-                walk(item, position + (i,))
-
-    walk(formula, ())
+    _tag_walk(formula, (), tags)
     return tags
+
+
+def _tag_walk(f: Formula, position: tuple[int, ...], tags: dict[tuple[int, ...], str]) -> None:
+    if isinstance(f, DrsLit):
+        tags[position] = "t%d" % (len(tags) + 1)
+    elif isinstance(f, In):
+        _tag_walk(f.body, position + (0,), tags)
+    elif isinstance(f, (Conj, Disj)):
+        for i, item in enumerate(f.items):
+            _tag_walk(item, position + (i,), tags)
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ class _Check:
     """A disjunction of accommodated alpha bodies checked at one level."""
 
     def __init__(self, readings: list[Reading]) -> None:
-        self.disjuncts = tuple(r.accommodated for r in readings)
+        self.disjuncts = tuple([r.accommodated for r in readings])
         self.readings = [[r] for r in readings]  # parallel to disjuncts
 
 
@@ -241,43 +241,8 @@ def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
             if site_path in by_site:
                 _add_check(layer.checks, _Check(by_site[site_path]))
 
-    # Assemble: each layer becomes an in-wrapper around its checks and its
-    # children; empty-delta layers splice into their parent, merging any
-    # check that is already present there.
-    _Part = Union[_Check, tuple]  # _Check | (context box, list[_Part])
-
-    def emit(layer: _Layer) -> list[_Part]:
-        parts: list[_Part] = list(layer.checks)
-        for child in layer.children:
-            inner = emit(child)
-            if not inner:
-                continue
-            if not child.delta.is_empty():
-                parts.append((child.delta, inner))
-                continue
-            for part in inner:
-                if isinstance(part, _Check):
-                    _add_check(parts, part)
-                else:
-                    parts.append(part)
-        return parts
-
     readings_of: dict[int, list[Reading]] = {}
-
-    def realize(parts: list[_Part]) -> Optional[Formula]:
-        items: list[Formula] = []
-        for part in parts:
-            if isinstance(part, _Check):
-                lits = [DrsLit(d) for d in part.disjuncts]
-                for lit, readings in zip(lits, part.readings):
-                    readings_of[id(lit)] = readings
-                items.append(lits[0] if len(lits) == 1 else Disj(tuple(lits)))
-            else:
-                delta, inner = part
-                items.append(In(delta, realize(inner)))
-        return conj(items)
-
-    body = realize(emit(root_layer))
+    body = _realize(_emit(root_layer), readings_of)
     if body is None:
         return Extraction(None, ())
     formula = body if root_layer.delta.is_empty() else In(root_layer.delta, body)
@@ -286,6 +251,44 @@ def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
         lit = formula_at(formula, position)
         tasks.append(TaggedTask(tag, position, lit.drs, tuple(readings_of[id(lit)])))
     return Extraction(formula, tuple(tasks))
+
+
+# Assembly: each layer becomes an in-wrapper around its checks and its
+# children; empty-delta layers splice into their parent, merging any check
+# that is already present there.
+_Part = Union[_Check, tuple]  # _Check | (context box, list[_Part])
+
+
+def _emit(layer: _Layer) -> list[_Part]:
+    parts: list[_Part] = list(layer.checks)
+    for child in layer.children:
+        inner = _emit(child)
+        if not inner:
+            continue
+        if not child.delta.is_empty():
+            parts.append((child.delta, inner))
+            continue
+        for part in inner:
+            if isinstance(part, _Check):
+                _add_check(parts, part)
+            else:
+                parts.append(part)
+    return parts
+
+
+def _realize(parts: list[_Part], readings_of: dict[int, list[Reading]]) -> Optional[Formula]:
+    """The formula of assembled parts; ``readings_of`` maps each literal's id to its readings."""
+    items: list[Formula] = []
+    for part in parts:
+        if isinstance(part, _Check):
+            lits = [DrsLit(d) for d in part.disjuncts]
+            for lit, readings in zip(lits, part.readings):
+                readings_of[id(lit)] = readings
+            items.append(lits[0] if len(lits) == 1 else Disj(tuple(lits)))
+        else:
+            delta, inner = part
+            items.append(In(delta, _realize(inner, readings_of)))
+    return conj(items)
 
 
 @dataclass(frozen=True)
@@ -303,17 +306,8 @@ def context_sharing_depth(formula: Optional[Formula]) -> SharingStats:
     formula scores zero.
     """
     contexts: list[DRS] = []
-
-    def go(f: Formula) -> None:
-        if isinstance(f, In):
-            contexts.append(f.context)
-            go(f.body)
-        elif isinstance(f, (Conj, Disj)):
-            for item in f.items:
-                go(item)
-
     if formula is not None:
-        go(formula)
+        _collect_contexts(formula, contexts)
     occurrences: Counter = Counter()
     containing: defaultdict = defaultdict(set)
     for i, ctx in enumerate(contexts):
@@ -326,3 +320,12 @@ def context_sharing_depth(formula: Optional[Formula]) -> SharingStats:
         context_conditions=sum(len(c.conditions) for c in contexts),
         duplicated_conditions=duplicated,
     )
+
+
+def _collect_contexts(f: Formula, contexts: list[DRS]) -> None:
+    if isinstance(f, In):
+        contexts.append(f.context)
+        _collect_contexts(f.body, contexts)
+    elif isinstance(f, (Conj, Disj)):
+        for item in f.items:
+            _collect_contexts(item, contexts)

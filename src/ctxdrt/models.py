@@ -83,13 +83,13 @@ FolFormula = Union[FAtom, FNot, FAnd, FOr, FExists, FForall]
 
 def _condition_to_fol(cond: Condition) -> FolFormula:
     if isinstance(cond, Atom):
-        return FAtom(cond.predicate, tuple(a.name for a in cond.args))
+        return FAtom(cond.predicate, tuple([a.name for a in cond.args]))
     if isinstance(cond, Neg):
         return FNot(drs_to_fol(cond.body))
     if isinstance(cond, Imp):
-        guard = FAnd(tuple(_condition_to_fol(c) for c in cond.antecedent.conditions))
+        guard = FAnd(tuple([_condition_to_fol(c) for c in cond.antecedent.conditions]))
         return FForall(
-            tuple(r.name for r in cond.antecedent.universe),
+            tuple([r.name for r in cond.antecedent.universe]),
             FOr((FNot(guard), drs_to_fol(cond.consequent))),
         )
     if isinstance(cond, Or):
@@ -102,61 +102,40 @@ def _condition_to_fol(cond: Condition) -> FolFormula:
 def drs_to_fol(box: DRS) -> FolFormula:
     """Existential closure of the universe over the conjoined conditions."""
     return FExists(
-        tuple(r.name for r in box.universe),
-        FAnd(tuple(_condition_to_fol(c) for c in box.conditions)),
+        tuple([r.name for r in box.universe]),
+        FAnd(tuple([_condition_to_fol(c) for c in box.conditions])),
     )
 
 
-def _exists_under_forall(f: FolFormula, negated: bool, under: bool = False) -> bool:
-    """Whether an existential-strength quantifier sits in universal scope.
+def _scan(f: FolFormula, preds: dict[str, int], negated: bool, under: bool) -> tuple[bool, int]:
+    """One pass over a formula's quantifiers and atoms.
 
-    Negation flips the quantifier force of everything below; quantifiers
-    under an odd number of negations count by their effective kind.
+    Records each predicate's arity in ``preds`` and returns ``(nested,
+    witnesses)``: whether an existential-strength quantifier sits in
+    universal scope, and how many variables existential-strength
+    quantifiers bind.  Negation flips the quantifier force of everything
+    below; quantifiers under an odd number of negations count by their
+    effective kind.
     """
     if isinstance(f, FAtom):
-        return False
-    if isinstance(f, FNot):
-        return _exists_under_forall(f.body, not negated, under)
-    if isinstance(f, (FAnd, FOr)):
-        return any(_exists_under_forall(i, negated, under) for i in f.items)
-    if isinstance(f, (FExists, FForall)):
-        if isinstance(f, FExists) != negated:  # existential strength
-            if under and f.variables:
-                return True
-            return _exists_under_forall(f.body, negated, under)
-        return _exists_under_forall(f.body, negated, under or bool(f.variables))
-    raise TypeError
-
-
-def _witness_count(f: FolFormula, negated: bool) -> int:
-    if isinstance(f, FAtom):
-        return 0
-    if isinstance(f, FNot):
-        return _witness_count(f.body, not negated)
-    if isinstance(f, (FAnd, FOr)):
-        return sum(_witness_count(i, negated) for i in f.items)
-    if isinstance(f, FExists):
-        own = 0 if negated else len(f.variables)
-        return own + _witness_count(f.body, negated)
-    if isinstance(f, FForall):
-        own = len(f.variables) if negated else 0
-        return own + _witness_count(f.body, negated)
-    raise TypeError
-
-
-def _predicates(f: FolFormula, acc: dict[str, int]) -> None:
-    if isinstance(f, FAtom):
-        prev = acc.get(f.pred)
-        if prev is not None and prev != len(f.args):
+        if preds.setdefault(f.pred, len(f.args)) != len(f.args):
             raise ValueError("predicate %r used with two arities" % f.pred)
-        acc[f.pred] = len(f.args)
-    elif isinstance(f, FNot):
-        _predicates(f.body, acc)
-    elif isinstance(f, (FAnd, FOr)):
-        for i in f.items:
-            _predicates(i, acc)
-    elif isinstance(f, (FExists, FForall)):
-        _predicates(f.body, acc)
+        return False, 0
+    if isinstance(f, FNot):
+        return _scan(f.body, preds, not negated, under)
+    if isinstance(f, (FAnd, FOr)):
+        nested, witnesses = False, 0
+        for item in f.items:
+            inner, count = _scan(item, preds, negated, under)
+            nested = nested or inner
+            witnesses += count
+        return nested, witnesses
+    if not isinstance(f, (FExists, FForall)):
+        raise TypeError
+    if isinstance(f, FExists) != negated:  # existential strength
+        nested, witnesses = _scan(f.body, preds, negated, under)
+        return nested or (under and bool(f.variables)), witnesses + len(f.variables)
+    return _scan(f.body, preds, negated, under or bool(f.variables))
 
 
 # Ground formulas: ("lit", key, positive) | ("and", tuple) | ("or", tuple)
@@ -166,16 +145,13 @@ _GFALSE = ("or", ())
 
 def _ground(f: FolFormula, env: dict[str, int], domain: range, positive: bool):
     if isinstance(f, FAtom):
-        key = (f.pred, tuple(env[a] for a in f.args))
+        key = (f.pred, tuple([env[a] for a in f.args]))
         return ("lit", key, positive)
     if isinstance(f, FNot):
         return _ground(f.body, env, domain, not positive)
-    if isinstance(f, FAnd):
-        items = tuple(_ground(i, env, domain, positive) for i in f.items)
-        return ("and" if positive else "or", items)
-    if isinstance(f, FOr):
-        items = tuple(_ground(i, env, domain, positive) for i in f.items)
-        return ("or" if positive else "and", items)
+    if isinstance(f, (FAnd, FOr)):
+        items = tuple([_ground(i, env, domain, positive) for i in f.items])
+        return ("and" if isinstance(f, FAnd) == positive else "or", items)
     if isinstance(f, (FExists, FForall)):
         branching = isinstance(f, FExists) == positive  # exists-like grounds to "or"
         items = []
@@ -297,7 +273,7 @@ def _combined_formula(premise: DRS, conclusion: Optional[DRS]) -> FolFormula:
         premise_scope = {r.name for r in premise.universe}
         free |= set(_free_names(conclusion)) - premise_scope
     return FExists(
-        tuple(sorted(free)) + tuple(r.name for r in premise.universe),
+        tuple(sorted(free)) + tuple([r.name for r in premise.universe]),
         FAnd(tuple(parts)),
     )
 
@@ -317,7 +293,7 @@ def model_check(
     """
     formula = _combined_formula(premise, conclusion)
     preds: dict[str, int] = {}
-    _predicates(formula, preds)
+    nested, witnesses = _scan(formula, preds, False, False)
     for size in range(1, max_domain + 1):
         atoms = sum(size**arity for arity in preds.values())
         if atoms > atom_ceiling:
@@ -330,8 +306,6 @@ def model_check(
             return ModelCheckResult(
                 "refuted" if conclusion is not None else "satisfiable", size
             )
-    if not _exists_under_forall(formula, False):
-        needed = max(1, _witness_count(formula, False))
-        if max_domain >= needed:
-            return ModelCheckResult("entailed" if conclusion is not None else "refuted")
+    if not nested and max_domain >= max(1, witnesses):
+        return ModelCheckResult("entailed" if conclusion is not None else "refuted")
     return ModelCheckResult("unknown")

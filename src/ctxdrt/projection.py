@@ -23,7 +23,6 @@ from .drs import (
     Referent,
     accessible_referents,
     alpha_condition_paths,
-    condition_children,
     condition_contains_alpha,
     condition_mentions,
     context_drs,
@@ -190,7 +189,7 @@ class BackgroundTheory:
         taken = {r.name for r in _all_referents(root)}
         out = []
         for p in self.postulates:
-            renamed, _ = rename_apart(p, taken)
+            renamed = rename_apart(p, taken)
             taken |= {r.name for r in _all_referents(renamed)}
             out.append(renamed)
         return merge_all(out)
@@ -237,14 +236,11 @@ def accommodation_sites(alpha_path: DrsPath, root: DRS) -> list[tuple[str, DrsPa
     _alpha_body_at(alpha_path, root)
     chain: list[DrsPath] = [()]
     prefix: DrsPath = ()
-    cur = root
     for idx, sel in alpha_path[:-1]:
-        cond = cur.conditions[idx]
         if sel == IMP_CONSEQUENT:
             chain.append(prefix + ((idx, IMP_ANTECEDENT),))
         prefix = prefix + ((idx, sel),)
         chain.append(prefix)
-        cur = dict(condition_children(cond))[sel]
     if len(chain) == 1:
         return [(GLOBAL, chain[0])]
     return [
@@ -312,9 +308,8 @@ def candidate_readings(
         site_refs |= set(sub_drs_at(site_path, root).universe)
         for combo in itertools.product(pool, repeat=len(anaphors)):
             theta = dict(zip(anaphors, combo))
-            accommodated = DRS(
-                body.universe, tuple(substitute_condition(c, theta) for c in core)
-            )
+            conditions = tuple([substitute_condition(c, theta) for c in core])
+            accommodated = DRS(body.universe, conditions)
             new_free = validate(accommodated).free - site_refs - root_free
             outside = tuple(sorted(set(combo) - site_refs))
             resolution = Resolution(tuple(zip(anaphors, combo)))
@@ -344,9 +339,11 @@ def _task_content(box: DRS, presupposed: frozenset[Referent]) -> DRS:
     return DRS(
         box.universe,
         tuple(
-            c
-            for c in box.conditions
-            if not condition_contains_alpha(c) and not condition_mentions(c, presupposed)
+            [
+                c
+                for c in box.conditions
+                if not condition_contains_alpha(c) and not condition_mentions(c, presupposed)
+            ]
         ),
     )
 

@@ -17,6 +17,13 @@ variables in scope for existential strength, and iterative deepening on
 instantiation counts; exhausted bounds yield "open_bounded", never a
 wrong verdict.
 
+``_Engine.refute`` walks the formula spine.  The shared context material,
+the task tags and the statuses live on the engine, so a proof is one
+engine object and no closure refers back to it once the call returns.
+Inside a task, a refuted condition set (an instantiated universal's body
+or an implication's antecedent) is a box with an empty universe under
+``-``.
+
 Each task indexes the context literals it inherits once, by predicate,
 arity and polarity.  Its branches hold only the literals they add, so no
 branch or deepening round copies or rescans the context to find closure
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .drs import DRS, Alpha, Atom, Condition, Imp, Neg, Or, Referent
+from .drs import DRS, Alpha, Atom, Imp, Neg, Or, Referent
 from .lcon import Conj, Disj, DrsLit, Extraction, Formula, In, auto_tag_positions, extract
 from .models import AlphaRemaining
 from .projection import (
@@ -81,8 +88,10 @@ class Bounds:
     depth_limit: int = 20000
 
     def __post_init__(self) -> None:
-        if self.gamma_limit < 0 or self.depth_limit <= 0:
-            raise ValueError("bounds must be positive")
+        if self.gamma_limit < 0:
+            raise ValueError("gamma limit must be non-negative")
+        if self.depth_limit <= 0:
+            raise ValueError("depth limit must be positive")
 
 
 DEFAULT_BOUNDS = Bounds()
@@ -223,19 +232,27 @@ def close_branch(
 def _ground_terms(args: Iterable[Term]) -> set[Term]:
     """The ground argument terms, with the ground subterms met on the way."""
     terms: set[Term] = set()
-
-    def add(term: Term) -> bool:
-        if isinstance(term, Const):
-            terms.add(term)
-            return True
-        if isinstance(term, SkolemApp) and all(add(a) for a in term.args):
-            terms.add(term)
-            return True
-        return False
-
     for arg in args:
-        add(arg)
+        _add_ground(arg, terms)
     return terms
+
+
+def _add_ground(term: Term, terms: set[Term]) -> bool:
+    """Whether ``term`` is ground; adds it to ``terms`` if so.
+
+    Ground subterms are added on the way, up to the first argument that is
+    not ground: the arguments after it are not visited.
+    """
+    if isinstance(term, Const):
+        terms.add(term)
+        return True
+    if not isinstance(term, SkolemApp):
+        return False
+    for arg in term.args:
+        if not _add_ground(arg, terms):
+            return False
+    terms.add(term)
+    return True
 
 
 class _ContextIndex:
@@ -376,10 +393,8 @@ class _GammaTemplate:
     env: tuple[tuple[Referent, Term], ...]
 
     @property
-    def var_count(self) -> int:
-        if self.kind == "imp":
-            return len(self.payload.antecedent.universe)
-        return len(self.payload.universe)
+    def universe(self) -> tuple[Referent, ...]:
+        return self.payload.antecedent.universe if self.kind == "imp" else self.payload.universe
 
 
 class _GammaState:
@@ -391,15 +406,6 @@ class _GammaState:
 
     def copy(self) -> "_GammaState":
         return _GammaState(self.template, self.count)
-
-
-class _NegConds:
-    """An instantiated negative condition set: refuting it branches."""
-
-    __slots__ = ("conditions",)
-
-    def __init__(self, conditions: tuple[Condition, ...]) -> None:
-        self.conditions = conditions
 
 
 class _BranchPoint:
@@ -455,8 +461,11 @@ class _Shared:
 
 
 class _Engine:
-    def __init__(self, bounds: Bounds) -> None:
+    def __init__(self, bounds: Bounds, tags: Optional[dict[tuple[int, ...], str]] = None) -> None:
         self.bounds = bounds
+        self.tags = {} if tags is None else tags  # task tag by box-literal position
+        self.shared = _Shared()
+        self.statuses: list[tuple[str, str]] = []  # (tag, status), in task order
         self.stats = ProofStats()
         self.nodes = 0
         self.closure_steps = 0
@@ -518,10 +527,10 @@ class _Engine:
     def _step(self, item: _Item, branch: _Branch) -> Optional[list[list[_Item]]]:
         """Expand one item: a box, a condition or an instantiation.
 
-        Formula structure (``in``, ``&``, ``|``) never reaches a task; the
-        spine of ``prove_lcon`` takes it apart.  Non-branching rules mutate
-        the branch (or return a single alternative); branching rules return
-        one item list per child.
+        Formula structure (``in``, ``&``, ``|``) never reaches a task;
+        ``refute`` takes it apart.  Non-branching rules mutate the branch
+        (or return a single alternative); branching rules return one item
+        list per child.
         """
         label, payload, env = item
         sign = label.polarity
@@ -545,9 +554,6 @@ class _Engine:
                 self.stats.bump("-:universe")
                 branch.add_gamma(_GammaTemplate(label, "drs", payload, tuple(env.items())))
                 return None
-            self.stats.bump("-:condition")
-            return [[(label, c, env)] for c in payload.conditions]
-        if isinstance(payload, _NegConds):
             self.stats.bump("-:condition")
             return [[(label, c, env)] for c in payload.conditions]
         if isinstance(payload, Neg):
@@ -581,10 +587,7 @@ class _Engine:
         state.count += 1
         self.stats.bump("gamma:" + template.kind)
         env = {ref: term for ref, term in template.env}
-        if template.kind == "imp":
-            universe = template.payload.antecedent.universe
-        else:
-            universe = template.payload.universe
+        universe = template.universe
         fresh = tuple([self.fresh_var() for _ in universe])
         branch.scope = branch.scope + fresh
         env.update(zip(universe, fresh))
@@ -593,11 +596,11 @@ class _Engine:
             ante = template.payload.antecedent
             cons = template.payload.consequent
             alternatives = (
-                ((label.signed("-"), _NegConds(ante.conditions), env),),
+                ((label.signed("-"), DRS((), ante.conditions), env),),
                 ((label.signed("+"), cons, env),),
             )
             return [(label, _BranchPoint(alternatives), env)]
-        return [(label.signed("-"), _NegConds(template.payload.conditions), env)]
+        return [(label.signed("-"), DRS((), template.payload.conditions), env)]
 
     def _saturate(self, branch: _Branch, pending: list[_Item], budget: int) -> list[_Branch]:
         while True:
@@ -618,6 +621,41 @@ class _Engine:
             if state is None:
                 return [branch]
             pending = self._instantiate(state, branch)
+
+    # -- the formula spine ---------------------------------------------------------
+
+    def refute(self, f: Formula, label: Label, position: tuple[int, ...]) -> None:
+        """Refute a formula node under ``label``, deciding every task below it.
+
+        ``in(K, g)`` takes a fresh context accessible from everything above,
+        expands K into ``self.shared`` once for all of g, and rewinds it
+        afterwards; conjunctions and disjunctions pass their label to every
+        item; each box literal runs one task against the shared contexts.
+        """
+        shared = self.shared
+        if isinstance(f, DrsLit):
+            tag = self.tags[position]
+            self.statuses.append((tag, self.run_task(label, f.drs, shared, shared.env.copy())))
+            return
+        if isinstance(f, In):
+            inner = Label(self.fresh_context(), label.accessible | {label.context}, "+")
+            self.stats.bump("-:in")
+            mark = shared.mark()
+            try:
+                self.expand_context(inner, f.context, shared)
+            except _DepthExceeded:
+                self.exhausted = True
+            self.refute(f.body, inner.signed("-"), position + (0,))
+            shared.rewind(mark)
+            return
+        if isinstance(f, Conj):
+            self.stats.bump("-:conj")
+        elif isinstance(f, Disj):
+            self.stats.bump("-:disj")
+        else:
+            raise TypeError("cannot prove %r" % (f,))
+        for i, item in enumerate(f.items):
+            self.refute(item, label, position + (i,))
 
     # -- closure ---------------------------------------------------------------------
 
@@ -701,7 +739,7 @@ class _Engine:
                 return CLOSED
             ground = max(1, len(context.ground_terms(branches)))
             states = [g for b in branches for g in b.gammas]
-            if all(g.count >= ground**g.template.var_count for g in states):
+            if all(g.count >= ground ** len(g.template.universe) for g in states):
                 return OPEN_SATURATED
         return OPEN_BOUNDED
 
@@ -721,42 +759,12 @@ def prove_lcon(
     each box-literal leaf is then closed independently, with branch-local
     substitutions, so tasks receive individual verdicts.
     """
-    engine = _Engine(bounds)
     position_tags = auto_tag_positions(formula)
     if tags:
         position_tags.update(tags)
-    statuses: list[tuple[str, str]] = []
-    shared = _Shared()
-
-    def spine(f: Formula, label: Label, position: tuple[int, ...]) -> None:
-        if isinstance(f, DrsLit):
-            tag = position_tags[position]
-            status = engine.run_task(label, f.drs, shared, shared.env.copy())
-            statuses.append((tag, status))
-            return
-        if isinstance(f, In):
-            j = engine.fresh_context()
-            inner = Label(j, label.accessible | {label.context}, "+")
-            engine.stats.bump("-:in")
-            mark = shared.mark()
-            try:
-                engine.expand_context(inner, f.context, shared)
-            except _DepthExceeded:
-                engine.exhausted = True
-            spine(f.body, inner.signed("-"), position + (0,))
-            shared.rewind(mark)
-            return
-        if isinstance(f, Conj):
-            engine.stats.bump("-:conj")
-        elif isinstance(f, Disj):
-            engine.stats.bump("-:disj")
-        else:
-            raise TypeError("cannot prove %r" % (f,))
-        for i, item in enumerate(f.items):
-            spine(item, label, position + (i,))
-
-    spine(formula, Label(0, frozenset(), "-"), ())
-    return Verdict(tuple(statuses)), engine.stats
+    engine = _Engine(bounds, position_tags)
+    engine.refute(formula, Label(0, frozenset(), "-"), ())
+    return Verdict(tuple(engine.statuses)), engine.stats
 
 
 def naive_prove(task: InferenceTask, bounds: Bounds = DEFAULT_BOUNDS) -> tuple[str, ProofStats]:

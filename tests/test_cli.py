@@ -219,9 +219,15 @@ def test_run_config_validates_limits():
 
 
 @pytest.mark.parametrize(
-    "flag", [["--depth", "0"], ["--gamma", "-1"], ["--model-size", "0"]]
+    "flag,message",
+    [
+        (["--depth", "0"], "depth limit must be positive"),
+        (["--gamma", "-1"], "gamma limit must be non-negative"),
+        (["--model-size", "0"], "model size must be positive"),
+    ],
+    ids=["flag0", "flag1", "flag2"],
 )
-def test_invalid_bound_is_a_usage_error(capsys, hank_file, flag):
+def test_invalid_bound_is_a_usage_error(capsys, hank_file, flag, message):
     from ctxdrt.cli import main
 
     with pytest.raises(SystemExit) as exited:
@@ -229,7 +235,7 @@ def test_invalid_bound_is_a_usage_error(capsys, hank_file, flag):
     assert exited.value.code == 2
     captured = capsys.readouterr()
     assert not captured.out
-    assert "must be positive" in captured.err and "Traceback" not in captured.err
+    assert message in captured.err and "Traceback" not in captured.err
 
 
 def test_main_entry_point(capsys, hank_file):

@@ -24,9 +24,10 @@ from ctxdrt.drs import (
     rename_apart,
     sub_drs_at,
     substitute,
+    substitute_condition,
     validate,
 )
-from ctxdrt.text import parse_drs, print_drs
+from ctxdrt.text import parse_drs, print_condition, print_drs
 
 from gen import corpus_drs
 
@@ -68,8 +69,8 @@ def test_merge_commutes_and_associates_up_to_set_views():
     rng = random.Random(11)
     for _ in range(40):
         a, b, c = (corpus_drs(rng) for _ in range(3))
-        b, _ = rename_apart(b, {r.name for r in a.universe})
-        c, _ = rename_apart(c, {r.name for r in a.universe + b.universe})
+        b = rename_apart(b, {r.name for r in a.universe})
+        c = rename_apart(c, {r.name for r in a.universe + b.universe})
         if len({*a.universe, *b.universe, *c.universe}) != len(
             a.universe + b.universe + c.universe
         ):
@@ -223,3 +224,67 @@ def test_alpha_body_constructor_allows_nesting():
     inner = Alpha(DRS(refs("v"), ()))
     outer = Alpha(DRS(refs("u"), (Atom("wife", refs("u")), inner)))
     assert isinstance(outer.body.conditions[1], Alpha)
+
+
+# Every compound condition type, nested: a negation, an implication whose
+# consequent holds a disjunction with an alpha (itself holding an anaphor)
+# on its right, and a disjunction whose right side holds a negation and an
+# alpha.  ``e`` and ``f`` are bound on the left of their disjunctions and
+# occur free on the right.
+ALL_KINDS = (
+    "[x | p(x), not [a | q(a,x)],"
+    " [y | r(y,x)] => [ | s(y,z), [e | t(e,y)] or [ | t(e,z), alpha:[v | g(v,y), alpha:[n | ]]]],"
+    " [f | h(f)] or [ | h(f), not [ | k(z)], alpha:[w | m(w,x)]]]"
+)
+
+
+def test_substitution_shadows_through_consequents_but_not_across_disjuncts():
+    box = parse_drs(ALL_KINDS)
+    imp, disjunction = box.conditions[2], box.conditions[3]
+    mapping = {Referent(n): Referent(n + "2") for n in ("y", "e", "z", "f", "x", "v")}
+    # y is bound by the antecedent, so the consequent keeps it; e is bound on
+    # the left of the inner disjunction only, so its right side renames it
+    assert print_condition(substitute_condition(imp, mapping)) == (
+        "[y | r(y,x2)] => [ | s(y,z2), [e | t(e,y)] or"
+        " [ | t(e2,z2), alpha:[v | g(v,y), alpha:[n | ]]]]"
+    )
+    assert print_condition(substitute_condition(disjunction, mapping)) == (
+        "[f | h(f)] or [ | h(f2), not [ | k(z2)], alpha:[w | m(w,x2)]]"
+    )
+    assert print_condition(substitute_condition(box.conditions[1], mapping)) == (
+        "not [a | q(a,x2)]"
+    )
+
+
+def test_rename_apart_renames_through_every_condition_type():
+    box = parse_drs(ALL_KINDS)
+    renamed = rename_apart(box, {"x", "a", "y", "v", "n", "w", "z"})
+    assert print_drs(renamed) == (
+        "[x_1 | p(x_1), not [a_1 | q(a_1,x_1)],"
+        " [y_1 | r(y_1,x_1)] => [ | s(y_1,z), [e | t(e,y_1)] or"
+        " [ | t(e,z), alpha:[v_1 | g(v_1,y_1), alpha:[n_1 | ]]]],"
+        " [f | h(f)] or [ | h(f), not [ | k(z)], alpha:[w_1 | m(w_1,x_1)]]]"
+    )
+    assert rename_apart(box, {"z", "q"}) is box  # nothing bound collides
+
+
+def test_alpha_edits_through_disjunctions_and_alpha_bodies():
+    box = parse_drs(ALL_KINDS)
+    v_path = ((2, "cons"), (1, "right"), (1, "alpha"))
+    n_path = v_path + ((1, "alpha"),)
+    w_path = ((3, "right"), (2, "alpha"))
+    assert alpha_condition_paths(box) == [v_path, n_path, w_path]
+    assert print_condition(delete_alpha(box, n_path).conditions[2]) == (
+        "[y | r(y,x)] => [ | s(y,z), [e | t(e,y)] or [ | t(e,z), alpha:[v | g(v,y)]]]"
+    )
+    assert print_condition(delete_alpha(box, w_path).conditions[3]) == (
+        "[f | h(f)] or [ | h(f), not [ | k(z)]]"
+    )
+    grown = extend_drs_at(box, v_path, parse_drs("[ | k(v)]"))
+    assert print_drs(sub_drs_at(v_path, grown)) == "[v | g(v,y), alpha:[n | ], k(v)]"
+    grown = extend_drs_at(box, ((3, "left"),), parse_drs("[b | k(b)]"))
+    assert print_condition(grown.conditions[3]) == (
+        "[f, b | h(f), k(b)] or [ | h(f), not [ | k(z)], alpha:[w | m(w,x)]]"
+    )
+    for edited in (delete_alpha(box, w_path), grown):
+        assert edited.conditions[:3] == box.conditions[:3]

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctxdrt import models
 from ctxdrt.models import (
@@ -18,6 +20,8 @@ from ctxdrt.models import (
     model_check,
 )
 from ctxdrt.text import parse_drs
+
+from gen import alpha_free_boxes
 
 
 def test_translation_of_simple_box():
@@ -206,3 +210,81 @@ def test_sat_agrees_with_truth_tables():
             assert (found is not None) == satisfiable
             if found is not None:
                 assert models._simplify(g, found) == models._GTRUE
+
+
+# The three walks ``models._scan`` replaced, kept as its reference.
+
+
+def _exists_under_forall(f, negated, under=False):
+    if isinstance(f, FAtom):
+        return False
+    if isinstance(f, FNot):
+        return _exists_under_forall(f.body, not negated, under)
+    if isinstance(f, (FAnd, FOr)):
+        return any(_exists_under_forall(i, negated, under) for i in f.items)
+    if isinstance(f, FExists) != negated:  # existential strength
+        if under and f.variables:
+            return True
+        return _exists_under_forall(f.body, negated, under)
+    return _exists_under_forall(f.body, negated, under or bool(f.variables))
+
+
+def _witness_count(f, negated):
+    if isinstance(f, FAtom):
+        return 0
+    if isinstance(f, FNot):
+        return _witness_count(f.body, not negated)
+    if isinstance(f, (FAnd, FOr)):
+        return sum(_witness_count(i, negated) for i in f.items)
+    if isinstance(f, FExists):
+        return (0 if negated else len(f.variables)) + _witness_count(f.body, negated)
+    return (len(f.variables) if negated else 0) + _witness_count(f.body, negated)
+
+
+def _predicates(f, acc):
+    if isinstance(f, FAtom):
+        prev = acc.get(f.pred)
+        if prev is not None and prev != len(f.args):
+            raise ValueError("predicate %r used with two arities" % f.pred)
+        acc[f.pred] = len(f.args)
+    elif isinstance(f, FNot):
+        _predicates(f.body, acc)
+    elif isinstance(f, (FAnd, FOr)):
+        for i in f.items:
+            _predicates(i, acc)
+    else:
+        _predicates(f.body, acc)
+
+
+def _reference_scan(f, negated):
+    preds = {}
+    try:
+        _predicates(f, preds)
+    except ValueError as exc:
+        return str(exc)
+    return preds, _exists_under_forall(f, negated), _witness_count(f, negated)
+
+
+def _one_scan(f, negated):
+    preds = {}
+    try:
+        nested, witnesses = models._scan(f, preds, negated, False)
+    except ValueError as exc:
+        return str(exc)
+    return preds, nested, witnesses
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(alpha_free_boxes, st.one_of(st.none(), alpha_free_boxes), st.booleans())
+def test_scan_agrees_with_the_three_walks(premise, conclusion, negated):
+    formula = models._combined_formula(premise, conclusion)
+    assert _one_scan(formula, negated) == _reference_scan(formula, negated)
+
+
+def test_scan_examples():
+    nested = models._combined_formula(parse_drs("[x | p(x), [m | p(m)] => [w | q(w,m)]]"), None)
+    assert _one_scan(nested, False) == ({"p": 1, "q": 2}, True, 2)
+    flat = models._combined_formula(parse_drs("[x | p(x)]"), parse_drs("[u | q(u,x)]"))
+    assert _one_scan(flat, False) == ({"p": 1, "q": 2}, False, 1)
+    clash = models._combined_formula(parse_drs("[x | p(x), p(x,x)]"), None)
+    assert _one_scan(clash, False) == "predicate 'p' used with two arities"
