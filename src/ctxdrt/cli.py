@@ -1,9 +1,11 @@
 """Batch command line: parse, resolve, readings, extract, prove, compare.
 
-Exit codes: 0 success; 1 no admissible reading; 2 parse or validation
-error; 3 at least one verdict undecided within bounds.  JSON output is
-stable-keyed and byte-identical across runs for a fixed input and
-configuration (schema version "ctxdrt/1").
+Each command yields one result: an exit code, its JSON keys and its text.
+``run`` prints the text, or with ``--json`` the keys after the envelope
+``version`` (schema "ctxdrt/1") and ``command``.  Exit codes: 0 success;
+1 no admissible reading; 2 parse or validation error; 3 at least one
+verdict undecided within bounds.  JSON output is stable-keyed and
+byte-identical across runs for a fixed input and configuration.
 """
 
 from __future__ import annotations
@@ -84,13 +86,17 @@ def _load_background(path: Optional[str]) -> BackgroundTheory:
     return BackgroundTheory(tuple(postulates))
 
 
-def _reading_json(reading, verdict=None) -> dict:
-    payload = {
-        "site": reading.site_kind,
-        "path": path_str(reading.site_path),
-        "bindings": {s.name: t.name for s, t in reading.resolution.bindings},
-        "drs": print_drs(reading.result),
+def _site_json(item) -> dict:
+    """The site, path and bindings of a reading or of a blocked resolution."""
+    return {
+        "site": item.site_kind,
+        "path": path_str(item.site_path),
+        "bindings": {s.name: t.name for s, t in item.resolution.bindings},
     }
+
+
+def _reading_json(reading, verdict=None) -> dict:
+    payload = {**_site_json(reading), "drs": print_drs(reading.result)}
     if verdict is not None:
         payload["informativity"] = verdict.informative
         payload["consistency"] = verdict.consistent
@@ -98,35 +104,28 @@ def _reading_json(reading, verdict=None) -> dict:
 
 
 def _blocked_json(blocked) -> dict:
-    return {
-        "site": blocked.site_kind,
-        "path": path_str(blocked.site_path),
-        "bindings": {s.name: t.name for s, t in blocked.resolution.bindings},
-        "reason": blocked.reason,
-    }
+    return {**_site_json(blocked), "reason": blocked.reason}
 
 
-def _cmd_parse(config: RunConfig, out: list[str]) -> int:
+def _text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+Result = tuple[int, dict, str]  # exit code, JSON keys without the envelope, text
+
+
+def _cmd_parse(config: RunConfig) -> Result:
     box = parse_drs(_read_file(config.inputs[0]))
     report = validate(box)
-    if config.json_output:
-        out.append(
-            emit_json(
-                {
-                    "version": SCHEMA_VERSION,
-                    "command": "parse",
-                    "drs": print_drs(box),
-                    "pure": report.pure,
-                    "free": sorted(r.name for r in report.free),
-                }
-            )
-        )
-    else:
-        out.append(print_drs(box) + "\n")
-    return EXIT_OK
+    payload = {
+        "drs": print_drs(box),
+        "pure": report.pure,
+        "free": sorted(r.name for r in report.free),
+    }
+    return EXIT_OK, payload, print_drs(box) + "\n"
 
 
-def _cmd_resolve(config: RunConfig, out: list[str]) -> int:
+def _cmd_resolve(config: RunConfig) -> Result:
     box = parse_drs(_read_file(config.inputs[0]))
     alphas = []
     for path in eligible_alpha_paths(box):
@@ -139,30 +138,21 @@ def _cmd_resolve(config: RunConfig, out: list[str]) -> int:
                 ],
             }
         )
-    if config.json_output:
-        out.append(
-            emit_json({"version": SCHEMA_VERSION, "command": "resolve", "alphas": alphas})
-        )
-    else:
-        if not alphas:
-            out.append("no anaphoric conditions\n")
-        for entry in alphas:
-            out.append("alpha at %s:\n" % entry["path"])
-            if not entry["resolutions"]:
-                out.append("  unresolvable (projects)\n")
-            for res in entry["resolutions"]:
-                out.append(
-                    "  %s\n" % ", ".join("%s->%s" % kv for kv in sorted(res.items()))
-                )
-    return EXIT_OK
+    lines = [] if alphas else ["no anaphoric conditions"]
+    for entry in alphas:
+        lines.append("alpha at %s:" % entry["path"])
+        if not entry["resolutions"]:
+            lines.append("  unresolvable (projects)")
+        for res in entry["resolutions"]:
+            lines.append("  " + ", ".join("%s->%s" % kv for kv in sorted(res.items())))
+    return EXIT_OK, {"alphas": alphas}, _text(lines)
 
 
-def _cmd_readings(config: RunConfig, out: list[str]) -> int:
+def _cmd_readings(config: RunConfig) -> Result:
     box = parse_drs(_read_file(config.inputs[0]))
     bg = _load_background(config.background)
     if config.no_filter:
-        readings = []
-        blocked_all = []
+        readings, blocked_all = [], []
         for path in eligible_alpha_paths(box):
             try:
                 admitted, blocked = candidate_readings(box, path)
@@ -170,184 +160,116 @@ def _cmd_readings(config: RunConfig, out: list[str]) -> int:
                 continue
             readings.extend(admitted)
             blocked_all.extend(blocked)
-        if config.json_output:
-            out.append(
-                emit_json(
-                    {
-                        "version": SCHEMA_VERSION,
-                        "command": "readings",
-                        "filtering": False,
-                        "readings": [_reading_json(r) for r in readings],
-                        "blocked": [_blocked_json(b) for b in blocked_all],
-                    }
-                )
-            )
-        else:
-            for r in readings:
-                out.append("%s: %s\n" % (r.ref, print_drs(r.result)))
-            for b in blocked_all:
-                out.append("blocked %s@%s: %s\n" % (b.site_kind, path_str(b.site_path), b.reason))
-        return EXIT_OK
+        payload = {
+            "filtering": False,
+            "readings": [_reading_json(r) for r in readings],
+            "blocked": [_blocked_json(b) for b in blocked_all],
+        }
+        lines = ["%s: %s" % (r.ref, print_drs(r.result)) for r in readings]
+        for b in blocked_all:
+            lines.append("blocked %s@%s: %s" % (b.site_kind, path_str(b.site_path), b.reason))
+        return EXIT_OK, payload, _text(lines)
 
     try:
         outcome = project(box, bg, config.bounds, config.model_bound)
     except NoAdmissibleReading as failure:
         unknown = any(c.verdict.unknown for c in failure.checks)
-        if config.json_output:
-            out.append(
-                emit_json(
-                    {
-                        "version": SCHEMA_VERSION,
-                        "command": "readings",
-                        "readings": [],
-                        "checked": [
-                            _reading_json(c.reading, c.verdict) for c in failure.checks
-                        ],
-                    }
-                )
-            )
-        else:
-            out.append("no admissible reading\n")
-        return EXIT_UNKNOWN if unknown else EXIT_NO_READING
+        payload = {
+            "readings": [],
+            "checked": [_reading_json(c.reading, c.verdict) for c in failure.checks],
+        }
+        return (EXIT_UNKNOWN if unknown else EXIT_NO_READING), payload, "no admissible reading\n"
 
     admitted = [c for c in outcome.checks if c.verdict.admitted]
     rejected = [c for c in outcome.checks if not c.verdict.admitted]
-    if config.json_output:
-        out.append(
-            emit_json(
-                {
-                    "version": SCHEMA_VERSION,
-                    "command": "readings",
-                    "readings": [_reading_json(c.reading, c.verdict) for c in admitted],
-                    "filtered": [_reading_json(c.reading, c.verdict) for c in rejected],
-                    "blocked": [_blocked_json(b) for b in outcome.blocked],
-                    "results": [
-                        {
-                            "drs": print_drs(r.drs),
-                            "trail": [
-                                {"alpha": path_str(s.alpha_path), "action": s.action, "detail": s.detail}
-                                for s in r.trail
-                            ],
-                        }
-                        for r in outcome.survivors
-                    ],
-                }
-            )
+    payload = {
+        "readings": [_reading_json(c.reading, c.verdict) for c in admitted],
+        "filtered": [_reading_json(c.reading, c.verdict) for c in rejected],
+        "blocked": [_blocked_json(b) for b in outcome.blocked],
+        "results": [
+            {
+                "drs": print_drs(r.drs),
+                "trail": [
+                    {"alpha": path_str(s.alpha_path), "action": s.action, "detail": s.detail}
+                    for s in r.trail
+                ],
+            }
+            for r in outcome.survivors
+        ],
+    }
+    lines = []
+    for r in outcome.survivors:
+        steps = "; ".join("%s %s" % (s.action, s.detail) for s in r.trail)
+        lines.append("%s\n  via %s" % (print_drs(r.drs), steps or "no anaphora"))
+    for c in rejected:
+        lines.append(
+            "filtered %s: informativity=%s consistency=%s"
+            % (c.reading.ref, c.verdict.informative, c.verdict.consistent)
         )
-    else:
-        for r in outcome.survivors:
-            steps = "; ".join("%s %s" % (s.action, s.detail) for s in r.trail)
-            out.append("%s\n  via %s\n" % (print_drs(r.drs), steps or "no anaphora"))
-        for c in rejected:
-            out.append(
-                "filtered %s: informativity=%s consistency=%s\n"
-                % (c.reading.ref, c.verdict.informative, c.verdict.consistent)
-            )
-    return EXIT_UNKNOWN if outcome.any_unknown else EXIT_OK
+    return (EXIT_UNKNOWN if outcome.any_unknown else EXIT_OK), payload, _text(lines)
 
 
-def _cmd_extract(config: RunConfig, out: list[str]) -> int:
+def _cmd_extract(config: RunConfig) -> Result:
     box = parse_drs(_read_file(config.inputs[0]))
     bg = _load_background(config.background)
     extraction = extract(box, bg)
     if extraction.formula is None:
-        if config.json_output:
-            out.append(
-                emit_json({"version": SCHEMA_VERSION, "command": "extract", "tasks": []})
-            )
-        else:
-            out.append("no tasks\n")
-        return EXIT_OK
+        return EXIT_OK, {"tasks": []}, "no tasks\n"
     stats = context_sharing_depth(extraction.formula)
-    if config.json_output:
-        out.append(
-            emit_json(
-                {
-                    "version": SCHEMA_VERSION,
-                    "command": "extract",
-                    "formula": print_lcon(extraction.formula),
-                    "tasks": [
-                        {
-                            "tag": t.tag,
-                            "position": list(t.position),
-                            "conclusion": print_drs(t.conclusion),
-                            "readings": [r.ref for r in t.readings],
-                        }
-                        for t in extraction.tasks
-                    ],
-                    "sharing": {
-                        "inWrappers": stats.in_wrappers,
-                        "contextConditions": stats.context_conditions,
-                        "duplicatedConditions": stats.duplicated_conditions,
-                    },
-                }
-            )
-        )
-    else:
-        out.append(print_lcon(extraction.formula) + "\n")
-        for t in extraction.tasks:
-            out.append(
-                "%s: %s  [%s]\n"
-                % (t.tag, print_drs(t.conclusion), ", ".join(r.ref for r in t.readings))
-            )
-    return EXIT_OK
+    payload = {
+        "formula": print_lcon(extraction.formula),
+        "tasks": [
+            {
+                "tag": t.tag,
+                "position": list(t.position),
+                "conclusion": print_drs(t.conclusion),
+                "readings": [r.ref for r in t.readings],
+            }
+            for t in extraction.tasks
+        ],
+        "sharing": {
+            "inWrappers": stats.in_wrappers,
+            "contextConditions": stats.context_conditions,
+            "duplicatedConditions": stats.duplicated_conditions,
+        },
+    }
+    lines = [print_lcon(extraction.formula)]
+    for t in extraction.tasks:
+        refs = ", ".join(r.ref for r in t.readings)
+        lines.append("%s: %s  [%s]" % (t.tag, print_drs(t.conclusion), refs))
+    return EXIT_OK, payload, _text(lines)
 
 
-def _cmd_prove(config: RunConfig, out: list[str]) -> int:
+def _cmd_prove(config: RunConfig) -> Result:
     formula = parse_lcon(_read_file(config.inputs[0]))
     verdict, stats = prove_lcon(formula, None, config.bounds)
-    if config.json_output:
-        out.append(
-            emit_json(
-                {
-                    "version": SCHEMA_VERSION,
-                    "command": "prove",
-                    "verdicts": dict(verdict.statuses),
-                    "stats": stats.as_json(),
-                }
-            )
-        )
-    else:
-        for tag, status in verdict.statuses:
-            out.append("%s: %s\n" % (tag, status))
-        out.append("rule applications: %d\n" % stats.rule_applications)
+    payload = {"verdicts": dict(verdict.statuses), "stats": stats.as_json()}
+    lines = ["%s: %s" % pair for pair in verdict.statuses]
+    lines.append("rule applications: %d" % stats.rule_applications)
     bounded = any(status == OPEN_BOUNDED for _, status in verdict.statuses)
-    return EXIT_UNKNOWN if bounded else EXIT_OK
+    return (EXIT_UNKNOWN if bounded else EXIT_OK), payload, _text(lines)
 
 
-def _cmd_compare(config: RunConfig, out: list[str]) -> int:
+def _cmd_compare(config: RunConfig) -> Result:
     box = parse_drs(_read_file(config.inputs[0]))
     bg = _load_background(config.background)
     report = compare_cost(box, bg, config.bounds)
-    if config.json_output:
-        out.append(
-            emit_json(
-                {
-                    "version": SCHEMA_VERSION,
-                    "command": "compare",
-                    "shared": {
-                        **report.shared_stats.as_json(),
-                        "verdicts": dict(report.shared_verdicts),
-                    },
-                    "naive": {
-                        **report.naive_stats.as_json(),
-                        "verdicts": dict(report.naive_verdicts),
-                    },
-                    "ratio": dict(report.per_condition_ratio),
-                    "overallRatio": report.overall_ratio,
-                    "agreement": report.agreement,
-                }
-            )
-        )
-    else:
-        out.append("shared rule applications: %d\n" % report.shared_stats.rule_applications)
-        out.append("naive rule applications: %d\n" % report.naive_stats.rule_applications)
-        for cond, ratio in report.per_condition_ratio:
-            out.append("  %s: %.1fx\n" % (cond, ratio))
-        out.append("overall context expansion ratio: %.2f\n" % report.overall_ratio)
-        out.append("verdict agreement: %s\n" % report.agreement)
+    payload = {
+        "shared": {**report.shared_stats.as_json(), "verdicts": dict(report.shared_verdicts)},
+        "naive": {**report.naive_stats.as_json(), "verdicts": dict(report.naive_verdicts)},
+        "ratio": dict(report.per_condition_ratio),
+        "overallRatio": report.overall_ratio,
+        "agreement": report.agreement,
+    }
+    lines = [
+        "shared rule applications: %d" % report.shared_stats.rule_applications,
+        "naive rule applications: %d" % report.naive_stats.rule_applications,
+    ]
+    lines += ["  %s: %.1fx" % pair for pair in report.per_condition_ratio]
+    lines.append("overall context expansion ratio: %.2f" % report.overall_ratio)
+    lines.append("verdict agreement: %s" % report.agreement)
     statuses = [s for _, s in report.shared_verdicts] + [s for _, s in report.naive_verdicts]
-    return EXIT_UNKNOWN if OPEN_BOUNDED in statuses else EXIT_OK
+    return (EXIT_UNKNOWN if OPEN_BOUNDED in statuses else EXIT_OK), payload, _text(lines)
 
 
 _COMMANDS = {
@@ -362,9 +284,8 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> tuple[int, str, str]:
     """Execute one command; returns (exit code, stdout text, stderr text)."""
-    out: list[str] = []
     try:
-        code = _COMMANDS[config.command](config, out)
+        code, payload, text = _COMMANDS[config.command](config)
     except FileNotFoundError as exc:
         return EXIT_INPUT_ERROR, "", "error: no such file: %s\n" % exc.filename
     except ParseError as exc:
@@ -375,7 +296,9 @@ def run(config: RunConfig) -> tuple[int, str, str]:
         )
     except (AlphaRemaining, DrsError, ProjectionError, ResourceLimit, ValueError) as exc:
         return EXIT_INPUT_ERROR, "", "error: %s\n" % exc
-    return code, "".join(out), ""
+    if config.json_output:
+        text = emit_json({"version": SCHEMA_VERSION, "command": config.command, **payload})
+    return code, text, ""
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -455,35 +455,48 @@ def _scope_walk(
 def rename_apart(box: DRS, taken: Iterable[str]) -> DRS:
     """Freshen every bound referent whose name collides with ``taken``.
 
-    Free referents keep their names; purity of the input guarantees a
-    bound name is introduced exactly once, so a global rename is safe.
-    A fresh name is the old one plus ``_n``, so no two referents compete
-    for one and the order they are renamed in does not matter.
+    A referent is renamed only inside the scope of the universe that
+    introduces it; free occurrences keep their names.  A fresh name is the
+    old one plus ``_n``, unused anywhere in the box, so no two referents
+    compete for one and the order they are renamed in does not matter.
     """
     taken_names = set(taken)
-    bound = validate(box).bound
-    used = taken_names | {r.name for r in bound}
+    report = validate(box)
+    colliding = [ref for ref in report.bound if ref.name in taken_names]
+    if not colliding:
+        return box
+    used = taken_names | {r.name for r in report.bound | report.free}
     renamed: dict[Referent, Referent] = {}
-    for ref in bound:
-        if ref.name in taken_names and ref not in renamed:
-            n = 1
-            while "%s_%d" % (ref.name, n) in used:
-                n += 1
-            fresh = "%s_%d" % (ref.name, n)
-            used.add(fresh)
-            renamed[ref] = Referent(fresh)
-    return _rename(box, renamed) if renamed else box
+    for ref in colliding:
+        n = 1
+        while "%s_%d" % (ref.name, n) in used:
+            n += 1
+        fresh = "%s_%d" % (ref.name, n)
+        used.add(fresh)
+        renamed[ref] = Referent(fresh)
+    return _rename(box, renamed, {})
 
 
-def _rename(box: DRS, renamed: dict[Referent, Referent]) -> DRS:
+def _rename(
+    box: DRS,
+    renamed: dict[Referent, Referent],
+    live: dict[Referent, Referent],
+    extra: tuple[Referent, ...] = (),
+) -> DRS:
+    """Apply ``renamed`` to the referents the universes in scope introduce."""
+    binders = [r for r in extra + box.universe if r in renamed]
+    if binders:
+        live = {**live, **{r: renamed[r] for r in binders}}
     conds: list[Condition] = []
     for cond in box.conditions:
         if isinstance(cond, Atom):
-            conds.append(Atom(cond.predicate, tuple([renamed.get(a, a) for a in cond.args])))
+            conds.append(Atom(cond.predicate, tuple([live.get(a, a) for a in cond.args])))
         else:
-            boxes = [_rename(child, renamed) for _, child in condition_children(cond)]
+            boxes = [
+                _rename(child, renamed, live, inner) for _, child, inner in _scoped_children(cond)
+            ]
             conds.append(type(cond)(*boxes))
-    return DRS(tuple([renamed.get(r, r) for r in box.universe]), tuple(conds))
+    return DRS(tuple([live.get(r, r) for r in box.universe]), tuple(conds))
 
 
 def condition_contains_alpha(cond: Condition) -> bool:

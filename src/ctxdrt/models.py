@@ -278,11 +278,12 @@ def _combined_formula(premise: DRS, conclusion: Optional[DRS]) -> FolFormula:
     )
 
 
+# the most ground atoms a domain may give before the search stops with ResourceLimit
+ATOM_CEILING = 4096
+
+
 def model_check(
-    premise: DRS,
-    conclusion: Optional[DRS] = None,
-    max_domain: int = 3,
-    atom_ceiling: int = 4096,
+    premise: DRS, conclusion: Optional[DRS] = None, max_domain: int = 3
 ) -> ModelCheckResult:
     """Search bounded domains for a model (or countermodel).
 
@@ -296,10 +297,10 @@ def model_check(
     nested, witnesses = _scan(formula, preds, False, False)
     for size in range(1, max_domain + 1):
         atoms = sum(size**arity for arity in preds.values())
-        if atoms > atom_ceiling:
+        if atoms > ATOM_CEILING:
             raise ResourceLimit(
                 "%d ground atoms at domain size %d exceeds ceiling %d"
-                % (atoms, size, atom_ceiling)
+                % (atoms, size, ATOM_CEILING)
             )
         grounded = _ground(formula, {}, range(size), True)
         if _sat(grounded, {}) is not None:

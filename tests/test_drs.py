@@ -266,6 +266,18 @@ def test_rename_apart_renames_through_every_condition_type():
         " [f | h(f)] or [ | h(f), not [ | k(z)], alpha:[w_1 | m(w_1,x_1)]]]"
     )
     assert rename_apart(box, {"z", "q"}) is box  # nothing bound collides
+    # e and f are bound on the left of each disjunction only, so the free e
+    # and f of the right disjuncts keep their names
+    assert print_drs(rename_apart(box, {"e", "f"})) == (
+        "[x | p(x), not [a | q(a,x)],"
+        " [y | r(y,x)] => [ | s(y,z), [e_1 | t(e_1,y)] or"
+        " [ | t(e,z), alpha:[v | g(v,y), alpha:[n | ]]]],"
+        " [f_1 | h(f_1)] or [ | h(f), not [ | k(z)], alpha:[w | m(w,x)]]]"
+    )
+    # a fresh name never captures a free referent
+    assert print_drs(rename_apart(parse_drs("[ | not [e | t(e,e_1)]]"), {"e"})) == (
+        "[ | not [e_2 | t(e_2,e_1)]]"
+    )
 
 
 def test_alpha_edits_through_disjunctions_and_alpha_bodies():

@@ -20,7 +20,7 @@ import tempfile
 
 import pytest
 
-from ctxdrt.cli import main
+from ctxdrt.cli import _COMMANDS, main
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 GOLDEN = os.path.join(ROOT, "tests", "golden", "cases.json")
@@ -62,7 +62,7 @@ def record() -> dict[str, dict]:
             result = _run(argv)
             results[" ".join(argv)] = result
             if argv[0] == "extract" and "--json" in argv and result["exit"] == 0:
-                formula = json.loads(result["stdout"])["formula"]
+                formula = json.loads(result["stdout"]).get("formula")
                 if formula is None:
                     continue
                 with tempfile.TemporaryDirectory() as tmp:
@@ -86,14 +86,8 @@ def test_golden_covers_every_command_line(recorded):
     with open(GOLDEN, encoding="utf-8") as handle:
         golden = json.load(handle)
     assert sorted(recorded) == sorted(golden)
-    assert {argv.split()[0] for argv in golden} == {
-        "parse",
-        "resolve",
-        "readings",
-        "extract",
-        "prove",
-        "compare",
-    }
+    assert {argv.split()[0] for argv in golden} == set(_COMMANDS)
+    assert {result["exit"] for result in golden.values()} == {0, 1, 2, 3}
 
 
 def test_cli_output_on_cases_is_unchanged(recorded):

@@ -118,10 +118,15 @@ def test_postulate_consistency_found_by_search(hank, marriage_bg):
 
 
 def test_resource_limit_is_signalled():
-    # unsatisfiable, so the search cannot stop early at a small domain
-    box = parse_drs("[ | p(a), not [ | p(a)], q(a,a)]")
-    with pytest.raises(ResourceLimit):
-        model_check(box, None, max_domain=3, atom_ceiling=3)
+    # unsatisfiable below 3 individuals, so the search reaches domain size 3,
+    # where the 8-place w alone gives 3**8 = 6,561 ground atoms
+    box = parse_drs(
+        "[a, b, c | p(a), not [ | p(b)], q(b), not [ | q(c)], r(a), not [ | r(c)],"
+        " w(a,a,a,a,a,a,a,a)]"
+    )
+    assert model_check(box, None, max_domain=2).status == "unknown"
+    with pytest.raises(ResourceLimit, match="6570 ground atoms at domain size 3"):
+        model_check(box, None, max_domain=3)
 
 
 FACTS = ", ".join("f%d(x)" % i for i in range(300))
