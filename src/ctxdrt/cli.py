@@ -64,7 +64,29 @@ class RunConfig:
 
 
 def emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2)`` and a newline.
+
+    The standard library's indenting encoder is pure Python and builds
+    self-recursive closures on every call, which outlive it as cyclic
+    garbage; here only scalars go through ``json.dumps``.
+    """
+    return _render_json(payload, "") + "\n"
+
+
+def _render_json(value: object, indent: str) -> str:
+    """``value`` laid out as ``json.dumps(..., indent=2)`` does at ``indent``."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [json.dumps(key) + ": " + _render_json(item, inner) for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_render_json(item, inner) for item in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
 
 
 def _read_file(path: str) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 __all__ = [
     "Referent",
@@ -98,15 +98,25 @@ class BoundReferent(DrsError):
         self.referent = referent
 
 
-@dataclass(frozen=True, order=True)
-class Referent:
-    """A discourse referent, named by a lowercase identifier."""
-
+class _ReferentFields(NamedTuple):
     name: str
 
-    def __post_init__(self) -> None:
-        if not _IDENT.match(self.name):
-            raise ValueError("bad referent name: %r" % (self.name,))
+
+class Referent(_ReferentFields):
+    """A discourse referent, named by a lowercase identifier.
+
+    A one-field named tuple, so hashing, equality and ordering run in C:
+    it hashes as ``(name,)`` and orders by name.  Being a tuple, it equals
+    any 1-tuple of its name (``Referent("x") == ("x",) == tableau.Const("x")``),
+    so a dict or set that holds referents must hold no other tuples.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str) -> "Referent":
+        if not _IDENT.match(name):
+            raise ValueError("bad referent name: %r" % (name,))
+        return tuple.__new__(cls, (name,))
 
     def __repr__(self) -> str:
         return "Referent(%r)" % self.name

@@ -15,7 +15,10 @@ proving each task against a freshly re-expanded premise.  The per-task
 search uses free variables for universal strength, Skolem terms over the
 variables in scope for existential strength, and iterative deepening on
 instantiation counts; exhausted bounds yield "open_bounded", never a
-wrong verdict.
+wrong verdict.  Each deepening round extends the open branches of the
+previous round by one more instance per universal node, instead of
+rebuilding the task's tree from its first node (the incremental deepening
+of leanTAP, Beckert & Posegga 1995).
 
 ``_Engine.refute`` walks the formula spine.  The shared context material,
 the task tags and the statuses live on the engine, so a proof is one
@@ -38,7 +41,7 @@ even after they die, and wide contexts set off full collections mid-proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .drs import DRS, Alpha, Atom, Imp, Neg, Or, Referent
 from .lcon import Conj, Disj, DrsLit, Extraction, Formula, In, auto_tag_positions, extract
@@ -524,7 +527,7 @@ class _Engine:
 
     # -- per-task expansion -------------------------------------------------------
 
-    def _step(self, item: _Item, branch: _Branch) -> Optional[list[list[_Item]]]:
+    def _step(self, item: _Item, branch: _Branch) -> Optional[Sequence[Sequence[_Item]]]:
         """Expand one item: a box, a condition or an instantiation.
 
         Formula structure (``in``, ``&``, ``|``) never reaches a task;
@@ -537,7 +540,7 @@ class _Engine:
         self._tick()
 
         if isinstance(payload, _BranchPoint):
-            return [[*alt] for alt in payload.alternatives]
+            return payload.alternatives
         if isinstance(payload, Atom):
             branch.lits.append(self._lit(label, payload, env))
             return None
@@ -581,7 +584,7 @@ class _Engine:
             raise AlphaRemaining("anaphoric material reached the prover")
         raise TypeError("cannot expand %r" % (payload,))
 
-    def _instantiate(self, state: _GammaState, branch: _Branch) -> list[_Item]:
+    def _instantiate(self, state: _GammaState, branch: _Branch) -> _Item:
         """One fresh-variable instance of a universal-strength node."""
         template = state.template
         state.count += 1
@@ -599,28 +602,41 @@ class _Engine:
                 ((label.signed("-"), DRS((), ante.conditions), env),),
                 ((label.signed("+"), cons, env),),
             )
-            return [(label, _BranchPoint(alternatives), env)]
-        return [(label.signed("-"), DRS((), template.payload.conditions), env)]
+            return (label, _BranchPoint(alternatives), env)
+        return (label.signed("-"), DRS((), template.payload.conditions), env)
 
-    def _saturate(self, branch: _Branch, pending: list[_Item], budget: int) -> list[_Branch]:
+    def _saturate(self, branch: _Branch, stack: list[_Item], budget: int) -> list[_Branch]:
+        """Expand ``stack`` on ``branch``, then instantiate up to ``budget``.
+
+        ``stack`` holds the pending items with the next one last; it is
+        empty on return.  The branch is extended in place, and a split
+        copies it for every child but the last, so a returned leaf can be
+        resumed at a larger budget: it goes on from each node's count.
+        """
         while True:
-            while pending:
-                item = pending.pop(0)
-                alternatives = self._step(item, branch)
+            while stack:
+                alternatives = self._step(stack.pop(), branch)
                 if alternatives is None:
                     continue
                 if len(alternatives) == 1:
-                    pending = alternatives[0] + pending
+                    stack.extend(reversed(alternatives[0]))
                     continue
                 out: list[_Branch] = []
-                for alt in alternatives:
+                last = len(alternatives) - 1
+                for i, alt in enumerate(alternatives):
                     self.stats.branches += 1
-                    out.extend(self._saturate(branch.copy(), [*alt, *pending], budget))
+                    if i == last:
+                        child, child_stack = branch, stack
+                    else:
+                        child, child_stack = branch.copy(), stack.copy()
+                    child_stack.extend(reversed(alt))
+                    out.extend(self._saturate(child, child_stack, budget))
+                stack.clear()  # the last child emptied it, unless the branch closed
                 return out
             state = next((g for g in branch.gammas if g.count < budget), None)
             if state is None:
                 return [branch]
-            pending = self._instantiate(state, branch)
+            stack.append(self._instantiate(state, branch))
 
     # -- the formula spine ---------------------------------------------------------
 
@@ -708,21 +724,26 @@ class _Engine:
     def run_task(self, label: Label, goal: DRS, shared: _Shared, env: dict) -> str:
         """Decide one entailment question against the shared contexts.
 
-        Iterative deepening on the per-node instantiation budget; after a
-        failed round the task is saturated when every universal-strength
-        node already has one instance per known ground term combination,
-        so further variants could not enable new closures.
+        Iterative deepening on the per-node instantiation budget: each
+        round resumes the previous round's open branches at the next
+        budget instead of rebuilding them, then tries to close them all
+        at once.  After a failed round the task is saturated when every
+        universal-strength node already has one instance per known ground
+        term combination, so further variants could not enable new
+        closures.
         """
         if self.exhausted:
             return OPEN_BOUNDED
         self.closure_steps = 0
         context = _ContextIndex(shared.lits)
-        base_gammas = [_GammaState(t) for t in shared.gammas]
-        base_items: list[_Item] = [*shared.deferred, (label.signed("-"), goal, env)]
+        branches = [_Branch([], (), [_GammaState(t) for t in shared.gammas])]
+        stack: list[_Item] = [(label.signed("-"), goal, env), *reversed(shared.deferred)]
         for budget in range(self.bounds.gamma_limit + 1):
-            branch0 = _Branch([], (), [g.copy() for g in base_gammas])
             try:
-                branches = self._saturate(branch0, base_items.copy(), budget)
+                deeper: list[_Branch] = []
+                for branch in branches:
+                    deeper.extend(self._saturate(branch, stack, budget))
+                branches = deeper
                 if not branches:
                     return CLOSED
                 branch_pairs = [context.pairs(b.lits) for b in branches]

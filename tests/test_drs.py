@@ -1,4 +1,6 @@
 import random
+import string
+from dataclasses import make_dataclass
 
 import pytest
 
@@ -300,3 +302,37 @@ def test_alpha_edits_through_disjunctions_and_alpha_bodies():
     )
     for edited in (delete_alpha(box, w_path), grown):
         assert edited.conditions[:3] == box.conditions[:3]
+
+
+def test_referents_are_tuples_with_the_dataclass_repr_hash_and_order():
+    old = make_dataclass(
+        "Referent",
+        [("name", str)],
+        frozen=True,
+        order=True,
+        namespace={"__repr__": lambda self: "Referent(%r)" % self.name},
+    )
+    rng = random.Random(15)
+    tail = string.ascii_letters + string.digits + "_"
+    names = [
+        rng.choice(string.ascii_lowercase) + "".join(rng.choices(tail, k=rng.randrange(5)))
+        for _ in range(300)
+    ]
+    for name in names:
+        assert repr(Referent(name)) == repr(old(name))
+        assert hash(Referent(name)) == hash(old(name))
+    for a, b in zip(names, reversed(names)):
+        assert (Referent(a) < Referent(b)) == (old(a) < old(b))
+    assert [r.name for r in sorted(map(Referent, names))] == [
+        r.name for r in sorted(map(old, names))
+    ]
+    # equal hashes, so sets iterate in the same order
+    assert [r.name for r in set(map(Referent, names))] == [r.name for r in set(map(old, names))]
+    for bad in ("", "X", "1a", "a-b", "not ok", "x\n"):
+        with pytest.raises(ValueError, match="bad referent name"):
+            Referent(bad)
+    # a tuple: it equals the 1-tuple of its name, and a term of that shape
+    from ctxdrt.tableau import Const
+
+    assert Referent("x") == ("x",) == Const("x")
+    assert Referent("x") != "x" and Referent("x") != Referent("y")

@@ -76,16 +76,15 @@ def test_public_call_leaves_no_cyclic_garbage(source, call):
 
 
 def test_cli_run_leaves_no_cyclic_garbage():
-    # text output only: the standard library's indenting JSON encoder builds
-    # its own self-recursive closures on every call
     hank, bg = os.path.join(CASES, "hank.drs"), os.path.join(CASES, "marriage.bg")
     for command in ("parse", "resolve", "readings", "extract", "compare"):
-        config = cli.RunConfig(command, (hank,), background=bg)
-        cli.run(config)
-        gc.collect()
-        gc.disable()
-        try:
+        for json_output in (False, True):
+            config = cli.RunConfig(command, (hank,), background=bg, json_output=json_output)
             cli.run(config)
-            assert gc.collect() == 0, command
-        finally:
-            gc.enable()
+            gc.collect()
+            gc.disable()
+            try:
+                cli.run(config)
+                assert gc.collect() == 0, (command, json_output)
+            finally:
+                gc.enable()
