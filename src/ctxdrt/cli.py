@@ -23,6 +23,7 @@ from .models import AlphaRemaining, ResourceLimit
 from .projection import (
     BackgroundTheory,
     NoAdmissibleReading,
+    NotAccommodatable,
     ProjectionError,
     candidate_readings,
     eligible_alpha_paths,
@@ -178,7 +179,7 @@ def _cmd_readings(config: RunConfig) -> Result:
         for path in eligible_alpha_paths(box):
             try:
                 admitted, blocked = candidate_readings(box, path)
-            except ProjectionError:
+            except NotAccommodatable:
                 continue
             readings.extend(admitted)
             blocked_all.extend(blocked)

@@ -7,10 +7,12 @@ entail g, so material shared between several entailment questions is
 stated exactly once.
 
 ``extract`` turns a box containing anaphoric material into one such
-formula: each accommodation site contributes a nesting level carrying only
-the context material that level adds, and each reading that
-``projection.candidate_readings`` admits at that site becomes a disjunct
-there, tagged so prover verdicts map back to readings.
+formula: each accommodation site contributes a nesting level carrying the
+context material that ``projection.site_contents`` says it adds, and each
+reading that ``projection.candidate_readings`` admits at that site becomes
+a disjunct there, tagged as the formula is built so prover verdicts map
+back to readings.  An alpha with nothing to accommodate adds no check, as
+in ``projection.project``.
 """
 
 from __future__ import annotations
@@ -19,28 +21,16 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .drs import (
-    ALPHA_BODY,
-    DRS,
-    DrsPath,
-    condition_contains_alpha,
-    is_simple_anaphor,
-    merge,
-    path_str,
-    presupposed_referents,
-    sub_drs_at,
-    validate,
-)
+from .drs import ALPHA_BODY, DRS, EMPTY, DrsPath, path_str, validate
 from .projection import (
     EMPTY_BACKGROUND,
     BackgroundTheory,
+    NotAccommodatable,
     ProjectionError,
     Reading,
-    _alpha_body_at,
-    _task_content,
-    accommodation_sites,
     candidate_readings,
     eligible_alpha_paths,
+    site_contents,
 )
 
 __all__ = [
@@ -202,55 +192,38 @@ def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
     """Restate every informativity task of ``root`` as one nested formula.
 
     The checks are the readings ``candidate_readings`` admits, grouped by
-    accommodation site.  Alpha-free conditions fold into the context level
-    of the box that carries them; each level is emitted once, as one
-    ``in`` wrapper, and a level that adds nothing collapses into its
-    parent.  A site at which the free-variable constraint admits no
-    binding contributes no check.
+    accommodation site, and the levels are what ``site_contents`` says
+    each site adds.  Each level is emitted once, as one ``in`` wrapper,
+    and a level that adds nothing collapses into its parent.  A site at
+    which the free-variable constraint admits no binding contributes no
+    check, and an alpha with nothing to accommodate contributes none at
+    all.  Anaphoric material nested inside an alpha body is rejected.
     """
     if not validate(root).pure:
         raise ValueError("impure input")
-    presupposed = presupposed_referents(root)
-    alphas = []
-    for path in eligible_alpha_paths(root):
-        body = _alpha_body_at(path, root)
-        if len(body.universe) == 1 and not body.conditions:
-            continue  # resolution-only material: nothing to accommodate
+    paths = eligible_alpha_paths(root)
+    for path in paths:
         if any(sel == ALPHA_BODY for _, sel in path[:-1]):
             raise ProjectionError(
                 "cannot extract anaphoric material nested inside other "
                 "anaphoric material at %s" % path_str(path)
             )
-        for cond in body.conditions:
-            if condition_contains_alpha(cond) and not is_simple_anaphor(cond):
-                raise ProjectionError(
-                    "alpha body at %s carries nested anaphoric material" % path_str(path)
-                )
-        alphas.append(path)
+    # The root's level hangs under an empty top, so it collapses like any other.
+    top = _Layer((), EMPTY)
+    for alpha_path in paths:
+        try:
+            readings = candidate_readings(root, alpha_path)[0]
+        except NotAccommodatable:
+            continue
+        layer = top
+        for site_path, content in site_contents(root, alpha_path, bg):
+            layer = layer.child(site_path, content)
+            at_site = [r for r in readings if r.site_path == site_path]
+            if at_site:
+                _add_check(layer.checks, _Check(at_site))
 
-    root_layer = _Layer((), merge(bg.merged_for(root), _task_content(root, presupposed)))
-    for alpha_path in alphas:
-        by_site: defaultdict[DrsPath, list[Reading]] = defaultdict(list)
-        for reading in candidate_readings(root, alpha_path)[0]:
-            by_site[reading.site_path].append(reading)
-        layer = root_layer
-        for _, site_path in accommodation_sites(alpha_path, root):
-            if site_path != ():
-                site_box = sub_drs_at(site_path, root)
-                layer = layer.child(site_path, _task_content(site_box, presupposed))
-            if site_path in by_site:
-                _add_check(layer.checks, _Check(by_site[site_path]))
-
-    readings_of: dict[int, list[Reading]] = {}
-    body = _realize(_emit(root_layer), readings_of)
-    if body is None:
-        return Extraction(None, ())
-    formula = body if root_layer.delta.is_empty() else In(root_layer.delta, body)
-    tasks: list[TaggedTask] = []
-    for position, tag in auto_tag_positions(formula).items():
-        lit = formula_at(formula, position)
-        tasks.append(TaggedTask(tag, position, lit.drs, tuple(readings_of[id(lit)])))
-    return Extraction(formula, tuple(tasks))
+    formula, found = _realize(_emit(top), ())
+    return Extraction(formula, tuple([TaggedTask("t%d" % n, *f) for n, f in enumerate(found, 1)]))
 
 
 # Assembly: each layer becomes an in-wrapper around its checks and its
@@ -276,19 +249,28 @@ def _emit(layer: _Layer) -> list[_Part]:
     return parts
 
 
-def _realize(parts: list[_Part], readings_of: dict[int, list[Reading]]) -> Optional[Formula]:
-    """The formula of assembled parts; ``readings_of`` maps each literal's id to its readings."""
+def _realize(parts: list[_Part], position: tuple[int, ...]) -> tuple[Optional[Formula], list]:
+    """The formula of assembled parts at ``position``, and its box literals.
+
+    Each literal is listed as it is built, as (position, box, readings), in
+    the depth-first order in which ``auto_tag_positions`` numbers tags.
+    """
     items: list[Formula] = []
-    for part in parts:
+    found: list[tuple[tuple[int, ...], DRS, tuple[Reading, ...]]] = []
+    for i, part in enumerate(parts):
+        at = position + (i,) if len(parts) > 1 else position
         if isinstance(part, _Check):
-            lits = [DrsLit(d) for d in part.disjuncts]
-            for lit, readings in zip(lits, part.readings):
-                readings_of[id(lit)] = readings
-            items.append(lits[0] if len(lits) == 1 else Disj(tuple(lits)))
+            many = len(part.disjuncts) > 1
+            for j, (drs, readings) in enumerate(zip(part.disjuncts, part.readings)):
+                found.append((at + (j,) if many else at, drs, tuple(readings)))
+            lits = tuple([DrsLit(d) for d in part.disjuncts])
+            items.append(Disj(lits) if many else lits[0])
         else:
             delta, inner = part
-            items.append(In(delta, _realize(inner, readings_of)))
-    return conj(items)
+            body, inner_found = _realize(inner, at + (0,))
+            items.append(In(delta, body))
+            found.extend(inner_found)
+    return conj(items), found
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,7 @@ __all__ = [
     "resolve_alpha",
     "apply_resolution",
     "candidate_readings",
+    "site_contents",
     "site_premises",
     "build_tasks",
     "check_reading",
@@ -183,6 +184,8 @@ class BackgroundTheory:
         for p in self.postulates:
             if not validate(p).pure:
                 raise ValueError("impure background postulate")
+            if any(condition_contains_alpha(c) for c in p.conditions):
+                raise ValueError("anaphoric background postulate")
 
     def merged_for(self, root: DRS) -> DRS:
         """All postulates as one box, renamed apart from the root's referents."""
@@ -348,25 +351,36 @@ def _task_content(box: DRS, presupposed: frozenset[Referent]) -> DRS:
     )
 
 
+def site_contents(
+    root: DRS, alpha_path: DrsPath, bg: BackgroundTheory = EMPTY_BACKGROUND
+) -> list[tuple[DrsPath, DRS]]:
+    """What each accommodation site of one alpha adds to its context,
+    outermost first: the root adds the background theory and its own
+    assertable content, every other site its box's assertable content."""
+    presupposed = presupposed_referents(root)
+    contents: list[tuple[DrsPath, DRS]] = []
+    for _, site_path in accommodation_sites(alpha_path, root):
+        content = _task_content(sub_drs_at(site_path, root), presupposed)
+        if site_path == ():
+            content = merge(bg.merged_for(root), content)
+        contents.append((site_path, content))
+    return contents
+
+
 def site_premises(
     root: DRS, alpha_path: DrsPath, bg: BackgroundTheory = EMPTY_BACKGROUND
 ) -> dict[DrsPath, DRS]:
     """The task premise of every accommodation site of one alpha.
 
     A site's premise is the background theory, the site's context box and
-    the site's own assertable content.  Walking the sites outermost first,
-    each premise is the previous one plus the assertable content of its
-    own box: the condition housing the alpha at each level is not
-    assertable, and an antecedent is listed before its consequent, so
+    the site's own assertable content: the running merge of
+    ``site_contents``.  The condition housing the alpha at each level is
+    not assertable, and an antecedent is listed before its consequent, so
     this is the context box's content in its order.
     """
-    presupposed = presupposed_referents(root)
-    premise = bg.merged_for(root)
-    premises: dict[DrsPath, DRS] = {}
-    for _, site_path in accommodation_sites(alpha_path, root):
-        premise = merge(premise, _task_content(sub_drs_at(site_path, root), presupposed))
-        premises[site_path] = premise
-    return premises
+    contents = site_contents(root, alpha_path, bg)
+    premises = itertools.accumulate([content for _, content in contents], merge)
+    return dict(zip([site_path for site_path, _ in contents], premises))
 
 
 def _reading_tasks(reading: Reading, premise: DRS) -> tuple[InferenceTask, InferenceTask]:

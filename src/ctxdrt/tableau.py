@@ -50,7 +50,7 @@ from .projection import (
     EMPTY_BACKGROUND,
     BackgroundTheory,
     InferenceTask,
-    ProjectionError,
+    NotAccommodatable,
     candidate_readings,
     eligible_alpha_paths,
     site_premises,
@@ -848,7 +848,7 @@ def compare_cost(
     for alpha_path in eligible_alpha_paths(root):
         try:
             readings = candidate_readings(root, alpha_path)[0]
-        except ProjectionError:
+        except NotAccommodatable:
             readings = []
         premises = site_premises(root, alpha_path, bg) if readings else {}
         for reading in readings:

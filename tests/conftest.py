@@ -22,6 +22,14 @@ HANK = (
 
 MARRIAGE_POSTULATE = "[ | [m | married(m)] => [w | wife(w), of(w,m)]]"
 
+# Alphas with nothing to accommodate: no conditions, or only a simple
+# anaphor.  ``readings`` resolves them, so they add no accommodation check.
+CONTENTLESS = (
+    "[ | alpha:[ | ]]",
+    "[x | p(x), alpha:[u, v | ]]",
+    "[x | p(x), alpha:[u | alpha:[v | ]]]",
+)
+
 HANK_FORMULA = (
     "in([x | hank(x), married(x)], [u | wife(u), of(u,x)]"
     " & in([y | man(y)], [u | wife(u), of(u,x)] | [u | wife(u), of(u,y)]))"

@@ -7,7 +7,7 @@ import pytest
 
 from ctxdrt.cli import RunConfig, run
 
-from conftest import HANK, HANK_FORMULA, MARRIAGE_POSTULATE
+from conftest import CONTENTLESS, HANK, HANK_FORMULA, MARRIAGE_POSTULATE
 
 CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
@@ -125,6 +125,26 @@ def test_extract_reports_empty_task_list(tmp_path):
     payload = json.loads(stdout)
     assert payload["tasks"] == []
     assert payload["version"] == "ctxdrt/1"
+
+
+@pytest.mark.parametrize("text", CONTENTLESS)
+def test_alpha_with_nothing_to_accommodate_exits_0_everywhere(tmp_path, text):
+    path = tmp_path / "contentless.drs"
+    path.write_text(text, encoding="utf-8")
+    stdout = {}
+    for command in ("readings", "extract", "compare"):
+        code, stdout[command], stderr = run(RunConfig(command, (str(path),), json_output=True))
+        assert (code, stderr) == (0, ""), command
+    assert json.loads(stdout["extract"])["tasks"] == []
+
+
+def test_anaphoric_background_postulate_exits_2_everywhere(hank_file, tmp_path):
+    bg = tmp_path / "anaphoric.bg"
+    bg.write_text("[ | alpha:[u | p(u)]]\n", encoding="utf-8")
+    for command in ("readings", "extract", "compare"):
+        code, stdout, stderr = run(RunConfig(command, (hank_file,), background=str(bg)))
+        assert (code, stdout) == (2, ""), command
+        assert stderr == "error: anaphoric background postulate\n"
 
 
 def test_prove_pipes_from_extract(hank_file, bg_file, tmp_path):

@@ -1,27 +1,34 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from ctxdrt.drs import merge_all, validate
 from ctxdrt.lcon import (
     Conj,
     Disj,
     DrsLit,
+    Extraction,
     In,
+    auto_tag_positions,
     context_sharing_depth,
     extract,
     formula_at,
 )
 from ctxdrt.projection import (
+    BackgroundTheory,
     ProjectionError,
     build_tasks,
     candidate_readings,
     eligible_alpha_paths,
+    project,
+    site_premises,
 )
 from ctxdrt.text import parse_drs, parse_lcon, print_drs, print_lcon
 
-from conftest import HANK_FORMULA
-from gen import corpus_drs
+from conftest import CONTENTLESS, HANK, HANK_FORMULA, MARRIAGE_POSTULATE
+from gen import corpus_drs, drs_boxes, nested_alpha_boxes
 
 
 def test_extraction_matches_reference_formula(hank):
@@ -111,38 +118,53 @@ def test_naive_restatement_duplicates_context(hank):
     assert stats.duplicated_conditions == 5 + 5 + 4
 
 
-def test_extracted_contexts_accumulate_to_task_premises(hank):
-    extraction = extract(hank)
-    by_tag = extraction.by_tag()
+MARRIAGE_BG = BackgroundTheory((parse_drs(MARRIAGE_POSTULATE),))
+FAMILY_K2 = parse_drs(
+    "[x | hank(x), married(x),"
+    " [y0 | man0(y0)] => [ | likes(y0,u0), alpha:[u0 | wife(u0), of(u0,v0), alpha:[v0 | ]]],"
+    " [y1 | man1(y1)] => [ | likes(y1,u1), alpha:[u1 | wife(u1), of(u1,v1), alpha:[v1 | ]]]]"
+)
 
-    def enclosing_contexts(position):
-        contexts = []
-        node = extraction.formula
-        for step in position:
-            if isinstance(node, In):
-                contexts.append(node.context)
-                node = node.body
-            else:
-                node = node.items[step] if isinstance(node, (Conj, Disj)) else node
-        return contexts
 
-    # walking positions descends one In per 0-step; reconstruct accumulated
-    # premises and compare against the per-reading task premises
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(nested_alpha_boxes, drs_boxes), st.booleans())
+@example(parse_drs(HANK), False)
+@example(parse_drs(HANK), True)
+@example(FAMILY_K2, True)
+def test_extracted_contexts_accumulate_to_task_premises(root, with_bg):
+    # each task sits at its tag's position, and the in-contexts above it
+    # merge to the site premise of every reading it decides
+    assume(validate(root).pure)
+    bg = MARRIAGE_BG if with_bg else BackgroundTheory()
+    try:
+        extraction = extract(root, bg)
+    except ProjectionError as exc:
+        assert "nested inside other anaphoric material" in str(exc)
+        return
+    formula = extraction.formula
+    if formula is None:
+        assert extraction.tasks == ()
+        return
+    assert extraction.tag_positions() == auto_tag_positions(formula)
     for task in extraction.tasks:
-        contexts = []
-        node = extraction.formula
-        for step in task.position:
-            if isinstance(node, In):
-                assert step == 0
-                contexts.append(node.context)
-                node = node.body
-            else:
-                node = node.items[step]
-        accumulated = merge_all(contexts)
-        for reading in task.readings:
-            premise = build_tasks(reading, hank)[0].premise
-            assert set(accumulated.conditions) == set(premise.conditions)
-            assert set(accumulated.universe) == set(premise.universe)
+        assert formula_at(formula, task.position) == DrsLit(task.conclusion)
+        above = [formula_at(formula, task.position[:i]) for i in range(len(task.position))]
+        accumulated = merge_all([node.context for node in above if isinstance(node, In)])
+        for r in task.readings:
+            assert accumulated == site_premises(root, r.alpha_path, bg)[r.site_path]
+
+
+@pytest.mark.parametrize("text", CONTENTLESS)
+def test_alpha_with_nothing_to_accommodate_adds_no_task(text):
+    root = parse_drs(text)
+    assert project(root).survivors  # resolved, never accommodated
+    assert extract(root) == Extraction(None, ())
+    # beside a contentful alpha, only that alpha's readings are checked
+    beside = parse_drs(text[:-1] + ", alpha:[w | q(w)]]")
+    contentful = eligible_alpha_paths(beside)[-1]
+    extraction = extract(beside)
+    assert extraction.tasks
+    assert {r.alpha_path for t in extraction.tasks for r in t.readings} == {contentful}
 
 
 def test_non_redundant_extraction_on_corpus():

@@ -230,6 +230,14 @@ def test_background_theory_rejects_impure_postulates():
         BackgroundTheory((impure,))
 
 
+def test_background_theory_rejects_anaphoric_postulates():
+    # a postulate is world knowledge: it has no context to resolve against
+    with pytest.raises(ValueError, match="anaphoric background postulate"):
+        BackgroundTheory((parse_drs("[ | alpha:[u | p(u)]]"),))
+    with pytest.raises(ValueError, match="anaphoric background postulate"):
+        BackgroundTheory((parse_drs("[ | [m | married(m)] => [ | alpha:[w | wife(w)]]]"),))
+
+
 def readings_by_whole_result(root, alpha_path):
     """The free-variable constraint as stated: validate every whole result."""
     body = _alpha_body_at(alpha_path, root)

@@ -35,6 +35,7 @@ from ctxdrt.tableau import (
 )
 from ctxdrt.text import parse_drs, parse_lcon
 
+from conftest import CONTENTLESS
 from gen import alpha_free_lcon_formulas, corpus_drs
 
 
@@ -463,6 +464,13 @@ def test_compare_ratio_is_one_without_shared_context():
     report = compare_cost(parse_drs("[ | alpha:[u | rain(u)]]"))
     assert report.overall_ratio == 1.0
     assert report.per_condition_ratio == ()
+
+
+@pytest.mark.parametrize("text", CONTENTLESS)
+def test_compare_checks_no_alpha_with_nothing_to_accommodate(text):
+    report = compare_cost(parse_drs(text))
+    assert report.shared_verdicts == () == report.naive_verdicts
+    assert report.agreement
 
 
 def test_compare_ratios_never_below_one():
