@@ -31,7 +31,7 @@ from .projection import (
     resolve_alpha,
 )
 from .tableau import DEFAULT_BOUNDS, OPEN_BOUNDED, Bounds, compare_cost, prove_lcon
-from .text import ParseError, parse_drs, parse_lcon, print_drs, print_lcon
+from .text import ParseError, SourceSpan, parse_drs, parse_lcon, print_drs, print_lcon
 
 __all__ = ["RunConfig", "run", "emit_json", "main"]
 
@@ -100,12 +100,18 @@ def _load_background(path: Optional[str]) -> BackgroundTheory:
         return BackgroundTheory(())
     text = _read_file(path)
     postulates = []
-    for block in re.split(r"\n\s*\n", text):
+    blank_lines = r"\n\s*\n"  # separate the postulates
+    starts = [0] + [m.end() for m in re.finditer(blank_lines, text)]
+    for start, block in zip(starts, re.split(blank_lines, text)):
         stripped = "\n".join(
             line for line in block.splitlines() if line.split("#", 1)[0].strip()
         )
         if stripped.strip():
-            postulates.append(parse_drs(block))
+            try:
+                postulates.append(parse_drs(block))
+            except ParseError as exc:  # offsets in the file, not in the block
+                span = SourceSpan(exc.span.start + start, exc.span.end + start)
+                raise ParseError(exc.message, span, exc.expected) from None
     return BackgroundTheory(tuple(postulates))
 
 

@@ -27,10 +27,13 @@ Inside a task, a refuted condition set (an instantiated universal's body
 or an implication's antecedent) is a box with an empty universe under
 ``-``.
 
-Each task indexes the context literals it inherits once, by predicate,
-arity and polarity.  Its branches hold only the literals they add, so no
-branch or deepening round copies or rescans the context to find closure
-pairs or ground terms.
+The spine indexes each context literal once, by predicate and arity, as
+it expands the context, and drops it again when it leaves the context.
+A task's branches hold only the literals they add, so no branch or
+deepening round copies the context or rescans it for closure pairs.
+Every task gets its own node and closure-step budgets, counted from its
+start; expanding a context on the spine is charged to no task, so a
+verdict does not depend on where its task sits in the proof.
 
 Proof state is copied with ``.copy()`` and literals: CPython's ``dict()``
 and ``list()`` constructors and ``tuple()`` over a generator allocate past
@@ -41,7 +44,7 @@ even after they die, and wide contexts set off full collections mid-proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .drs import DRS, Alpha, Atom, Imp, Neg, Or, Referent
 from .lcon import Conj, Disj, DrsLit, Extraction, Formula, In, auto_tag_positions, extract
@@ -87,6 +90,13 @@ OPEN_BOUNDED = "open_bounded"
 
 @dataclass(frozen=True)
 class Bounds:
+    """Per-task resource bounds; running out of one makes the task open_bounded.
+
+    ``gamma_limit`` caps the instances of each universal-strength node;
+    ``depth_limit`` caps both the tableau nodes a task builds and its
+    closure-search steps.  Expanding a shared context is not charged.
+    """
+
     gamma_limit: int = 5
     depth_limit: int = 20000
 
@@ -208,13 +218,33 @@ class LitNode(NamedTuple):
     index: int
 
 
-def _closure_pairs(literals: list[LitNode]) -> list[tuple[LitNode, LitNode]]:
+def _closure_pairs(
+    context: dict[tuple[str, int], list[LitNode]], lits: list[LitNode]
+) -> list[tuple[LitNode, LitNode]]:
     """Complementary, context-compatible (positive, negative) literal pairs.
 
-    Positive-major, negatives in branch order: closure search charges its
-    steps in this order, so the order is part of the verdict under bounds.
+    ``context`` holds the context literals, all positive, by predicate and
+    arity, each list in ``index`` order; ``lits`` are the branch's own.  The
+    pairs are those of context + ``lits``, positive-major with negatives in
+    branch order: closure search charges its steps in this order, so the
+    order is part of the verdict under bounds.
     """
-    return _ContextIndex([]).pairs(literals)
+    negatives: dict[tuple[str, int], list[LitNode]] = {}
+    own: list[LitNode] = []
+    for n in lits:
+        if n.label.polarity == "-":
+            negatives.setdefault((n.pred, len(n.args)), []).append(n)
+        else:
+            own.append(n)
+    positives = [n for key in negatives if key in context for n in context[key]]
+    positives.sort(key=lambda n: n.index)
+    positives.extend(own)
+    out: list[tuple[LitNode, LitNode]] = []
+    for pos in positives:
+        for neg in negatives.get((pos.pred, len(pos.args)), ()):
+            if labels_compatible(pos.label, neg.label):
+                out.append((pos, neg))
+    return out
 
 
 def close_branch(
@@ -225,19 +255,11 @@ def close_branch(
     Returns the most general unifier and the (positive, negative) pair;
     the substitution is the caller's to apply, branch-locally.
     """
-    for pos, neg in _closure_pairs(literals):
+    for pos, neg in _closure_pairs({}, literals):
         subst = _unify_args(pos.args, neg.args, {})
         if subst is not None:
             return subst, (pos, neg)
     return None
-
-
-def _ground_terms(args: Iterable[Term]) -> set[Term]:
-    """The ground argument terms, with the ground subterms met on the way."""
-    terms: set[Term] = set()
-    for arg in args:
-        _add_ground(arg, terms)
-    return terms
 
 
 def _add_ground(term: Term, terms: set[Term]) -> bool:
@@ -256,68 +278,6 @@ def _add_ground(term: Term, terms: set[Term]) -> bool:
             return False
     terms.add(term)
     return True
-
-
-class _ContextIndex:
-    """One task's shared context literals, indexed once for all its branches.
-
-    Branches hold only the literals they add.  ``pairs`` and ``ground_terms``
-    give what ``_closure_pairs`` and ``_ground_terms`` give over the context
-    literals followed by the branch's, without rescanning the context; the
-    context literals must come in ascending ``index`` order, as node ticks
-    give them.  Context positives are gathered per key when a branch
-    negative first asks for it, so a wide context costs no list per literal.
-    """
-
-    def __init__(self, lits: list[LitNode]) -> None:
-        self.lits = lits  # the caller's context list, unchanged while the task runs
-        self.positives: dict[tuple[str, int], list[LitNode]] = {}  # filled by positives_of
-        self.negatives: dict[tuple[str, int], list[LitNode]] = {}
-        for n in lits:
-            if n.label.polarity == "-":
-                self.negatives.setdefault((n.pred, len(n.args)), []).append(n)
-        # context positives that meet a context negative, in context order
-        self.matched = [
-            n
-            for n in lits
-            if n.label.polarity == "+" and (n.pred, len(n.args)) in self.negatives
-        ]
-        self.args = {arg for n in lits for arg in n.args}
-        self.ground = _ground_terms(self.args)
-
-    def positives_of(self, key: tuple[str, int]) -> list[LitNode]:
-        if key not in self.positives:
-            self.positives[key] = [
-                n for n in self.lits if n.label.polarity == "+" and (n.pred, len(n.args)) == key
-            ]
-        return self.positives[key]
-
-    def pairs(self, lits: list[LitNode]) -> list[tuple[LitNode, LitNode]]:
-        """``_closure_pairs(context + lits)``, in the same order."""
-        negatives: dict[tuple[str, int], list[LitNode]] = {}
-        for n in lits:
-            if n.label.polarity == "-":
-                negatives.setdefault((n.pred, len(n.args)), []).append(n)
-        positives = self.matched.copy()
-        extra = [k for k in negatives if k not in self.negatives and self.positives_of(k)]
-        if extra:
-            for key in extra:
-                positives.extend(self.positives[key])
-            positives.sort(key=lambda n: n.index)
-        positives.extend(n for n in lits if n.label.polarity == "+")
-        out: list[tuple[LitNode, LitNode]] = []
-        for pos in positives:
-            key = (pos.pred, len(pos.args))
-            for side in (self.negatives, negatives):
-                for neg in side.get(key, ()):
-                    if labels_compatible(pos.label, neg.label):
-                        out.append((pos, neg))
-        return out
-
-    def ground_terms(self, branches: list["_Branch"]) -> set[Term]:
-        """``_ground_terms`` over the context and every branch's literals."""
-        args = {arg for b in branches for lit in b.lits for arg in lit.args} - self.args
-        return self.ground | _ground_terms(args)
 
 
 # -- statistics -----------------------------------------------------------------
@@ -444,10 +404,17 @@ _Item = tuple
 
 
 class _Shared:
-    """Context material accumulated along the formula spine."""
+    """Context material accumulated along the formula spine.
+
+    Every context literal is asserted and ground.  ``positives`` indexes
+    ``lits`` by predicate and arity, each list in ``lits`` order, so a task
+    finds its closure partners in the context without scanning it; ``mark``
+    and ``rewind`` keep both as the spine leaves a context.
+    """
 
     def __init__(self) -> None:
         self.lits: list[LitNode] = []
+        self.positives: dict[tuple[str, int], list[LitNode]] = {}
         self.gammas: list[_GammaTemplate] = []
         self.deferred: list[_Item] = []
         self.env: dict[Referent, Term] = {}
@@ -457,6 +424,12 @@ class _Shared:
 
     def rewind(self, mark: tuple) -> None:
         nl, ng, nd, env = mark
+        for n in self.lits[nl:]:
+            key = (n.pred, len(n.args))
+            side = self.positives[key]
+            side.pop()
+            if not side:
+                del self.positives[key]
         del self.lits[nl:]
         del self.gammas[ng:]
         del self.deferred[nd:]
@@ -470,12 +443,12 @@ class _Engine:
         self.shared = _Shared()
         self.statuses: list[tuple[str, str]] = []  # (tag, status), in task order
         self.stats = ProofStats()
-        self.nodes = 0
+        self.nodes = 0  # over the whole proof; numbers the literals
+        self.node_limit = bounds.depth_limit  # run_task sets it per task
         self.closure_steps = 0
         self._var = 0
         self._skolem = 0
         self._context = 0
-        self.exhausted = False
 
     # Fresh symbol supplies are owned by the proof attempt, so re-running
     # the same input yields identical trees and statistics.
@@ -493,28 +466,34 @@ class _Engine:
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.nodes > self.bounds.depth_limit:
+        if self.nodes > self.node_limit:
             raise _DepthExceeded
 
     def _lit(self, label: Label, atom: Atom, env: dict) -> LitNode:
-        self._tick()
+        """The literal of ``atom`` under ``env``, numbered by the last node."""
         args = tuple([env[a] if a in env else Const(a.name) for a in atom.args])
         return LitNode(label, atom.predicate, args, self.nodes)
 
     # -- shared context expansion (once per in-wrapper) -------------------------
 
     def expand_context(self, label: Label, box: DRS, shared: _Shared) -> None:
+        """Expand ``box`` into ``shared`` under ``label``.
+
+        The work is linear in the box, so no task's node budget pays for it.
+        """
         env = shared.env.copy()
         if box.universe:
             self.stats.bump("+:universe")
-            self._tick()
             for ref in box.universe:
                 env[ref] = self.fresh_skolem(())
         for cond in box.conditions:
             self.stats.bump("+:condition")
             self.stats.bump_context(print_condition(cond))
             if isinstance(cond, Atom):
-                shared.lits.append(self._lit(label, cond, env))
+                self.nodes += 1
+                lit = self._lit(label, cond, env)
+                shared.lits.append(lit)
+                shared.positives.setdefault((lit.pred, len(lit.args)), []).append(lit)
             elif isinstance(cond, Imp):
                 shared.gammas.append(_GammaTemplate(label, "imp", cond, tuple(env.items())))
             elif isinstance(cond, (Neg, Or)):
@@ -542,6 +521,7 @@ class _Engine:
         if isinstance(payload, _BranchPoint):
             return payload.alternatives
         if isinstance(payload, Atom):
+            self._tick()  # the literal is a node of its own
             branch.lits.append(self._lit(label, payload, env))
             return None
         if isinstance(payload, DRS):
@@ -657,10 +637,7 @@ class _Engine:
             inner = Label(self.fresh_context(), label.accessible | {label.context}, "+")
             self.stats.bump("-:in")
             mark = shared.mark()
-            try:
-                self.expand_context(inner, f.context, shared)
-            except _DepthExceeded:
-                self.exhausted = True
+            self.expand_context(inner, f.context, shared)
             self.refute(f.body, inner.signed("-"), position + (0,))
             shared.rewind(mark)
             return
@@ -724,18 +701,18 @@ class _Engine:
     def run_task(self, label: Label, goal: DRS, shared: _Shared, env: dict) -> str:
         """Decide one entailment question against the shared contexts.
 
-        Iterative deepening on the per-node instantiation budget: each
-        round resumes the previous round's open branches at the next
-        budget instead of rebuilding them, then tries to close them all
-        at once.  After a failed round the task is saturated when every
-        universal-strength node already has one instance per known ground
-        term combination, so further variants could not enable new
-        closures.
+        The task may build ``depth_limit`` nodes from its own start and take
+        ``depth_limit`` closure-search steps, so its verdict does not depend
+        on the tasks before it.  Iterative deepening on the per-node
+        instantiation budget: each round resumes the previous round's open
+        branches at the next budget instead of rebuilding them, then tries
+        to close them all at once.  After a failed round the task is
+        saturated when every universal-strength node already has one
+        instance per known ground term combination, so further variants
+        could not enable new closures.
         """
-        if self.exhausted:
-            return OPEN_BOUNDED
+        self.node_limit = self.nodes + self.bounds.depth_limit
         self.closure_steps = 0
-        context = _ContextIndex(shared.lits)
         branches = [_Branch([], (), [_GammaState(t) for t in shared.gammas])]
         stack: list[_Item] = [(label.signed("-"), goal, env), *reversed(shared.deferred)]
         for budget in range(self.bounds.gamma_limit + 1):
@@ -746,19 +723,19 @@ class _Engine:
                 branches = deeper
                 if not branches:
                     return CLOSED
-                branch_pairs = [context.pairs(b.lits) for b in branches]
+                branch_pairs = [_closure_pairs(shared.positives, b.lits) for b in branches]
                 closing = None
                 if all(branch_pairs):
                     closing = self._close_all([(len(p), p) for p in branch_pairs], {})
-            except _DepthExceeded:
-                self.exhausted = True
-                return OPEN_BOUNDED
-            except _ClosureExceeded:
+            except (_DepthExceeded, _ClosureExceeded):
                 return OPEN_BOUNDED
             if closing is not None:
                 self.stats.closures += len(branches)
                 return CLOSED
-            ground = max(1, len(context.ground_terms(branches)))
+            terms = {arg for n in shared.lits for arg in n.args}  # context terms are ground
+            for arg in {arg for b in branches for n in b.lits for arg in n.args} - terms:
+                _add_ground(arg, terms)
+            ground = max(1, len(terms))
             states = [g for b in branches for g in b.gammas]
             if all(g.count >= ground ** len(g.template.universe) for g in states):
                 return OPEN_SATURATED

@@ -19,6 +19,7 @@ both languages.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,6 +71,7 @@ class _Token(NamedTuple):
 
 
 _PUNCT = {"[", "]", "(", ")", "|", ",", ":", "&"}
+_IDENT_CHARS = frozenset(string.ascii_letters + string.digits + "_")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -94,7 +96,7 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if "a" <= ch <= "z":
             j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             word = text[i:j]
             kind = "kw" if word in KEYWORDS else "ident"

@@ -147,6 +147,16 @@ def test_anaphoric_background_postulate_exits_2_everywhere(hank_file, tmp_path):
         assert stderr == "error: anaphoric background postulate\n"
 
 
+def test_background_parse_error_gives_file_offsets(hank_file, tmp_path):
+    bg = tmp_path / "bad.bg"
+    bg.write_text(MARRIAGE_POSTULATE + "\n\n[ | p(a) q(b)]\n", encoding="utf-8")
+    code, stdout, stderr = run(RunConfig("readings", (hank_file,), background=str(bg)))
+    assert (code, stdout) == (2, "")
+    start = len(MARRIAGE_POSTULATE) + 11
+    assert bg.read_text(encoding="utf-8")[start] == "q"
+    assert stderr == "error: expected ], found 'q' (offsets %d..%d)\n" % (start, start + 1)
+
+
 def test_prove_pipes_from_extract(hank_file, bg_file, tmp_path):
     code, stdout, _ = run(
         RunConfig("extract", (hank_file,), background=bg_file, json_output=True)

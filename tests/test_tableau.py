@@ -1,12 +1,14 @@
 import itertools
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctxdrt import tableau
-from ctxdrt.lcon import auto_tag_positions, extract
+from ctxdrt.lcon import Conj, Disj, In, auto_tag_positions, extract
 from ctxdrt.projection import InferenceTask
 from ctxdrt.tableau import (
     CLOSED,
@@ -21,7 +23,6 @@ from ctxdrt.tableau import (
     _Branch,
     _closure_pairs,
     _ClosureExceeded,
-    _ContextIndex,
     _DepthExceeded,
     _Engine,
     _GammaState,
@@ -36,7 +37,7 @@ from ctxdrt.tableau import (
 from ctxdrt.text import parse_drs, parse_lcon
 
 from conftest import CONTENTLESS
-from gen import alpha_free_lcon_formulas, corpus_drs
+from gen import alpha_free_boxes, alpha_free_lcon_formulas, corpus_drs
 
 
 def lit(ctx, acc, pol, pred, *args):
@@ -98,7 +99,7 @@ def test_closure_pairs_keep_product_order():
             accessible = frozenset(rng.sample(range(4, 8), rng.randrange(3)))
             label = Label(rng.randrange(4), accessible, rng.choice("+-"))
             lits.append(LitNode(label, pred, (A,) * arity, i))
-        assert _closure_pairs(lits) == plain_closure_pairs(lits)
+        assert _closure_pairs({}, lits) == plain_closure_pairs(lits)
 
 
 def random_term(rng, depth=0):
@@ -124,47 +125,65 @@ def random_lits(rng, count, counter):
     return out
 
 
-def test_context_index_matches_flat_scan():
-    # a task indexes its context literals once; closure pairs and ground
-    # terms must come out as the flat scan over context + branch gives them
-    rng = random.Random(12)
-    for _ in range(400):
-        counter = iter(range(1, 10**6))
-        context = random_lits(rng, rng.randrange(10), counter)
-        branches = [
-            _Branch(random_lits(rng, rng.randrange(8), counter), (), [])
-            for _ in range(rng.randrange(1, 4))
-        ]
-        index = _ContextIndex(context)
-        for branch in branches:
-            assert index.pairs(branch.lits) == plain_closure_pairs(context + branch.lits)
+def plain_ground_terms(lits):
+    """Every ground argument term and ground subterm, by a flat scan."""
+    flat: set = set()
 
-        flat: set = set()
+    def add(term):
+        if isinstance(term, Const):
+            flat.add(term)
+            return True
+        if isinstance(term, SkolemApp) and all(add(a) for a in term.args):
+            flat.add(term)
+            return True
+        return False
 
-        def add(term):
-            if isinstance(term, Const):
-                flat.add(term)
-                return True
-            if isinstance(term, SkolemApp) and all(add(a) for a in term.args):
-                flat.add(term)
-                return True
-            return False
-
-        everything = context + [n for b in branches for n in b.lits]
-        for arg in {a for n in everything for a in n.args}:
-            add(arg)
-        assert index.ground_terms(branches) == flat
+    for arg in {a for n in lits for a in n.args}:
+        add(arg)
+    return flat
 
 
-def test_context_index_gathers_positives_on_demand():
-    # a wide context costs the index no list per literal: context positives
-    # are gathered only for the keys that branch negatives ask for
-    context = [lit(1, {0}, "+", "f%d" % i, A) for i in range(50)] + [lit(1, {0}, "+", "p", A)]
-    index = _ContextIndex(context)
-    assert index.positives == {}
-    branch = [lit(2, {0, 1}, "-", "p", X), lit(2, {0, 1}, "-", "q", X)]
-    assert index.pairs(branch) == [(context[-1], branch[0])]
-    assert index.positives == {("p", 1): [context[-1]], ("q", 1): []}
+def random_branch(rng, context, count, counter):
+    """Literals over the context's predicates and others, in nested contexts."""
+    keys = sorted({(n.pred, len(n.args)) for n in context} | {("p", 1), ("zz", 1)})
+    terms = sorted({a for n in context for a in n.args}, key=repr) + [A, X]
+    out = []
+    for _ in range(count):
+        pred, arity = rng.choice(keys)
+        ctx = rng.randrange(6)
+        label = Label(ctx, frozenset(range(rng.randrange(ctx + 1))), rng.choice("+-"))
+        args = tuple(rng.choice(terms) for _ in range(arity))
+        out.append(LitNode(label, pred, args, next(counter)))
+    return out
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(alpha_free_boxes, min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_spine_index_matches_flat_scan(boxes, rng):
+    # the spine indexes each context once: closure pairs must come out as
+    # the flat scan over context + branch gives them, and leaving a context
+    # must restore the index exactly
+    engine = _Engine(Bounds())
+    shared = engine.shared
+    label = Label(0, frozenset(), "-")
+    marks = []
+    for box in boxes:
+        marks.append((shared.mark(), {k: v.copy() for k, v in shared.positives.items()}))
+        label = Label(engine.fresh_context(), label.accessible | {label.context}, "+")
+        engine.expand_context(label, box, shared)
+        for n in shared.lits:
+            assert n.label.polarity == "+"
+            assert set(n.args) <= plain_ground_terms([n])
+        counter = itertools.count(engine.nodes + 1)
+        for _ in range(5):
+            branch = random_branch(rng, shared.lits, rng.randrange(8), counter)
+            assert _closure_pairs(shared.positives, branch) == plain_closure_pairs(
+                shared.lits + branch
+            )
+    for mark, positives in reversed(marks):
+        shared.rewind(mark)
+        assert shared.positives == positives
+    assert shared.lits == [] and shared.positives == {}
 
 
 def reference_close_all(engine, branch_pairs, subst):
@@ -242,10 +261,8 @@ def test_pruned_closure_search_matches_full_scan(monkeypatch):
 
 def reference_run_task(self, label, goal, shared, env):
     """Deepening as it was before: rebuild every branch from nothing at each budget."""
-    if self.exhausted:
-        return OPEN_BOUNDED
+    self.node_limit = self.nodes + self.bounds.depth_limit
     self.closure_steps = 0
-    context = _ContextIndex(shared.lits)
     base_gammas = [_GammaState(t) for t in shared.gammas]
     for budget in range(self.bounds.gamma_limit + 1):
         branch0 = _Branch([], (), [g.copy() for g in base_gammas])
@@ -254,19 +271,17 @@ def reference_run_task(self, label, goal, shared, env):
             branches = self._saturate(branch0, stack, budget)
             if not branches:
                 return CLOSED
-            branch_pairs = [context.pairs(b.lits) for b in branches]
+            branch_pairs = [_closure_pairs(shared.positives, b.lits) for b in branches]
             closing = None
             if all(branch_pairs):
                 closing = self._close_all([(len(p), p) for p in branch_pairs], {})
-        except _DepthExceeded:
-            self.exhausted = True
-            return OPEN_BOUNDED
-        except _ClosureExceeded:
+        except (_DepthExceeded, _ClosureExceeded):
             return OPEN_BOUNDED
         if closing is not None:
             self.stats.closures += len(branches)
             return CLOSED
-        ground = max(1, len(context.ground_terms(branches)))
+        lits = shared.lits + [n for b in branches for n in b.lits]
+        ground = max(1, len(plain_ground_terms(lits)))
         states = [g for b in branches for g in b.gammas]
         if all(g.count >= ground ** len(g.template.universe) for g in states):
             return OPEN_SATURATED
@@ -541,3 +556,63 @@ def test_verdict_agreement_shared_vs_naive_on_corpus():
             if OPEN_BOUNDED in (status, naive[ref]):
                 continue
             assert status == naive[ref], (ref, status, naive[ref])
+
+
+# A context whose first task can run the node budget out: the marriage
+# postulate, Hank, and every man who has a wife likes her.
+BUDGET_CONTEXT = (
+    "[x, y1 | [m | married(m)] => [w | wife(w), of(w,m)], hank(x), married(x),"
+    " [y0, u0 | man0(y0), wife(u0), of(u0,y0)] => [ | likes(y0,u0)], man1(y1)]"
+)
+
+
+@pytest.mark.parametrize("depth", [4000, 8000, 12000])
+def test_a_task_that_runs_out_leaves_its_siblings_their_budget(depth):
+    hard, easy = "[u | wife(u), of(u,y1)]", "[ | hank(x)]"
+    for items in ((hard, easy), (easy, hard)):
+        formula = parse_lcon("in(%s, %s | %s)" % (BUDGET_CONTEXT, *items))
+        verdict, _ = prove_lcon(formula, None, Bounds(gamma_limit=5, depth_limit=depth))
+        statuses = dict(zip(items, (status for _, status in verdict.statuses)))
+        assert statuses[easy] == CLOSED, items
+
+
+def reversed_items(f):
+    if isinstance(f, In):
+        return In(f.context, reversed_items(f.body))
+    if isinstance(f, (Conj, Disj)):
+        return type(f)(tuple(reversed_items(g) for g in reversed(f.items)))
+    return f
+
+
+def mirrored(f, position):
+    """The position in ``reversed_items(f)`` of the node at ``position`` in f."""
+    out = []
+    for i in position:
+        if isinstance(f, In):
+            f = f.body
+        else:
+            i, f = len(f.items) - 1 - i, f.items[i]
+        out.append(i)
+    return tuple(out)
+
+
+def statuses_by_position(formula, bounds):
+    verdict, _ = prove_lcon(formula, None, bounds)
+    return {pos: verdict[tag] for pos, tag in auto_tag_positions(formula).items()}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(alpha_free_lcon_formulas)
+def test_verdicts_do_not_depend_on_the_order_of_items(formula):
+    for depth in (150, 2000):
+        bounds = Bounds(gamma_limit=2, depth_limit=depth)
+        forward = statuses_by_position(formula, bounds)
+        backward = statuses_by_position(reversed_items(formula), bounds)
+        assert {mirrored(formula, pos): s for pos, s in forward.items()} == backward
+
+
+def test_shared_and_naive_routes_agree_under_tight_bounds():
+    rng = random.Random(83)
+    for _ in range(300):
+        report = compare_cost(corpus_drs(rng), bounds=Bounds(gamma_limit=2, depth_limit=60))
+        assert Counter(report.shared_verdicts) == Counter(report.naive_verdicts)

@@ -32,6 +32,18 @@ def test_parse_error_expects_pipe():
     assert err.value.span.start == 3
 
 
+@pytest.mark.parametrize(
+    "text, char, start",
+    [("[x | p\u00e9(x)]", "\u00e9", 6), ("[x\u00b2 | p(x\u00b2)]", "\u00b2", 2)],
+    ids=["accented-letter", "superscript-digit"],
+)
+def test_identifiers_continue_only_on_ascii_letters_digits_and_underscore(text, char, start):
+    with pytest.raises(ParseError) as err:
+        parse_drs(text)
+    assert err.value.message == "unexpected character %r" % char
+    assert (err.value.span.start, err.value.span.end) == (start, start + 1)
+
+
 def test_parse_error_on_dangling_box():
     with pytest.raises(ParseError) as err:
         parse_drs("[ | [x | man(x)]]")
