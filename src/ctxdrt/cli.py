@@ -3,7 +3,8 @@
 Each command yields one result: an exit code, its JSON keys and its text.
 ``run`` prints the text, or with ``--json`` the keys after the envelope
 ``version`` (schema "ctxdrt/1") and ``command``.  Exit codes: 0 success;
-1 no admissible reading; 2 parse or validation error; 3 at least one
+1 no admissible reading; 2 input error (unreadable file, parse or
+validation error, nesting too deep to walk); 3 at least one
 verdict undecided within bounds.  JSON output is stable-keyed and
 byte-identical across runs for a fixed input and configuration.
 """
@@ -317,6 +318,11 @@ def run(config: RunConfig) -> tuple[int, str, str]:
         code, payload, text = _COMMANDS[config.command](config)
     except FileNotFoundError as exc:
         return EXIT_INPUT_ERROR, "", "error: no such file: %s\n" % exc.filename
+    except OSError as exc:
+        return EXIT_INPUT_ERROR, "", "error: cannot read %s: %s\n" % (exc.filename, exc.strerror)
+    except RecursionError:
+        # every pass over a box recurses on its nesting
+        return EXIT_INPUT_ERROR, "", "error: input nested too deeply\n"
     except ParseError as exc:
         return (
             EXIT_INPUT_ERROR,

@@ -31,6 +31,9 @@ The spine indexes each context literal once, by predicate and arity, as
 it expands the context, and drops it again when it leaves the context.
 A task's branches hold only the literals they add, so no branch or
 deepening round copies the context or rescans it for closure pairs.
+The spine decides which contexts a task sees, all on one chain, so a
+proof pairs literals without a label check; ``close_branch``, given
+free-standing literals, checks label compatibility itself.
 Every task gets its own node and closure-step budgets, counted from its
 start; expanding a context on the spine is charged to no task, so a
 verdict does not depend on where its task sits in the proof.
@@ -221,7 +224,7 @@ class LitNode(NamedTuple):
 def _closure_pairs(
     context: dict[tuple[str, int], list[LitNode]], lits: list[LitNode]
 ) -> list[tuple[LitNode, LitNode]]:
-    """Complementary, context-compatible (positive, negative) literal pairs.
+    """Complementary (positive, negative) literal pairs; labels are not checked.
 
     ``context`` holds the context literals, all positive, by predicate and
     arity, each list in ``index`` order; ``lits`` are the branch's own.  The
@@ -239,12 +242,9 @@ def _closure_pairs(
     positives = [n for key in negatives if key in context for n in context[key]]
     positives.sort(key=lambda n: n.index)
     positives.extend(own)
-    out: list[tuple[LitNode, LitNode]] = []
-    for pos in positives:
-        for neg in negatives.get((pos.pred, len(pos.args)), ()):
-            if labels_compatible(pos.label, neg.label):
-                out.append((pos, neg))
-    return out
+    return [
+        (pos, neg) for pos in positives for neg in negatives.get((pos.pred, len(pos.args)), ())
+    ]
 
 
 def close_branch(
@@ -256,9 +256,10 @@ def close_branch(
     the substitution is the caller's to apply, branch-locally.
     """
     for pos, neg in _closure_pairs({}, literals):
-        subst = _unify_args(pos.args, neg.args, {})
-        if subst is not None:
-            return subst, (pos, neg)
+        if labels_compatible(pos.label, neg.label):
+            subst = _unify_args(pos.args, neg.args, {})
+            if subst is not None:
+                return subst, (pos, neg)
     return None
 
 
@@ -285,40 +286,46 @@ def _add_ground(term: Term, terms: set[Term]) -> bool:
 
 @dataclass
 class ProofStats:
+    """Counters of one proof, or of several absorbed into one.
+
+    ``contexts`` lists the context boxes the spine expanded, one per ``in``
+    wrapper, in order; ``context_condition_expansions`` prints and counts
+    their conditions each time it is read.
+    """
+
     rule_applications: int = 0
     per_rule: dict[str, int] = field(default_factory=dict)
-    context_condition_expansions: dict[str, int] = field(default_factory=dict)
+    contexts: list[DRS] = field(default_factory=list)
     branches: int = 0
     closures: int = 0
+
+    @property
+    def context_condition_expansions(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for box in self.contexts:
+            for cond in box.conditions:
+                key = print_condition(cond)
+                counts[key] = counts.get(key, 0) + 1
+        return counts
 
     def bump(self, rule: str) -> None:
         self.rule_applications += 1
         self.per_rule[rule] = self.per_rule.get(rule, 0) + 1
 
-    def bump_context(self, key: str) -> None:
-        self.context_condition_expansions[key] = (
-            self.context_condition_expansions.get(key, 0) + 1
-        )
-
     def absorb(self, other: "ProofStats") -> None:
         self.rule_applications += other.rule_applications
         for k, v in other.per_rule.items():
             self.per_rule[k] = self.per_rule.get(k, 0) + v
-        for k, v in other.context_condition_expansions.items():
-            self.context_condition_expansions[k] = (
-                self.context_condition_expansions.get(k, 0) + v
-            )
+        self.contexts += other.contexts
         self.branches += other.branches
         self.closures += other.closures
 
     def as_json(self) -> dict:
+        expansions = self.context_condition_expansions
         return {
             "ruleApplications": self.rule_applications,
             "perRule": {k: self.per_rule[k] for k in sorted(self.per_rule)},
-            "contextConditionExpansions": {
-                k: self.context_condition_expansions[k]
-                for k in sorted(self.context_condition_expansions)
-            },
+            "contextConditionExpansions": {k: expansions[k] for k in sorted(expansions)},
             "branches": self.branches,
             "closures": self.closures,
         }
@@ -360,17 +367,6 @@ class _GammaTemplate:
         return self.payload.antecedent.universe if self.kind == "imp" else self.payload.universe
 
 
-class _GammaState:
-    __slots__ = ("template", "count")
-
-    def __init__(self, template: _GammaTemplate, count: int = 0) -> None:
-        self.template = template
-        self.count = count
-
-    def copy(self) -> "_GammaState":
-        return _GammaState(self.template, self.count)
-
-
 class _BranchPoint:
     """Explicit alternatives produced by an instantiation."""
 
@@ -381,21 +377,21 @@ class _BranchPoint:
 
 
 class _Branch:
-    __slots__ = ("lits", "scope", "gammas")
+    __slots__ = ("lits", "scope", "gammas", "counts")  # counts[i]: instances of gammas[i]
 
-    def __init__(
-        self, lits: list[LitNode], scope: tuple[FreeVar, ...], gammas: list[_GammaState]
-    ) -> None:
+    def __init__(self, lits: list[LitNode], scope: tuple, gammas: list, counts=None) -> None:
         self.lits = lits
         self.scope = scope
         self.gammas = gammas
+        self.counts: list[int] = [0] * len(gammas) if counts is None else counts
 
     def copy(self) -> "_Branch":
-        return _Branch(self.lits.copy(), self.scope, [g.copy() for g in self.gammas])
+        return _Branch(self.lits.copy(), self.scope, self.gammas.copy(), self.counts.copy())
 
     def add_gamma(self, template: _GammaTemplate) -> None:
-        if all(g.template != template for g in self.gammas):
-            self.gammas.append(_GammaState(template))
+        if template not in self.gammas:
+            self.gammas.append(template)
+            self.counts.append(0)
 
 
 # Items awaiting expansion: (label, payload, env); the label's polarity is
@@ -420,7 +416,7 @@ class _Shared:
         self.env: dict[Referent, Term] = {}
 
     def mark(self) -> tuple:
-        return len(self.lits), len(self.gammas), len(self.deferred), self.env.copy()
+        return len(self.lits), len(self.gammas), len(self.deferred), self.env
 
     def rewind(self, mark: tuple) -> None:
         nl, ng, nd, env = mark
@@ -437,9 +433,9 @@ class _Shared:
 
 
 class _Engine:
-    def __init__(self, bounds: Bounds, tags: Optional[dict[tuple[int, ...], str]] = None) -> None:
+    def __init__(self, bounds: Bounds, tags: Sequence[str] = ()) -> None:
         self.bounds = bounds
-        self.tags = {} if tags is None else tags  # task tag by box-literal position
+        self.tags = tags  # task tags, in depth-first (spine) order
         self.shared = _Shared()
         self.statuses: list[tuple[str, str]] = []  # (tag, status), in task order
         self.stats = ProofStats()
@@ -481,6 +477,7 @@ class _Engine:
 
         The work is linear in the box, so no task's node budget pays for it.
         """
+        self.stats.contexts.append(box)
         env = shared.env.copy()
         if box.universe:
             self.stats.bump("+:universe")
@@ -488,7 +485,6 @@ class _Engine:
                 env[ref] = self.fresh_skolem(())
         for cond in box.conditions:
             self.stats.bump("+:condition")
-            self.stats.bump_context(print_condition(cond))
             if isinstance(cond, Atom):
                 self.nodes += 1
                 lit = self._lit(label, cond, env)
@@ -564,10 +560,10 @@ class _Engine:
             raise AlphaRemaining("anaphoric material reached the prover")
         raise TypeError("cannot expand %r" % (payload,))
 
-    def _instantiate(self, state: _GammaState, branch: _Branch) -> _Item:
-        """One fresh-variable instance of a universal-strength node."""
-        template = state.template
-        state.count += 1
+    def _instantiate(self, i: int, branch: _Branch) -> _Item:
+        """One fresh-variable instance of the branch's ``i``-th universal node."""
+        template = branch.gammas[i]
+        branch.counts[i] += 1
         self.stats.bump("gamma:" + template.kind)
         env = {ref: term for ref, term in template.env}
         universe = template.universe
@@ -613,32 +609,33 @@ class _Engine:
                     out.extend(self._saturate(child, child_stack, budget))
                 stack.clear()  # the last child emptied it, unless the branch closed
                 return out
-            state = next((g for g in branch.gammas if g.count < budget), None)
-            if state is None:
+            i = next((i for i, count in enumerate(branch.counts) if count < budget), None)
+            if i is None:
                 return [branch]
-            stack.append(self._instantiate(state, branch))
+            stack.append(self._instantiate(i, branch))
 
     # -- the formula spine ---------------------------------------------------------
 
-    def refute(self, f: Formula, label: Label, position: tuple[int, ...]) -> None:
+    def refute(self, f: Formula, label: Label) -> None:
         """Refute a formula node under ``label``, deciding every task below it.
 
         ``in(K, g)`` takes a fresh context accessible from everything above,
         expands K into ``self.shared`` once for all of g, and rewinds it
         afterwards; conjunctions and disjunctions pass their label to every
-        item; each box literal runs one task against the shared contexts.
+        item; each box literal runs one task against the shared contexts and
+        takes the next tag, as the spine meets box literals depth-first.
         """
         shared = self.shared
         if isinstance(f, DrsLit):
-            tag = self.tags[position]
-            self.statuses.append((tag, self.run_task(label, f.drs, shared, shared.env.copy())))
+            tag = self.tags[len(self.statuses)]
+            self.statuses.append((tag, self.run_task(label, f.drs, shared, shared.env)))
             return
         if isinstance(f, In):
             inner = Label(self.fresh_context(), label.accessible | {label.context}, "+")
             self.stats.bump("-:in")
             mark = shared.mark()
             self.expand_context(inner, f.context, shared)
-            self.refute(f.body, inner.signed("-"), position + (0,))
+            self.refute(f.body, inner.signed("-"))
             shared.rewind(mark)
             return
         if isinstance(f, Conj):
@@ -647,8 +644,8 @@ class _Engine:
             self.stats.bump("-:disj")
         else:
             raise TypeError("cannot prove %r" % (f,))
-        for i, item in enumerate(f.items):
-            self.refute(item, label, position + (i,))
+        for item in f.items:
+            self.refute(item, label)
 
     # -- closure ---------------------------------------------------------------------
 
@@ -713,7 +710,7 @@ class _Engine:
         """
         self.node_limit = self.nodes + self.bounds.depth_limit
         self.closure_steps = 0
-        branches = [_Branch([], (), [_GammaState(t) for t in shared.gammas])]
+        branches = [_Branch([], (), shared.gammas.copy())]
         stack: list[_Item] = [(label.signed("-"), goal, env), *reversed(shared.deferred)]
         for budget in range(self.bounds.gamma_limit + 1):
             try:
@@ -736,8 +733,8 @@ class _Engine:
             for arg in {arg for b in branches for n in b.lits for arg in n.args} - terms:
                 _add_ground(arg, terms)
             ground = max(1, len(terms))
-            states = [g for b in branches for g in b.gammas]
-            if all(g.count >= ground ** len(g.template.universe) for g in states):
+            gammas = [(t, count) for b in branches for t, count in zip(b.gammas, b.counts)]
+            if all(count >= ground ** len(t.universe) for t, count in gammas):
                 return OPEN_SATURATED
         return OPEN_BOUNDED
 
@@ -757,11 +754,9 @@ def prove_lcon(
     each box-literal leaf is then closed independently, with branch-local
     substitutions, so tasks receive individual verdicts.
     """
-    position_tags = auto_tag_positions(formula)
-    if tags:
-        position_tags.update(tags)
-    engine = _Engine(bounds, position_tags)
-    engine.refute(formula, Label(0, frozenset(), "-"), ())
+    position_tags = {**auto_tag_positions(formula), **(tags or {})}
+    engine = _Engine(bounds, list(position_tags.values()))
+    engine.refute(formula, Label(0, frozenset(), "-"))
     return Verdict(tuple(engine.statuses)), engine.stats
 
 
@@ -769,14 +764,11 @@ def naive_prove(task: InferenceTask, bounds: Bounds = DEFAULT_BOUNDS) -> tuple[s
     """Prove one entailment task against its own freshly expanded premise."""
     if task.conclusion is None:
         raise ValueError("satisfiability tasks go to the model checker")
-    if task.premise.is_empty():
-        formula: Formula = DrsLit(task.conclusion)
-        position: tuple[int, ...] = ()
-    else:
-        formula = In(task.premise, DrsLit(task.conclusion))
-        position = (0,)
-    verdict, stats = prove_lcon(formula, {position: "task"}, bounds)
-    return verdict["task"], stats
+    formula: Formula = DrsLit(task.conclusion)
+    if not task.premise.is_empty():
+        formula = In(task.premise, formula)
+    verdict, stats = prove_lcon(formula, None, bounds)
+    return verdict.statuses[0][1], stats
 
 
 # -- shared-vs-naive cost comparison ------------------------------------------------
@@ -836,16 +828,11 @@ def compare_cost(
             naive_stats.absorb(stats)
             naive_verdicts.append((reading.ref, status))
 
-    ratios: list[tuple[str, float]] = []
-    for key in sorted(shared_stats.context_condition_expansions):
-        shared_n = shared_stats.context_condition_expansions[key]
-        naive_n = naive_stats.context_condition_expansions.get(key, 0)
-        ratios.append((key, naive_n / shared_n))
-    shared_total = sum(shared_stats.context_condition_expansions.values())
-    naive_total = sum(
-        naive_stats.context_condition_expansions.get(k, 0)
-        for k in shared_stats.context_condition_expansions
-    )
+    shared_n = shared_stats.context_condition_expansions
+    naive_n = naive_stats.context_condition_expansions
+    ratios = [(key, naive_n.get(key, 0) / shared_n[key]) for key in sorted(shared_n)]
+    shared_total = sum(shared_n.values())
+    naive_total = sum(naive_n.get(key, 0) for key in shared_n)
     overall = (naive_total / shared_total) if shared_total else 1.0
     return CompareReport(
         shared_stats,

@@ -46,6 +46,33 @@ def test_missing_file_exits_2():
     assert code == 2 and "no such file" in stderr
 
 
+def assert_input_error(result):
+    code, stdout, stderr = result
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_unreadable_input_exits_2(tmp_path, hank_file):
+    folder = str(tmp_path)
+    for config in [
+        RunConfig("parse", (folder,)),
+        RunConfig("prove", (folder,)),
+        RunConfig("readings", (hank_file,), background=folder),
+    ]:
+        result = run(config)
+        assert_input_error(result)
+        assert "cannot read %s" % folder in result[2]
+
+
+def test_deeply_nested_input_exits_2(tmp_path):
+    deep = tmp_path / "deep.drs"
+    deep.write_text("[ | " + "not [ | " * 1000 + "p(a)" + "]" * 1000 + "]", encoding="utf-8")
+    for command in ("parse", "readings"):
+        result = run(RunConfig(command, (str(deep),)))
+        assert_input_error(result)
+        assert "nested too deeply" in result[2]
+
+
 def test_resolve_lists_bindings(tmp_path):
     path = tmp_path / "wife.drs"
     path.write_text(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ctxdrt import tableau
 from ctxdrt.lcon import Conj, Disj, In, auto_tag_positions, extract
-from ctxdrt.projection import InferenceTask
+from ctxdrt.projection import BackgroundTheory, InferenceTask
 from ctxdrt.tableau import (
     CLOSED,
     OPEN_BOUNDED,
@@ -25,7 +25,6 @@ from ctxdrt.tableau import (
     _ClosureExceeded,
     _DepthExceeded,
     _Engine,
-    _GammaState,
     _unify_args,
     close_branch,
     compare_cost,
@@ -34,7 +33,7 @@ from ctxdrt.tableau import (
     prove_lcon,
     unify,
 )
-from ctxdrt.text import parse_drs, parse_lcon
+from ctxdrt.text import parse_drs, parse_lcon, print_condition
 
 from conftest import CONTENTLESS
 from gen import alpha_free_boxes, alpha_free_lcon_formulas, corpus_drs
@@ -75,16 +74,14 @@ def test_closure_compatibility_is_symmetric():
 
 
 def plain_closure_pairs(lits):
-    """The plain positives x negatives filter, in branch order."""
+    """The plain positives x negatives join, in branch order."""
     positives = [n for n in lits if n.label.polarity == "+"]
     negatives = [n for n in lits if n.label.polarity == "-"]
     return [
         (pos, neg)
         for pos in positives
         for neg in negatives
-        if pos.pred == neg.pred
-        and len(pos.args) == len(neg.args)
-        and labels_compatible(pos.label, neg.label)
+        if pos.pred == neg.pred and len(pos.args) == len(neg.args)
     ]
 
 
@@ -263,9 +260,8 @@ def reference_run_task(self, label, goal, shared, env):
     """Deepening as it was before: rebuild every branch from nothing at each budget."""
     self.node_limit = self.nodes + self.bounds.depth_limit
     self.closure_steps = 0
-    base_gammas = [_GammaState(t) for t in shared.gammas]
     for budget in range(self.bounds.gamma_limit + 1):
-        branch0 = _Branch([], (), [g.copy() for g in base_gammas])
+        branch0 = _Branch([], (), shared.gammas.copy())
         stack = [(label.signed("-"), goal, env), *reversed(shared.deferred)]
         try:
             branches = self._saturate(branch0, stack, budget)
@@ -282,8 +278,8 @@ def reference_run_task(self, label, goal, shared, env):
             return CLOSED
         lits = shared.lits + [n for b in branches for n in b.lits]
         ground = max(1, len(plain_ground_terms(lits)))
-        states = [g for b in branches for g in b.gammas]
-        if all(g.count >= ground ** len(g.template.universe) for g in states):
+        gammas = [(t, count) for b in branches for t, count in zip(b.gammas, b.counts)]
+        if all(count >= ground ** len(t.universe) for t, count in gammas):
             return OPEN_SATURATED
     return OPEN_BOUNDED
 
@@ -424,6 +420,67 @@ def test_spine_labels_nest_with_fresh_contexts(hank, marriage_bg, monkeypatch):
         assert parent is not None
         assert label.accessible == parent.accessible | {parent.context}
         outer[label.context] = label
+
+
+def in_contexts(f):
+    """The context box of every ``in`` wrapper in f, depth-first."""
+    if isinstance(f, In):
+        return [f.context, *in_contexts(f.body)]
+    if isinstance(f, (Conj, Disj)):
+        return [box for item in f.items for box in in_contexts(item)]
+    return []
+
+
+def prove_recording_pairs(formula, tags=None, bounds=Bounds()):
+    """``prove_lcon``'s stats, and every pair the closure search was given."""
+    pairs = []
+    plain = tableau._closure_pairs
+
+    def recording(context, lits):
+        out = plain(context, lits)
+        pairs.extend(out)
+        return out
+
+    with mock.patch.object(tableau, "_closure_pairs", recording):
+        stats = prove_lcon(formula, tags, bounds)[1]
+    return stats, pairs
+
+
+def expected_expansions(formula):
+    """One expansion of each condition per ``in`` wrapper that states it."""
+    return Counter(print_condition(c) for box in in_contexts(formula) for c in box.conditions)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(alpha_free_lcon_formulas)
+def test_closure_search_gets_only_compatible_pairs(formula):
+    # the proof pairs literals without a label check: the spine must only
+    # ever show a task literals whose contexts lie on one chain
+    _, pairs = prove_recording_pairs(formula, None, Bounds(gamma_limit=2, depth_limit=2000))
+    assert all(labels_compatible(pos.label, neg.label) for pos, neg in pairs)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(alpha_free_lcon_formulas)
+def test_context_conditions_expand_once_per_in_wrapper(formula):
+    stats = prove_lcon(formula, None, Bounds(gamma_limit=2, depth_limit=2000))[1]
+    assert stats.context_condition_expansions == expected_expansions(formula)
+
+
+@pytest.mark.parametrize("with_bg", [False, True])
+def test_corpus_proofs_pair_compatible_labels_and_expand_contexts_once(with_bg, marriage_bg):
+    bg = marriage_bg if with_bg else BackgroundTheory()
+    rng = random.Random(89)
+    paired = 0
+    for _ in range(300):
+        extraction = extract(corpus_drs(rng), bg)
+        if extraction.formula is None:
+            continue
+        stats, pairs = prove_recording_pairs(extraction.formula, extraction.tag_positions())
+        assert all(labels_compatible(pos.label, neg.label) for pos, neg in pairs)
+        assert stats.context_condition_expansions == expected_expansions(extraction.formula)
+        paired += len(pairs)
+    assert paired > 0
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
