@@ -35,6 +35,7 @@ from .drs import (
     is_sub_drs,
     merge,
     merge_all,
+    scope_chain,
     sub_drs_at,
     substitute,
     validate,
@@ -64,7 +65,6 @@ from .projection import (
     CheckRecord,
     InferenceTask,
     NoAdmissibleReading,
-    NotAccommodatable,
     NotAnAlpha,
     ProjectOutcome,
     ProjectionResult,

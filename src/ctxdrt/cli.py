@@ -24,11 +24,11 @@ from .models import AlphaRemaining, ResourceLimit
 from .projection import (
     BackgroundTheory,
     NoAdmissibleReading,
-    NotAccommodatable,
     ProjectionError,
     candidate_readings,
     eligible_alpha_paths,
     project,
+    require_pure,
     resolve_alpha,
 )
 from .tableau import DEFAULT_BOUNDS, OPEN_BOUNDED, Bounds, compare_cost, prove_lcon
@@ -157,6 +157,7 @@ def _cmd_parse(config: RunConfig) -> Result:
 
 def _cmd_resolve(config: RunConfig) -> Result:
     box = parse_drs(_read_file(config.inputs[0]))
+    require_pure(box)
     alphas = []
     for path in eligible_alpha_paths(box):
         resolutions = resolve_alpha(path, box)
@@ -182,12 +183,10 @@ def _cmd_readings(config: RunConfig) -> Result:
     box = parse_drs(_read_file(config.inputs[0]))
     bg = _load_background(config.background)
     if config.no_filter:
+        require_pure(box)
         readings, blocked_all = [], []
         for path in eligible_alpha_paths(box):
-            try:
-                admitted, blocked = candidate_readings(box, path)
-            except NotAccommodatable:
-                continue
+            admitted, blocked = candidate_readings(box, path)
             readings.extend(admitted)
             blocked_all.extend(blocked)
         payload = {

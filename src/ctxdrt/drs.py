@@ -7,9 +7,12 @@ merging, sub-box addressing, accessibility, context computation,
 substitution, and well-formedness reporting.
 
 Scope: a sub-box sees the universes of every box around it, and an
-implication's consequent also sees its antecedent's universe.
-``_scoped_children`` is the one place that states this; substitution,
-validation and accessibility all walk through it.
+implication's consequent also sees its antecedent.  ``_scoped_children``
+is the one place that states this; substitution, validation, renaming and
+``scope_chain`` all walk through it.  ``scope_chain`` lists the boxes one
+position sees, outermost first; the accessible referents and the context
+box of a position are read off that chain, as are the accommodation sites
+of an alpha in ``projection``.
 
 Boxes compare equal up to the order of their universe and condition lists
 (both are set-like); the stored order is still meaningful because printing
@@ -21,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 __all__ = [
     "Referent",
@@ -51,6 +54,10 @@ __all__ = [
     "sub_drs_at",
     "is_sub_drs",
     "enumerate_sub_drss",
+    "Scope",
+    "scope_chain",
+    "chain_referents",
+    "chain_context",
     "accessible_referents",
     "context_drs",
     "substitute",
@@ -204,6 +211,8 @@ EMPTY = DRS((), ())
 # branch inside it.
 Step = tuple[int, str]
 DrsPath = tuple[Step, ...]
+# The sibling a sub-box also sees, as a (selector, sub-box) pair, if any.
+_Sibling = Optional[tuple[str, DRS]]
 
 NEG_BODY = "neg"
 IMP_ANTECEDENT = "ante"
@@ -233,36 +242,62 @@ def condition_children(cond: Condition) -> tuple[tuple[str, DRS], ...]:
     raise TypeError("not a condition: %r" % (cond,))
 
 
-def _scoped_children(cond: Condition) -> Iterator[tuple[str, DRS, tuple[Referent, ...]]]:
-    """(selector, sub-box, the extra universe that sub-box sees) per sub-box.
+def _scoped_children(cond: Condition) -> Iterator[tuple[str, DRS, _Sibling]]:
+    """(selector, sub-box, the sibling sub-box it also sees) per sub-box.
 
     The scope rule lives here: a sub-box sees the universes of the boxes
-    around it, and an implication's consequent also sees its antecedent's.
+    around it, and an implication's consequent also sees its antecedent.
     """
     for sel, child in condition_children(cond):
-        yield sel, child, (cond.antecedent.universe if sel == IMP_CONSEQUENT else ())
+        yield sel, child, ((IMP_ANTECEDENT, cond.antecedent) if sel == IMP_CONSEQUENT else None)
 
 
-def _child_at(cond: Condition, selector: str) -> tuple[DRS, tuple[Referent, ...]]:
-    """The sub-box a selector picks, with the extra universe it sees."""
-    for sel, child, extra in _scoped_children(cond):
-        if sel == selector:
-            return child, extra
-    raise InvalidPath("selector %r does not apply to %s" % (selector, type(cond).__name__))
+def _universe_of(sibling: _Sibling) -> tuple[Referent, ...]:
+    return sibling[1].universe if sibling else ()
 
 
-def sub_drs_at(path: DrsPath, root: DRS) -> DRS:
-    """The sub-box a path addresses; raises InvalidPath otherwise."""
-    cur = root
-    for step in path:
+class Scope(NamedTuple):
+    """A box on a scope chain, with its path and the index of the condition
+    by which the position's path leaves it (None where the path does not)."""
+
+    path: DrsPath
+    box: DRS
+    leave: Optional[int]
+
+
+def scope_chain(at: DrsPath, root: DRS) -> list[Scope]:
+    """The boxes a position sees, outermost first, ending with its own box.
+
+    These are the root, every box on the path, and every sibling a box on
+    the path sees (an implication's antecedent, just before its
+    consequent).  Raises InvalidPath when the path addresses no sub-box.
+    """
+    chain: list[Scope] = []
+    box, prefix = root, ()
+    for step in at:
         try:
             idx, sel = step
         except (TypeError, ValueError):
             raise InvalidPath("malformed step %r" % (step,))
-        if not isinstance(idx, int) or idx < 0 or idx >= len(cur.conditions):
+        if not isinstance(idx, int) or idx < 0 or idx >= len(box.conditions):
             raise InvalidPath("condition index %r out of range" % (idx,))
-        cur = _child_at(cur.conditions[idx], sel)[0]
-    return cur
+        chain.append(Scope(prefix, box, idx))
+        cond = box.conditions[idx]
+        for child_sel, child, sibling in _scoped_children(cond):
+            if child_sel == sel:
+                if sibling:
+                    chain.append(Scope(prefix + ((idx, sibling[0]),), sibling[1], None))
+                box, prefix = child, prefix + ((idx, sel),)
+                break
+        else:
+            raise InvalidPath("selector %r does not apply to %s" % (sel, type(cond).__name__))
+    chain.append(Scope(prefix, box, None))
+    return chain
+
+
+def sub_drs_at(path: DrsPath, root: DRS) -> DRS:
+    """The sub-box a path addresses, the last box of its scope chain."""
+    return scope_chain(path, root)[-1].box
 
 
 def is_sub_drs(path: DrsPath, root: DRS) -> bool:
@@ -306,57 +341,40 @@ def merge_all(boxes: Iterable[DRS]) -> DRS:
     return reduce(merge, boxes, EMPTY)
 
 
-def accessible_referents(at: DrsPath, root: DRS) -> tuple[Referent, ...]:
-    """Referents visible from a position, outermost first.
+def chain_referents(chain: list[Scope]) -> tuple[Referent, ...]:
+    """The referents a scope chain's position sees, outermost first.
 
-    Walks the path: the target box, its ancestors, and every implication
-    antecedent whose consequent the path passes through contribute their
-    universes.  Alpha bodies do not: their referents are presupposed
-    material, not yet part of the discourse.
+    Alpha bodies add none: their referents are presupposed material, not
+    yet part of the discourse.
     """
-    sub_drs_at(at, root)  # validate
-    acc: list[Referent] = []
+    universes = [box.universe for path, box, _ in chain if not path or path[-1][1] != ALPHA_BODY]
+    return tuple(dict.fromkeys([ref for universe in universes for ref in universe]))
 
-    def add(universe: tuple[Referent, ...]) -> None:
-        for ref in universe:
-            if ref not in acc:
-                acc.append(ref)
 
-    cur = root
-    via_alpha = False
-    for idx, sel in at:
-        if not via_alpha:
-            add(cur.universe)
-        cur, extra = _child_at(cur.conditions[idx], sel)
-        add(extra)
-        via_alpha = sel == ALPHA_BODY
-    if not via_alpha:
-        add(cur.universe)
-    return tuple(acc)
+def chain_context(chain: list[Scope]) -> DRS:
+    """The merge of everything a scope chain's position sees.
+
+    A box on the path adds all but the condition the path leaves it by, an
+    antecedent adds all of itself, and the position's own box adds nothing,
+    so the context of the root is empty.  Merging innermost first, as the
+    nesting does, decides which referent an impure box's overlap names.
+    """
+    context = EMPTY
+    for _, box, idx in reversed(chain[:-1]):
+        if idx is not None:
+            box = DRS(box.universe, box.conditions[:idx] + box.conditions[idx + 1 :])
+        context = merge(box, context)
+    return context
+
+
+def accessible_referents(at: DrsPath, root: DRS) -> tuple[Referent, ...]:
+    """Referents visible from a position, outermost first."""
+    return chain_referents(scope_chain(at, root))
 
 
 def context_drs(at: DrsPath, root: DRS) -> DRS:
-    """The merge of everything accessible from a position.
-
-    Accumulates sibling conditions and universes above the target, plus
-    implication antecedents when the target sits in the consequent.  The
-    condition housing the target itself is excluded at each level, so the
-    context of the root is empty.
-    """
-    sub_drs_at(at, root)  # validate
-    return _context_through(root, at)
-
-
-def _context_through(box: DRS, path: DrsPath) -> DRS:
-    if not path:
-        return EMPTY
-    (idx, sel), rest = path[0], path[1:]
-    cond = box.conditions[idx]
-    siblings = DRS(box.universe, box.conditions[:idx] + box.conditions[idx + 1 :])
-    inner = _context_through(_child_at(cond, sel)[0], rest)
-    if sel == IMP_CONSEQUENT:
-        inner = merge(cond.antecedent, inner)
-    return merge(siblings, inner)
+    """The merge of everything accessible from a position."""
+    return chain_context(scope_chain(at, root))
 
 
 def substitute_condition(
@@ -369,14 +387,15 @@ def substitute_condition(
     if isinstance(cond, Atom):
         return Atom(cond.predicate, tuple([mapping.get(a, a) for a in cond.args]))
     return type(cond)(
-        *[_substitute_box(child, mapping, extra) for _, child, extra in _scoped_children(cond)]
+        *[_substitute_box(child, mapping, sib) for _, child, sib in _scoped_children(cond)]
     )
 
 
 def _substitute_box(
-    box: DRS, mapping: dict[Referent, Referent], shadowed: tuple[Referent, ...] = ()
+    box: DRS, mapping: dict[Referent, Referent], sibling: _Sibling = None
 ) -> DRS:
-    live = {k: v for k, v in mapping.items() if k not in box.universe and k not in shadowed}
+    shadowed = box.universe + _universe_of(sibling)
+    live = {k: v for k, v in mapping.items() if k not in shadowed}
     if not live:
         return box
     return DRS(box.universe, tuple([substitute_condition(c, live) for c in box.conditions]))
@@ -430,7 +449,7 @@ def validate(box: DRS) -> ValidationReport:
 def _validation_report(box: DRS) -> ValidationReport:
     universes: list[Referent] = []
     free: set[Referent] = set()
-    _scope_walk(box, frozenset(), (), universes, free)
+    _scope_walk(box, frozenset(), None, universes, free)
     seen: set[Referent] = set()
     dups: list[Referent] = []
     for ref in universes:
@@ -445,21 +464,21 @@ def _validation_report(box: DRS) -> ValidationReport:
 def _scope_walk(
     box: DRS,
     env: frozenset[Referent],
-    extra: tuple[Referent, ...],
+    sibling: _Sibling,
     universes: list[Referent],
     free: set[Referent],
 ) -> None:
     """Collect the universes in order and the arguments no accessible universe binds."""
     universes.extend(box.universe)
-    env = env.union(extra, box.universe)
+    env = env.union(_universe_of(sibling), box.universe)
     for cond in box.conditions:
         if isinstance(cond, Atom):
             for arg in cond.args:
                 if arg not in env:
                     free.add(arg)
         else:
-            for _, child, inner in _scoped_children(cond):
-                _scope_walk(child, env, inner, universes, free)
+            for _, child, sibling in _scoped_children(cond):
+                _scope_walk(child, env, sibling, universes, free)
 
 
 def rename_apart(box: DRS, taken: Iterable[str]) -> DRS:
@@ -491,10 +510,10 @@ def _rename(
     box: DRS,
     renamed: dict[Referent, Referent],
     live: dict[Referent, Referent],
-    extra: tuple[Referent, ...] = (),
+    sibling: _Sibling = None,
 ) -> DRS:
     """Apply ``renamed`` to the referents the universes in scope introduce."""
-    binders = [r for r in extra + box.universe if r in renamed]
+    binders = [r for r in _universe_of(sibling) + box.universe if r in renamed]
     if binders:
         live = {**live, **{r: renamed[r] for r in binders}}
     conds: list[Condition] = []
@@ -503,7 +522,7 @@ def _rename(
             conds.append(Atom(cond.predicate, tuple([live.get(a, a) for a in cond.args])))
         else:
             boxes = [
-                _rename(child, renamed, live, inner) for _, child, inner in _scoped_children(cond)
+                _rename(child, renamed, live, sib) for _, child, sib in _scoped_children(cond)
             ]
             conds.append(type(cond)(*boxes))
     return DRS(tuple([live.get(r, r) for r in box.universe]), tuple(conds))
@@ -562,8 +581,10 @@ def _rebuild_at(root: DRS, path: DrsPath, replacement: DRS) -> DRS:
         return replacement
     (idx, sel), rest = path[0], path[1:]
     cond = root.conditions[idx]
-    new_child = _rebuild_at(_child_at(cond, sel)[0], rest, replacement)
-    boxes = [new_child if s == sel else child for s, child in condition_children(cond)]
+    boxes = [
+        _rebuild_at(child, rest, replacement) if s == sel else child
+        for s, child in condition_children(cond)
+    ]
     return DRS(
         root.universe,
         root.conditions[:idx] + (type(cond)(*boxes),) + root.conditions[idx + 1 :],
@@ -574,9 +595,7 @@ def delete_alpha(root: DRS, alpha_path: DrsPath) -> DRS:
     """Remove the alpha condition a path addresses."""
     if not alpha_path or alpha_path[-1][1] != ALPHA_BODY:
         raise InvalidPath("path does not address an alpha condition")
-    sub_drs_at(alpha_path, root)  # validate
-    parent_path, (idx, _) = alpha_path[:-1], alpha_path[-1]
-    parent = sub_drs_at(parent_path, root)
+    parent_path, parent, idx = scope_chain(alpha_path, root)[-2]
     conds = parent.conditions[:idx] + parent.conditions[idx + 1 :]
     return _rebuild_at(root, parent_path, DRS(parent.universe, conds))
 

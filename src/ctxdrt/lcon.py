@@ -21,15 +21,15 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .drs import ALPHA_BODY, DRS, EMPTY, DrsPath, path_str, validate
+from .drs import ALPHA_BODY, DRS, EMPTY, DrsPath, path_str
 from .projection import (
     EMPTY_BACKGROUND,
     BackgroundTheory,
-    NotAccommodatable,
     ProjectionError,
     Reading,
     candidate_readings,
     eligible_alpha_paths,
+    require_pure,
     site_contents,
 )
 
@@ -199,8 +199,7 @@ def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
     check, and an alpha with nothing to accommodate contributes none at
     all.  Anaphoric material nested inside an alpha body is rejected.
     """
-    if not validate(root).pure:
-        raise ValueError("impure input")
+    require_pure(root)
     paths = eligible_alpha_paths(root)
     for path in paths:
         if any(sel == ALPHA_BODY for _, sel in path[:-1]):
@@ -211,10 +210,7 @@ def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
     # The root's level hangs under an empty top, so it collapses like any other.
     top = _Layer((), EMPTY)
     for alpha_path in paths:
-        try:
-            readings = candidate_readings(root, alpha_path)[0]
-        except NotAccommodatable:
-            continue
+        readings = candidate_readings(root, alpha_path)[0]
         layer = top
         for site_path, content in site_contents(root, alpha_path, bg):
             layer = layer.child(site_path, content)

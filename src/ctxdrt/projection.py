@@ -16,16 +16,14 @@ from typing import TYPE_CHECKING, Optional
 from .drs import (
     ALPHA_BODY,
     DRS,
-    Alpha,
     DrsPath,
-    IMP_ANTECEDENT,
-    IMP_CONSEQUENT,
     Referent,
-    accessible_referents,
+    Scope,
     alpha_condition_paths,
+    chain_context,
+    chain_referents,
     condition_contains_alpha,
     condition_mentions,
-    context_drs,
     delete_alpha,
     extend_drs_at,
     is_simple_anaphor,
@@ -34,6 +32,7 @@ from .drs import (
     path_str,
     presupposed_referents,
     rename_apart,
+    scope_chain,
     sub_drs_at,
     substitute_condition,
     substitute_free,
@@ -46,7 +45,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ProjectionError",
     "NotAnAlpha",
-    "NotAccommodatable",
     "NoAdmissibleReading",
     "Resolution",
     "Reading",
@@ -61,6 +59,7 @@ __all__ = [
     "INTERMEDIATE",
     "LOCAL",
     "accommodation_sites",
+    "require_pure",
     "eligible_alpha_paths",
     "resolve_alpha",
     "apply_resolution",
@@ -83,10 +82,6 @@ class ProjectionError(Exception):
 
 class NotAnAlpha(ProjectionError):
     """The path does not address an anaphoric condition."""
-
-
-class NotAccommodatable(ProjectionError):
-    """The alpha body places no conditions on its referent."""
 
 
 class NoAdmissibleReading(ProjectionError):
@@ -206,15 +201,11 @@ def _all_referents(box: DRS) -> frozenset[Referent]:
     return report.free | report.bound
 
 
-def _alpha_body_at(alpha_path: DrsPath, root: DRS) -> DRS:
+def _alpha_chain(alpha_path: DrsPath, root: DRS) -> list[Scope]:
+    """The scope chain of an alpha body: its sites, then the body itself."""
     if not alpha_path or alpha_path[-1][1] != ALPHA_BODY:
         raise NotAnAlpha("path %s does not end at an alpha body" % path_str(alpha_path))
-    parent = sub_drs_at(alpha_path[:-1], root)
-    idx = alpha_path[-1][0]
-    cond = parent.conditions[idx]
-    if not isinstance(cond, Alpha):
-        raise NotAnAlpha("condition at %s is not anaphoric" % path_str(alpha_path))
-    return cond.body
+    return scope_chain(alpha_path, root)
 
 
 def _split_body(body: DRS) -> tuple[list[Referent], list]:
@@ -229,27 +220,23 @@ def _split_body(body: DRS) -> tuple[list[Referent], list]:
     return anaphors, core
 
 
+def _sites(chain: list[Scope]) -> list[tuple[str, Scope]]:
+    """The accommodation sites of an alpha's scope chain, with their kinds.
+
+    A lone site is global: ``zip`` stops at the one site.
+    """
+    kinds = [GLOBAL] + [INTERMEDIATE] * (len(chain) - 3) + [LOCAL]
+    return list(zip(kinds, chain[:-1]))
+
+
 def accommodation_sites(alpha_path: DrsPath, root: DRS) -> list[tuple[str, DrsPath]]:
     """Sites an alpha at this path may be accommodated at, outermost first.
 
-    These are exactly the boxes the context computation walks through:
-    the root, every box on the path, and every implication antecedent
-    passed by way of its consequent.
+    These are the boxes the alpha sees: its ``scope_chain`` without the
+    alpha body itself.  The outermost is the global site, the alpha's own
+    box the local one, and any box between them an intermediate one.
     """
-    _alpha_body_at(alpha_path, root)
-    chain: list[DrsPath] = [()]
-    prefix: DrsPath = ()
-    for idx, sel in alpha_path[:-1]:
-        if sel == IMP_CONSEQUENT:
-            chain.append(prefix + ((idx, IMP_ANTECEDENT),))
-        prefix = prefix + ((idx, sel),)
-        chain.append(prefix)
-    if len(chain) == 1:
-        return [(GLOBAL, chain[0])]
-    return [
-        (GLOBAL if i == 0 else LOCAL if i == len(chain) - 1 else INTERMEDIATE, p)
-        for i, p in enumerate(chain)
-    ]
+    return [(kind, site.path) for kind, site in _sites(_alpha_chain(alpha_path, root))]
 
 
 def resolve_alpha(alpha_path: DrsPath, root: DRS) -> list[Resolution]:
@@ -259,11 +246,11 @@ def resolve_alpha(alpha_path: DrsPath, root: DRS) -> list[Resolution]:
     anaphors) are bound to accessible referents; a binding succeeds when
     every substituted condition already occurs in the context box.
     """
-    body = _alpha_body_at(alpha_path, root)
+    chain = _alpha_chain(alpha_path, root)
+    body = chain[-1].box
     anaphors, core = _split_body(body)
-    ctx = context_drs(alpha_path, root)
-    ctx_conditions = set(ctx.conditions)
-    pool = accessible_referents(alpha_path, root)
+    ctx_conditions = set(chain_context(chain).conditions)
+    pool = chain_referents(chain)
     to_bind = list(body.universe) + anaphors
     out: list[Resolution] = []
     for combo in itertools.product(pool, repeat=len(to_bind)):
@@ -284,9 +271,11 @@ def candidate_readings(
 ) -> tuple[list[Reading], list[BlockedReading]]:
     """Accommodation candidates split into admitted and free-variable-blocked.
 
-    Candidates are the product of sites with bindings of the inner simple
-    anaphors; a candidate is blocked when accommodation would leave a
-    referent free that was not free in the input.
+    Candidates are the product of the ``accommodation_sites`` with bindings
+    of the inner simple anaphors; a candidate is blocked when accommodation
+    would leave a referent free that was not free in the input.  An alpha
+    with nothing to accommodate (no condition besides simple anaphors) has
+    no candidates.
 
     Only the moved conditions can gain free occurrences (deleting the
     alpha removes occurrences, and the site's universe only grows), so the
@@ -294,21 +283,19 @@ def candidate_readings(
     bound at the site: the universes of every site up to and including it,
     scoped as ``validate`` scopes them.
     """
-    body = _alpha_body_at(alpha_path, root)
+    chain = _alpha_chain(alpha_path, root)
+    body = chain[-1].box
     anaphors, core = _split_body(body)
     if not core:
-        raise NotAccommodatable(
-            "alpha body at %s has no conditions to accommodate" % path_str(alpha_path)
-        )
-    pool = accessible_referents(alpha_path, root)
-    sites = accommodation_sites(alpha_path, root)
+        return [], []
+    pool = chain_referents(chain)
     root_free = validate(root).free
     pruned = delete_alpha(root, alpha_path)
     admitted: list[Reading] = []
     blocked: list[BlockedReading] = []
     site_refs: set[Referent] = set()
-    for kind, site_path in sites:
-        site_refs |= set(sub_drs_at(site_path, root).universe)
+    for kind, (site_path, site_box, _) in _sites(chain):
+        site_refs |= set(site_box.universe)
         for combo in itertools.product(pool, repeat=len(anaphors)):
             theta = dict(zip(anaphors, combo))
             conditions = tuple([substitute_condition(c, theta) for c in core])
@@ -354,13 +341,13 @@ def _task_content(box: DRS, presupposed: frozenset[Referent]) -> DRS:
 def site_contents(
     root: DRS, alpha_path: DrsPath, bg: BackgroundTheory = EMPTY_BACKGROUND
 ) -> list[tuple[DrsPath, DRS]]:
-    """What each accommodation site of one alpha adds to its context,
-    outermost first: the root adds the background theory and its own
-    assertable content, every other site its box's assertable content."""
+    """What each of the ``accommodation_sites`` of one alpha adds to its
+    context, outermost first: the root adds the background theory and its
+    own assertable content, every other site its box's assertable content."""
     presupposed = presupposed_referents(root)
     contents: list[tuple[DrsPath, DRS]] = []
-    for _, site_path in accommodation_sites(alpha_path, root):
-        content = _task_content(sub_drs_at(site_path, root), presupposed)
+    for _, (site_path, site_box, _) in _sites(_alpha_chain(alpha_path, root)):
+        content = _task_content(site_box, presupposed)
         if site_path == ():
             content = merge(bg.merged_for(root), content)
         contents.append((site_path, content))
@@ -481,6 +468,15 @@ class ProjectOutcome:
         return any(c.verdict.unknown for c in self.checks)
 
 
+def require_pure(root: DRS) -> None:
+    """Reject an input box that introduces a referent twice, naming each such referent."""
+    report = validate(root)
+    if not report.pure:
+        raise ValueError(
+            "impure input: %s introduced twice" % ",".join(r.name for r in report.duplicates)
+        )
+
+
 def eligible_alpha_paths(box: DRS) -> list[DrsPath]:
     """Alpha conditions processed on their own.
 
@@ -516,11 +512,7 @@ def project(
     ``check_reading`` under ``bounds`` and ``model_bound``.  All surviving
     alpha-free boxes are returned with their decision trails.
     """
-    report = validate(root)
-    if not report.pure:
-        raise ValueError(
-            "impure input: %s introduced twice" % ",".join(r.name for r in report.duplicates)
-        )
+    require_pure(root)
     checks: list[CheckRecord] = []
     blocked_all: list[BlockedReading] = []
     survivors: list[ProjectionResult] = []
@@ -538,10 +530,7 @@ def project(
                 step = ProjectionStep(target, "resolved", res.describe())
                 pending.append((apply_resolution(box, target, res), trail + (step,)))
             continue
-        try:
-            readings, blocked = candidate_readings(box, target)
-        except NotAccommodatable:
-            readings, blocked = [], []
+        readings, blocked = candidate_readings(box, target)
         blocked_all.extend(blocked)
         premises = site_premises(box, target, bg) if readings else {}
         for reading in readings:

@@ -12,7 +12,6 @@ from ctxdrt.cli import RunConfig, run
 from ctxdrt.lcon import context_sharing_depth, extract
 from ctxdrt.models import ResourceLimit, model_check
 from ctxdrt.projection import (
-    NotAccommodatable,
     build_tasks,
     candidate_readings,
     eligible_alpha_paths,
@@ -126,11 +125,7 @@ def test_criterion_7_oracle_equivalence_on_corpus():
                 for reading in tagged.readings:
                     shared[reading.ref] = by_tag[tagged.tag]
         for path in eligible_alpha_paths(root):
-            try:
-                readings = candidate_readings(root, path)[0]
-            except NotAccommodatable:
-                continue
-            for reading in readings:
+            for reading in candidate_readings(root, path)[0]:
                 informativity, _ = build_tasks(reading, root)
                 naive_status, _ = naive_prove(informativity)
                 tasks += 1

@@ -165,6 +165,18 @@ def test_alpha_with_nothing_to_accommodate_exits_0_everywhere(tmp_path, text):
     assert json.loads(stdout["extract"])["tasks"] == []
 
 
+def test_impure_input_exits_2_everywhere_with_one_message(tmp_path):
+    path = tmp_path / "impure.drs"
+    path.write_text("[x | [x | p(x)] => [ | q(x)]]", encoding="utf-8")
+    configs = [RunConfig(command, (str(path),)) for command in ("resolve", "readings", "extract")]
+    configs += [
+        RunConfig("compare", (str(path),)),
+        RunConfig("readings", (str(path),), no_filter=True),
+    ]
+    results = {run(config) for config in configs}
+    assert results == {(2, "", "error: impure input: x introduced twice\n")}
+
+
 def test_anaphoric_background_postulate_exits_2_everywhere(hank_file, tmp_path):
     bg = tmp_path / "anaphoric.bg"
     bg.write_text("[ | alpha:[u | p(u)]]\n", encoding="utf-8")

@@ -37,10 +37,13 @@ def _calls(source: str) -> dict:
         "parse_drs": lambda: text.parse_drs(source),
         "validate": lambda: drs.validate(text.parse_drs(source)),
         "print_drs": lambda: text.print_drs(box),
+        "scope_chain": lambda: drs.scope_chain(path, box),
+        "accessible_referents": lambda: drs.accessible_referents(path, box),
         "context_drs": lambda: drs.context_drs(path, box),
         "enumerate_sub_drss": lambda: drs.enumerate_sub_drss(box),
         "presupposed_referents": lambda: drs.presupposed_referents(box),
         "resolve_alpha": lambda: projection.resolve_alpha(path, box),
+        "accommodation_sites": lambda: projection.accommodation_sites(path, box),
         "candidate_readings": lambda: projection.candidate_readings(box, path),
         "site_premises": lambda: projection.site_premises(box, path, bg),
         "project": lambda: projection.project(box, bg),

@@ -3,22 +3,28 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from ctxdrt import drs, projection
 from ctxdrt.drs import (
     DRS,
+    EMPTY,
     Atom,
+    DrsError,
     Neg,
     Referent,
     accessible_referents,
     alpha_condition_paths,
+    condition_children,
     context_drs,
     delete_alpha,
+    enumerate_sub_drss,
     extend_drs_at,
+    merge,
     merge_all,
     presupposed_referents,
-    sub_drs_at,
+    scope_chain,
     substitute_condition,
     validate,
 )
@@ -26,9 +32,7 @@ from ctxdrt.lcon import extract
 from ctxdrt.projection import (
     BackgroundTheory,
     NoAdmissibleReading,
-    NotAccommodatable,
     NotAnAlpha,
-    _alpha_body_at,
     _split_body,
     _task_content,
     accommodation_sites,
@@ -97,8 +101,7 @@ def test_global_accommodation_blocked_by_free_variable(every_man):
 
 def test_contentless_alpha_not_accommodatable():
     box = parse_drs("[x | man(x), alpha:[v | ]]")
-    with pytest.raises(NotAccommodatable):
-        candidate_readings(box, alpha_of(box))
+    assert candidate_readings(box, alpha_of(box)) == ([], [])
 
 
 def test_reading_results_are_pure_and_alpha_free(hank):
@@ -134,10 +137,7 @@ def test_premises_grow_inward_along_sites():
     for _ in range(50):
         root = corpus_drs(rng)
         for path in eligible_alpha_paths(root):
-            try:
-                readings = candidate_readings(root, path)[0]
-            except NotAccommodatable:
-                continue
+            readings = candidate_readings(root, path)[0]
             by_site: dict = {}
             for reading in readings:
                 task, _ = build_tasks(reading, root)
@@ -238,17 +238,118 @@ def test_background_theory_rejects_anaphoric_postulates():
         BackgroundTheory((parse_drs("[ | [m | married(m)] => [ | alpha:[w | wife(w)]]]"),))
 
 
+# -- the scope walks as the chain replaced them, kept as references -----------------
+
+
+def reference_box_at(path, root):
+    """The sub-box a valid path addresses."""
+    for idx, sel in path:
+        root = dict(condition_children(root.conditions[idx]))[sel]
+    return root
+
+
+def reference_accessible_referents(at, root):
+    """The referents visible from a position, by a walk down its path."""
+    acc = []
+
+    def add(universe):
+        for ref in universe:
+            if ref not in acc:
+                acc.append(ref)
+
+    cur = root
+    via_alpha = False
+    for idx, sel in at:
+        if not via_alpha:
+            add(cur.universe)
+        cond = cur.conditions[idx]
+        cur = dict(condition_children(cond))[sel]
+        if sel == "cons":
+            add(cond.antecedent.universe)
+        via_alpha = sel == "alpha"
+    if not via_alpha:
+        add(cur.universe)
+    return tuple(acc)
+
+
+def reference_context_drs(at, root):
+    """The context box of a position, by recursion down its path."""
+    if not at:
+        return EMPTY
+    (idx, sel), rest = at[0], at[1:]
+    cond = root.conditions[idx]
+    siblings = DRS(root.universe, root.conditions[:idx] + root.conditions[idx + 1 :])
+    inner = reference_context_drs(rest, dict(condition_children(cond))[sel])
+    if sel == "cons":
+        inner = merge(cond.antecedent, inner)
+    return merge(siblings, inner)
+
+
+def reference_accommodation_sites(alpha_path):
+    """The sites of an alpha: the root, each box on its path, and each
+    antecedent passed by way of its consequent."""
+    chain = [()]
+    prefix = ()
+    for idx, sel in alpha_path[:-1]:
+        if sel == "cons":
+            chain.append(prefix + ((idx, "ante"),))
+        prefix = prefix + ((idx, sel),)
+        chain.append(prefix)
+    if len(chain) == 1:
+        return [("global", ())]
+    kinds = ["global"] + ["intermediate"] * (len(chain) - 2) + ["local"]
+    return list(zip(kinds, chain))
+
+
+def outcome(function, *args):
+    """A call's result, or the type and message of the structural error it raised."""
+    try:
+        return function(*args)
+    except DrsError as exc:
+        return type(exc), str(exc)
+
+
+def assert_scope_walks_match_reference(root):
+    for path in enumerate_sub_drss(root):
+        assert accessible_referents(path, root) == reference_accessible_referents(path, root)
+        got, want = outcome(context_drs, path, root), outcome(reference_context_drs, path, root)
+        if isinstance(want, DRS):
+            got, want = (got.universe, got.conditions), (want.universe, want.conditions)
+        assert got == want
+        chain = scope_chain(path, root)
+        assert chain[-1].path == path
+        assert all(reference_box_at(scope.path, root) is scope.box for scope in chain)
+    for path in alpha_condition_paths(root):
+        assert accommodation_sites(path, root) == reference_accommodation_sites(path)
+
+
+def test_scope_chain_matches_reference_walks_on_corpus():
+    rng = random.Random(CORPUS_SEED)
+    for _ in range(2000):
+        assert_scope_walks_match_reference(corpus_drs(rng))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(drs_boxes, nested_alpha_boxes))
+# impure: the context merge meets y, then x, a second time, innermost first
+@example(parse_drs("[x | [y | ] => [x, y | alpha:[u | q(u)]]]"))
+def test_scope_chain_matches_reference_walks_on_generated_boxes(box):
+    assert_scope_walks_match_reference(box)
+
+
 def readings_by_whole_result(root, alpha_path):
     """The free-variable constraint as stated: validate every whole result."""
-    body = _alpha_body_at(alpha_path, root)
+    body = reference_box_at(alpha_path, root)
     anaphors, core = _split_body(body)
-    pool = accessible_referents(alpha_path, root)
+    if not core:
+        return [], []
+    pool = reference_accessible_referents(alpha_path, root)
     root_free = validate(root).free
     pruned = delete_alpha(root, alpha_path)
     admitted, blocked = [], []
     site_refs: set = set()
-    for kind, site_path in accommodation_sites(alpha_path, root):
-        site_refs |= set(sub_drs_at(site_path, root).universe)
+    for kind, site_path in reference_accommodation_sites(alpha_path):
+        site_refs |= set(reference_box_at(site_path, root).universe)
         for combo in itertools.product(pool, repeat=len(anaphors)):
             theta = dict(zip(anaphors, combo))
             accommodated = DRS(
@@ -267,10 +368,7 @@ def readings_by_whole_result(root, alpha_path):
 
 def assert_readings_match_whole_result_check(root):
     for path in alpha_condition_paths(root):
-        try:
-            admitted, blocked = candidate_readings(root, path)
-        except NotAccommodatable:
-            continue
+        admitted, blocked = candidate_readings(root, path)
         got_admitted = [
             (
                 r.site_kind,
@@ -352,12 +450,12 @@ def premises_rebuilt_per_site(root, alpha_path, bg):
     """Each site's premise built from the root, as one reading's tasks state it."""
     presupposed = presupposed_referents(root)
     out = []
-    for _, site_path in accommodation_sites(alpha_path, root):
+    for _, site_path in reference_accommodation_sites(alpha_path):
         premise = merge_all(
             [
                 bg.merged_for(root),
-                _task_content(context_drs(site_path, root), presupposed),
-                _task_content(sub_drs_at(site_path, root), presupposed),
+                _task_content(reference_context_drs(site_path, root), presupposed),
+                _task_content(reference_box_at(site_path, root), presupposed),
             ]
         )
         out.append((site_path, premise.universe, premise.conditions))

@@ -15,10 +15,12 @@ from ctxdrt.tableau import (
     OPEN_BOUNDED,
     OPEN_SATURATED,
     Bounds,
+    CompareReport,
     Const,
     FreeVar,
     Label,
     LitNode,
+    ProofStats,
     SkolemApp,
     _Branch,
     _closure_pairs,
@@ -543,6 +545,20 @@ def test_compare_checks_no_alpha_with_nothing_to_accommodate(text):
     report = compare_cost(parse_drs(text))
     assert report.shared_verdicts == () == report.naive_verdicts
     assert report.agreement
+
+
+def test_agreement_counts_verdicts_of_readings_sharing_a_ref():
+    # two readings can share a ref (it leaves out the alpha path); the routes
+    # agree only when each gives the same verdicts as many times
+    report = CompareReport(
+        ProofStats(),
+        ProofStats(),
+        (("g", CLOSED), ("g", OPEN_SATURATED)),
+        (("g", OPEN_SATURATED),) * 2,
+        (),
+        1.0,
+    )
+    assert not report.agreement
 
 
 def test_compare_ratios_never_below_one():
