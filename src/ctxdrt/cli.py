@@ -157,7 +157,7 @@ def _cmd_parse(config: RunConfig) -> Result:
 
 def _cmd_resolve(config: RunConfig) -> Result:
     box = parse_drs(_read_file(config.inputs[0]))
-    require_pure(box)
+    require_pure(box, "input")
     alphas = []
     for path in eligible_alpha_paths(box):
         resolutions = resolve_alpha(path, box)
@@ -183,7 +183,7 @@ def _cmd_readings(config: RunConfig) -> Result:
     box = parse_drs(_read_file(config.inputs[0]))
     bg = _load_background(config.background)
     if config.no_filter:
-        require_pure(box)
+        require_pure(box, "input")
         readings, blocked_all = [], []
         for path in eligible_alpha_paths(box):
             admitted, blocked = candidate_readings(box, path)

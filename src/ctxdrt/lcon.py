@@ -199,7 +199,7 @@ def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
     check, and an alpha with nothing to accommodate contributes none at
     all.  Anaphoric material nested inside an alpha body is rejected.
     """
-    require_pure(root)
+    require_pure(root, "input")
     paths = eligible_alpha_paths(root)
     for path in paths:
         if any(sel == ALPHA_BODY for _, sel in path[:-1]):

@@ -160,12 +160,7 @@ class InferenceTask:
     reading_ref: str
 
     def __post_init__(self) -> None:
-        report = validate(self.premise)
-        if not report.pure:
-            raise ValueError(
-                "impure task premise; duplicated: %s"
-                % ",".join(r.name for r in report.duplicates)
-            )
+        require_pure(self.premise, "task premise")
 
 
 @dataclass(frozen=True)
@@ -177,8 +172,7 @@ class BackgroundTheory:
     def __post_init__(self) -> None:
         object.__setattr__(self, "postulates", tuple(self.postulates))
         for p in self.postulates:
-            if not validate(p).pure:
-                raise ValueError("impure background postulate")
+            require_pure(p, "background postulate")
             if any(condition_contains_alpha(c) for c in p.conditions):
                 raise ValueError("anaphoric background postulate")
 
@@ -468,12 +462,12 @@ class ProjectOutcome:
         return any(c.verdict.unknown for c in self.checks)
 
 
-def require_pure(root: DRS) -> None:
-    """Reject an input box that introduces a referent twice, naming each such referent."""
-    report = validate(root)
+def require_pure(box: DRS, what: str) -> None:
+    """Reject a ``what`` box that introduces a referent twice, naming each such referent."""
+    report = validate(box)
     if not report.pure:
         raise ValueError(
-            "impure input: %s introduced twice" % ",".join(r.name for r in report.duplicates)
+            "impure %s: %s introduced twice" % (what, ",".join(r.name for r in report.duplicates))
         )
 
 
@@ -512,7 +506,7 @@ def project(
     ``check_reading`` under ``bounds`` and ``model_bound``.  All surviving
     alpha-free boxes are returned with their decision trails.
     """
-    require_pure(root)
+    require_pure(root, "input")
     checks: list[CheckRecord] = []
     blocked_all: list[BlockedReading] = []
     survivors: list[ProjectionResult] = []

@@ -23,9 +23,9 @@ of leanTAP, Beckert & Posegga 1995).
 ``_Engine.refute`` walks the formula spine.  The shared context material,
 the task tags and the statuses live on the engine, so a proof is one
 engine object and no closure refers back to it once the call returns.
-Inside a task, a refuted condition set (an instantiated universal's body
-or an implication's antecedent) is a box with an empty universe under
-``-``.
+Inside a task one loop expands items and instances alike: each returns
+the alternatives it opens.  A refuted condition set (an instance's body or
+an implication's antecedent) is a box with an empty universe under ``-``.
 
 The spine indexes each context literal once, by predicate and arity, as
 it expands the context, and drops it again when it leaves the context.
@@ -287,16 +287,20 @@ def _add_ground(term: Term, terms: set[Term]) -> bool:
 class ProofStats:
     """Counters of one proof, or of several absorbed into one.
 
-    ``contexts`` lists the context boxes the spine expanded, one per ``in``
-    wrapper, in order; ``context_condition_expansions`` prints and counts
-    their conditions each time it is read.
+    ``rule_applications`` sums ``per_rule``.  ``contexts`` lists the context
+    boxes the spine expanded, one per ``in`` wrapper, in order;
+    ``context_condition_expansions`` prints and counts their conditions
+    each time it is read.
     """
 
-    rule_applications: int = 0
     per_rule: dict[str, int] = field(default_factory=dict)
     contexts: list[DRS] = field(default_factory=list)
     branches: int = 0
     closures: int = 0
+
+    @property
+    def rule_applications(self) -> int:
+        return sum(self.per_rule.values())
 
     @property
     def context_condition_expansions(self) -> dict[str, int]:
@@ -308,11 +312,9 @@ class ProofStats:
         return counts
 
     def bump(self, rule: str) -> None:
-        self.rule_applications += 1
         self.per_rule[rule] = self.per_rule.get(rule, 0) + 1
 
     def absorb(self, other: "ProofStats") -> None:
-        self.rule_applications += other.rule_applications
         for k, v in other.per_rule.items():
             self.per_rule[k] = self.per_rule.get(k, 0) + v
         self.contexts += other.contexts
@@ -359,20 +361,11 @@ class _GammaTemplate:
     label: Label
     kind: str  # "imp" | "drs"
     payload: object
-    env: tuple[tuple[Referent, Term], ...]
+    env: dict[Referent, Term]  # shared with the items of its box, never written
 
     @property
     def universe(self) -> tuple[Referent, ...]:
         return self.payload.antecedent.universe if self.kind == "imp" else self.payload.universe
-
-
-class _BranchPoint:
-    """Explicit alternatives produced by an instantiation."""
-
-    __slots__ = ("alternatives",)
-
-    def __init__(self, alternatives: tuple[tuple, ...]) -> None:
-        self.alternatives = alternatives
 
 
 class _Branch:
@@ -490,7 +483,7 @@ class _Engine:
                 shared.lits.append(lit)
                 shared.positives.setdefault((lit.pred, len(lit.args)), []).append(lit)
             elif isinstance(cond, Imp):
-                shared.gammas.append(_GammaTemplate(label, "imp", cond, tuple(env.items())))
+                shared.gammas.append(_GammaTemplate(label, "imp", cond, env))
             elif isinstance(cond, (Neg, Or)):
                 shared.deferred.append((label, cond, env))
             elif isinstance(cond, Alpha):
@@ -502,7 +495,7 @@ class _Engine:
     # -- per-task expansion -------------------------------------------------------
 
     def _step(self, item: _Item, branch: _Branch) -> Optional[Sequence[Sequence[_Item]]]:
-        """Expand one item: a box, a condition or an instantiation.
+        """Expand one item: a box or a condition.
 
         Formula structure (``in``, ``&``, ``|``) never reaches a task;
         ``refute`` takes it apart.  Non-branching rules mutate the branch
@@ -513,8 +506,6 @@ class _Engine:
         sign = label.polarity
         self._tick()
 
-        if isinstance(payload, _BranchPoint):
-            return payload.alternatives
         if isinstance(payload, Atom):
             self._tick()  # the literal is a node of its own
             branch.lits.append(self._lit(label, payload, env))
@@ -530,7 +521,7 @@ class _Engine:
                 return [[(label, c, env2) for c in payload.conditions]]
             if payload.universe:
                 self.stats.bump("-:universe")
-                branch.add_gamma(_GammaTemplate(label, "drs", payload, tuple(env.items())))
+                branch.add_gamma(_GammaTemplate(label, "drs", payload, env))
                 return None
             self.stats.bump("-:condition")
             return [[(label, c, env)] for c in payload.conditions]
@@ -541,7 +532,7 @@ class _Engine:
         if isinstance(payload, Imp):
             if sign == "+":
                 self.stats.bump("+:imp")
-                branch.add_gamma(_GammaTemplate(label, "imp", payload, tuple(env.items())))
+                branch.add_gamma(_GammaTemplate(label, "imp", payload, env))
                 return None
             self.stats.bump("-:imp")
             env2 = env.copy()
@@ -559,59 +550,64 @@ class _Engine:
             raise AlphaRemaining("anaphoric material reached the prover")
         raise TypeError("cannot expand %r" % (payload,))
 
-    def _instantiate(self, i: int, branch: _Branch) -> _Item:
-        """One fresh-variable instance of the branch's ``i``-th universal node."""
+    def _instantiate(self, i: int, branch: _Branch) -> Sequence[Sequence[_Item]]:
+        """One fresh-variable instance of the branch's ``i``-th universal node.
+
+        Returns its alternatives, as ``_step`` does.  An implication's
+        instance splits, and is a node; a box's is one item for ``_step``.
+        """
         template = branch.gammas[i]
         branch.counts[i] += 1
         self.stats.bump("gamma:" + template.kind)
-        env = {ref: term for ref, term in template.env}
+        env = template.env.copy()
         universe = template.universe
         fresh = tuple([self.fresh_var() for _ in universe])
         branch.scope = branch.scope + fresh
         env.update(zip(universe, fresh))
         label = template.label
         if template.kind == "imp":
+            self._tick()
             ante = template.payload.antecedent
-            cons = template.payload.consequent
-            alternatives = (
+            return (
                 ((label.signed("-"), DRS((), ante.conditions), env),),
-                ((label.signed("+"), cons, env),),
+                ((label.signed("+"), template.payload.consequent, env),),
             )
-            return (label, _BranchPoint(alternatives), env)
-        return (label.signed("-"), DRS((), template.payload.conditions), env)
+        return (((label.signed("-"), DRS((), template.payload.conditions), env),),)
 
     def _saturate(self, branch: _Branch, stack: list[_Item], budget: int) -> list[_Branch]:
         """Expand ``stack`` on ``branch``, then instantiate up to ``budget``.
 
-        ``stack`` holds the pending items with the next one last; it is
-        empty on return.  The branch is extended in place, and a split
-        copies it for every child but the last, so a returned leaf can be
-        resumed at a larger budget: it goes on from each node's count.
+        Each step takes its alternatives from the stack, with the next item
+        last, or once it is empty from the first node below ``budget``.
+        The branch is extended in place, and a split copies it for every
+        child but the last, so a returned leaf can be resumed at a larger
+        budget: it goes on from each node's count.  ``stack`` ends empty.
         """
         while True:
-            while stack:
+            if stack:
                 alternatives = self._step(stack.pop(), branch)
-                if alternatives is None:
-                    continue
-                if len(alternatives) == 1:
-                    stack.extend(reversed(alternatives[0]))
-                    continue
-                out: list[_Branch] = []
-                last = len(alternatives) - 1
-                for i, alt in enumerate(alternatives):
-                    self.stats.branches += 1
-                    if i == last:
-                        child, child_stack = branch, stack
-                    else:
-                        child, child_stack = branch.copy(), stack.copy()
-                    child_stack.extend(reversed(alt))
-                    out.extend(self._saturate(child, child_stack, budget))
-                stack.clear()  # the last child emptied it, unless the branch closed
-                return out
-            i = next((i for i, count in enumerate(branch.counts) if count < budget), None)
-            if i is None:
-                return [branch]
-            stack.append(self._instantiate(i, branch))
+            else:
+                i = next((i for i, count in enumerate(branch.counts) if count < budget), None)
+                if i is None:
+                    return [branch]
+                alternatives = self._instantiate(i, branch)
+            if alternatives is None:
+                continue
+            if len(alternatives) == 1:
+                stack.extend(reversed(alternatives[0]))
+                continue
+            out: list[_Branch] = []
+            last = len(alternatives) - 1
+            for i, alt in enumerate(alternatives):
+                self.stats.branches += 1
+                if i == last:
+                    child, child_stack = branch, stack
+                else:
+                    child, child_stack = branch.copy(), stack.copy()
+                child_stack.extend(reversed(alt))
+                out.extend(self._saturate(child, child_stack, budget))
+            stack.clear()  # the last child emptied it, unless the branch closed
+            return out
 
     # -- the formula spine ---------------------------------------------------------
 
@@ -702,10 +698,13 @@ class _Engine:
         on the tasks before it.  Iterative deepening on the per-node
         instantiation budget: each round resumes the previous round's open
         branches at the next budget instead of rebuilding them, then tries
-        to close them all at once.  After a failed round the task is
-        saturated when every universal-strength node already has one
-        instance per known ground term combination, so further variants
-        could not enable new closures.
+        to close them all at once; a branch without a pair cannot close,
+        so the pair lists stop at the first such branch.  After a failed
+        round the task is saturated when every universal-strength node
+        already has one instance per known ground term combination, so
+        further variants could not enable new closures.  A count grows
+        only while it is below the budget, and ``_saturate`` ends only when
+        none is, so every node of an open branch has ``budget`` instances.
         """
         self.node_limit = self.nodes + self.bounds.depth_limit
         self.closure_steps = 0
@@ -719,10 +718,15 @@ class _Engine:
                 branches = deeper
                 if not branches:
                     return CLOSED
-                branch_pairs = [_closure_pairs(shared.positives, b.lits) for b in branches]
                 closing = None
-                if all(branch_pairs):
-                    closing = self._close_all([(len(p), p) for p in branch_pairs], {})
+                branch_pairs = []
+                for branch in branches:
+                    pairs = _closure_pairs(shared.positives, branch.lits)
+                    if not pairs:
+                        break
+                    branch_pairs.append((len(pairs), pairs))
+                else:
+                    closing = self._close_all(branch_pairs, {})
             except (_DepthExceeded, _ClosureExceeded):
                 return OPEN_BOUNDED
             if closing is not None:
@@ -732,8 +736,7 @@ class _Engine:
             for arg in {arg for b in branches for n in b.lits for arg in n.args} - terms:
                 _add_ground(arg, terms)
             ground = max(1, len(terms))
-            gammas = [(t, count) for b in branches for t, count in zip(b.gammas, b.counts)]
-            if all(count >= ground ** len(t.universe) for t, count in gammas):
+            if all(budget >= ground ** len(t.universe) for b in branches for t in b.gammas):
                 return OPEN_SATURATED
         return OPEN_BOUNDED
 

@@ -186,6 +186,16 @@ def test_anaphoric_background_postulate_exits_2_everywhere(hank_file, tmp_path):
         assert stderr == "error: anaphoric background postulate\n"
 
 
+def test_impure_background_postulate_names_its_duplicates(tmp_path):
+    bg = tmp_path / "impure.bg"
+    bg.write_text("[x | p(x), [x | q(x)] => [ | r(x)]]\n", encoding="utf-8")
+    hank = os.path.join(CASES, "hank.drs")
+    for command in ("readings", "extract", "compare"):
+        code, stdout, stderr = run(RunConfig(command, (hank,), background=str(bg)))
+        assert (code, stdout) == (2, ""), command
+        assert stderr == "error: impure background postulate: x introduced twice\n"
+
+
 def test_background_parse_error_gives_file_offsets(hank_file, tmp_path):
     bg = tmp_path / "bad.bg"
     bg.write_text(MARRIAGE_POSTULATE + "\n\n[ | p(a) q(b)]\n", encoding="utf-8")

@@ -397,6 +397,20 @@ def test_inconsistent_premise_entails_anything():
     assert naive_prove(task)[0] == CLOSED
 
 
+@pytest.mark.parametrize(
+    "with_bg, nodes, rules, imp_instances", [(False, 41, 26, 0), (True, 139, 76, 7)]
+)
+def test_node_budget_accounting_on_hank(with_bg, nodes, rules, imp_instances, hank, marriage_bg):
+    # the node count decides where depth_limit trips; an implication's
+    # instance is a node of its own, besides the items it opens
+    formula = extract(hank, marriage_bg if with_bg else BackgroundTheory()).formula
+    engine = _Engine(Bounds(), list(auto_tag_positions(formula).values()))
+    engine.refute(formula, Label(0, frozenset(), "-"))
+    assert engine.nodes == nodes
+    assert engine.stats.rule_applications == rules
+    assert engine.stats.per_rule.get("gamma:imp", 0) == imp_instances
+
+
 def test_exhausted_budget_reports_open_bounded(hank, marriage_bg):
     extraction = extract(hank, marriage_bg)
     verdict, _ = prove_lcon(extraction.formula, extraction.tag_positions(), Bounds(gamma_limit=0))
