@@ -7,12 +7,15 @@ entail g, so material shared between several entailment questions is
 stated exactly once.
 
 ``extract`` turns a box containing anaphoric material into one such
-formula: each accommodation site contributes a nesting level carrying the
-context material that ``projection.site_contents`` says it adds, and each
-reading that ``projection.candidate_readings`` admits at that site becomes
-a disjunct there, tagged as the formula is built so prover verdicts map
-back to readings.  An alpha with nothing to accommodate adds no check, as
-in ``projection.project``.
+formula in one walk over the accommodation sites of its alphas.  A site
+that adds context material (``projection.site_contents``) opens a nesting
+level, shared by every alpha that passes it; a site that adds nothing
+shares the level of the site before it.  Each reading that
+``projection.candidate_readings`` admits at a site becomes a disjunct at
+its level.  The finished formula is tagged by ``auto_tag_positions``, the
+numbering the prover uses, so prover verdicts map back to readings.  An
+alpha with nothing to accommodate adds no check, as in
+``projection.project``.
 """
 
 from __future__ import annotations
@@ -130,8 +133,8 @@ def _tag_walk(f: Formula, position: tuple[int, ...], tags: dict[tuple[int, ...],
 class TaggedTask:
     """One accommodation check in the extracted formula.
 
-    ``readings`` lists every projection reading the check decides; sites
-    whose context level collapsed share a single check.
+    ``readings`` lists every projection reading the check decides; a site
+    that adds no context shares the check of the site before it.
     """
 
     tag: str
@@ -152,39 +155,36 @@ class Extraction:
         return {t.position: t.tag for t in self.tasks}
 
 
-class _Check:
-    """A disjunction of accommodated alpha bodies checked at one level."""
-
-    def __init__(self, readings: list[Reading]) -> None:
-        self.disjuncts = tuple([r.accommodated for r in readings])
-        self.readings = [[r] for r in readings]  # parallel to disjuncts
-
-
-def _add_check(parts: list, check: _Check) -> None:
-    """Append a check, or fold its readings into an equal one already there."""
-    for existing in parts:
-        if isinstance(existing, _Check) and existing.disjuncts == check.disjuncts:
-            for mine, theirs in zip(existing.readings, check.readings):
-                mine.extend(r for r in theirs if r not in mine)
-            return
-    parts.append(check)
-
-
 class _Layer:
-    """One context level: the box content a site adds, plus its checks."""
+    """One context level: the box content its site adds, the checks made
+    at it, and the levels nested in it, keyed by site path.
 
-    def __init__(self, site_path: DrsPath, delta: DRS) -> None:
-        self.site_path = site_path
+    A check is its disjuncts, the accommodated boxes it offers, and its
+    readings grouped by site, in the order the walk first reaches each
+    site, every group parallel to the disjuncts: a task lists the readings
+    of a site before those of the empty sites below it.
+    """
+
+    def __init__(self, delta: DRS) -> None:
         self.delta = delta
-        self.checks: list[_Check] = []
-        self.children: list[_Layer] = []
+        self.checks: list[tuple[tuple[DRS, ...], dict[DrsPath, list[list[Reading]]]]] = []
+        self.children: dict[DrsPath, _Layer] = {}
+
+    def add_check(self, site_path: DrsPath, readings: list[Reading]) -> None:
+        """Add a check, or fold its readings into an equal one already here."""
+        disjuncts = tuple([r.accommodated for r in readings])
+        for known, by_site in self.checks:
+            if known == disjuncts:
+                break
+        else:
+            by_site = {}
+            self.checks.append((disjuncts, by_site))
+        by_site.setdefault(site_path, []).append(readings)
 
     def child(self, site_path: DrsPath, delta: DRS) -> "_Layer":
-        for existing in self.children:
-            if existing.site_path == site_path:
-                return existing
-        layer = _Layer(site_path, delta)
-        self.children.append(layer)
+        layer = self.children.get(site_path)
+        if layer is None:
+            layer = self.children[site_path] = _Layer(delta)
         return layer
 
 
@@ -193,11 +193,13 @@ def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
 
     The checks are the readings ``candidate_readings`` admits, grouped by
     accommodation site, and the levels are what ``site_contents`` says
-    each site adds.  Each level is emitted once, as one ``in`` wrapper,
-    and a level that adds nothing collapses into its parent.  A site at
-    which the free-variable constraint admits no binding contributes no
-    check, and an alpha with nothing to accommodate contributes none at
-    all.  Anaphoric material nested inside an alpha body is rejected.
+    each site adds; each level is built once, by the first alpha whose
+    walk reaches it, and becomes one ``in`` wrapper.  A site that adds
+    nothing adds no level: its empty universe admits the readings of the
+    site before it, so its check folds into that site's.  A site at which
+    the free-variable constraint admits no binding contributes no check,
+    and an alpha with nothing to accommodate contributes none at all.
+    Anaphoric material nested inside an alpha body is rejected.
     """
     require_pure(root, "input")
     paths = eligible_alpha_paths(root)
@@ -207,66 +209,42 @@ def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
                 "cannot extract anaphoric material nested inside other "
                 "anaphoric material at %s" % path_str(path)
             )
-    # The root's level hangs under an empty top, so it collapses like any other.
-    top = _Layer((), EMPTY)
+    top = _Layer(EMPTY)
     for alpha_path in paths:
         readings = candidate_readings(root, alpha_path)[0]
         layer = top
         for site_path, content in site_contents(root, alpha_path, bg):
-            layer = layer.child(site_path, content)
+            if not content.is_empty():
+                layer = layer.child(site_path, content)
             at_site = [r for r in readings if r.site_path == site_path]
             if at_site:
-                _add_check(layer.checks, _Check(at_site))
+                layer.add_check(site_path, at_site)
 
-    formula, found = _realize(_emit(top), ())
-    return Extraction(formula, tuple([TaggedTask("t%d" % n, *f) for n, f in enumerate(found, 1)]))
-
-
-# Assembly: each layer becomes an in-wrapper around its checks and its
-# children; empty-delta layers splice into their parent, merging any check
-# that is already present there.
-_Part = Union[_Check, tuple]  # _Check | (context box, list[_Part])
+    found: list[tuple[DRS, tuple[Reading, ...]]] = []
+    formula = _realize(top, found)
+    tags = auto_tag_positions(formula) if formula is not None else {}
+    tasks = [TaggedTask(tag, position, *lit) for (position, tag), lit in zip(tags.items(), found)]
+    return Extraction(formula, tuple(tasks))
 
 
-def _emit(layer: _Layer) -> list[_Part]:
-    parts: list[_Part] = list(layer.checks)
-    for child in layer.children:
-        inner = _emit(child)
-        if not inner:
-            continue
-        if not child.delta.is_empty():
-            parts.append((child.delta, inner))
-            continue
-        for part in inner:
-            if isinstance(part, _Check):
-                _add_check(parts, part)
-            else:
-                parts.append(part)
-    return parts
+def _realize(layer: _Layer, found: list) -> Optional[Formula]:
+    """The formula of a layer: its checks, then an ``in`` wrapper per child.
 
-
-def _realize(parts: list[_Part], position: tuple[int, ...]) -> tuple[Optional[Formula], list]:
-    """The formula of assembled parts at ``position``, and its box literals.
-
-    Each literal is listed as it is built, as (position, box, readings), in
-    the depth-first order in which ``auto_tag_positions`` numbers tags.
+    Each box literal is listed in ``found`` as it is built, as (box,
+    readings), in the depth-first order in which ``auto_tag_positions``
+    numbers tags.  A layer with no check anywhere below it yields None.
     """
     items: list[Formula] = []
-    found: list[tuple[tuple[int, ...], DRS, tuple[Reading, ...]]] = []
-    for i, part in enumerate(parts):
-        at = position + (i,) if len(parts) > 1 else position
-        if isinstance(part, _Check):
-            many = len(part.disjuncts) > 1
-            for j, (drs, readings) in enumerate(zip(part.disjuncts, part.readings)):
-                found.append((at + (j,) if many else at, drs, tuple(readings)))
-            lits = tuple([DrsLit(d) for d in part.disjuncts])
-            items.append(Disj(lits) if many else lits[0])
-        else:
-            delta, inner = part
-            body, inner_found = _realize(inner, at + (0,))
-            items.append(In(delta, body))
-            found.extend(inner_found)
-    return conj(items), found
+    for disjuncts, by_site in layer.checks:
+        groups = [group for at_site in by_site.values() for group in at_site]
+        found.extend(zip(disjuncts, zip(*groups)))
+        lits = tuple([DrsLit(d) for d in disjuncts])
+        items.append(Disj(lits) if len(lits) > 1 else lits[0])
+    for child in layer.children.values():
+        body = _realize(child, found)
+        if body is not None:
+            items.append(In(child.delta, body))
+    return conj(items)
 
 
 @dataclass(frozen=True)

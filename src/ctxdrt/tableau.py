@@ -705,11 +705,14 @@ class _Engine:
         further variants could not enable new closures.  A count grows
         only while it is below the budget, and ``_saturate`` ends only when
         none is, so every node of an open branch has ``budget`` instances.
+        The shared contexts do not change while the task runs, so their
+        terms are collected once, and each round adds the branches' terms.
         """
         self.node_limit = self.nodes + self.bounds.depth_limit
         self.closure_steps = 0
         branches = [_Branch([], (), shared.gammas.copy())]
         stack: list[_Item] = [(label.signed("-"), goal, env), *reversed(shared.deferred)]
+        context_terms = {arg for n in shared.lits for arg in n.args}  # ground, fixed for the task
         for budget in range(self.bounds.gamma_limit + 1):
             try:
                 deeper: list[_Branch] = []
@@ -732,7 +735,7 @@ class _Engine:
             if closing is not None:
                 self.stats.closures += len(branches)
                 return CLOSED
-            terms = {arg for n in shared.lits for arg in n.args}  # context terms are ground
+            terms = set(context_terms)
             for arg in {arg for b in branches for n in b.lits for arg in n.args} - terms:
                 _add_ground(arg, terms)
             ground = max(1, len(terms))

@@ -137,17 +137,20 @@ _atom = st.builds(
 )
 
 
-def _drs_strategy(alphas: bool = True) -> st.SearchStrategy[DRS]:
-    def universe_and_conditions(conditions):
-        return st.builds(
-            DRS,
-            st.lists(_referent, max_size=3, unique_by=lambda r: r.name).map(tuple),
-            st.lists(conditions, max_size=3).map(tuple),
-        )
+def _boxes(
+    conditions: st.SearchStrategy, referents: st.SearchStrategy = _referent, size: int = 3
+) -> st.SearchStrategy[DRS]:
+    return st.builds(
+        DRS,
+        st.lists(referents, max_size=size, unique_by=lambda r: r.name).map(tuple),
+        st.lists(conditions, max_size=size).map(tuple),
+    )
 
+
+def _drs_strategy(alphas: bool = True) -> st.SearchStrategy[DRS]:
     return st.recursive(
-        universe_and_conditions(_atom),
-        lambda inner: universe_and_conditions(
+        _boxes(_atom),
+        lambda inner: _boxes(
             st.one_of(
                 _atom,
                 st.builds(Neg, inner),
@@ -220,5 +223,27 @@ def _lcon_strategy(boxes: st.SearchStrategy[DRS]) -> st.SearchStrategy:
     )
 
 
-lcon_formulas = _lcon_strategy(drs_boxes)
+# The leaves of ``lcon_formulas``: boxes at most two levels deep that still
+# hold every condition type, over a few names with keyword prefixes.  The
+# formula round trips spent their time drawing the recursive ``drs_boxes``
+# and fresh identifiers here; the box round trips cover identifiers.
+_leaf_names = st.sampled_from(["a", "b1", "x_", "in1", "ora", "nota", "alph", "k9_z"])
+_leaf_referent = st.builds(Referent, _leaf_names)
+_leaf_atom = st.builds(
+    Atom, _leaf_names, st.lists(_leaf_referent, min_size=1, max_size=3).map(tuple)
+)
+_leaf_atom_boxes = _boxes(_leaf_atom, _leaf_referent, 2)
+_leaf_boxes = _boxes(
+    st.one_of(
+        _leaf_atom,
+        st.builds(Neg, _leaf_atom_boxes),
+        st.builds(Imp, _leaf_atom_boxes, _leaf_atom_boxes),
+        st.builds(Or, _leaf_atom_boxes, _leaf_atom_boxes),
+        st.builds(Alpha, _leaf_atom_boxes),
+    ),
+    _leaf_referent,
+    2,
+)
+
+lcon_formulas = _lcon_strategy(_leaf_boxes)
 alpha_free_lcon_formulas = _lcon_strategy(alpha_free_boxes)

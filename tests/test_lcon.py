@@ -4,25 +4,30 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from ctxdrt.drs import merge_all, validate
+from ctxdrt.drs import ALPHA_BODY, DRS, EMPTY, Alpha, Atom, Imp, Referent, merge_all, validate
 from ctxdrt.lcon import (
     Conj,
     Disj,
     DrsLit,
     Extraction,
     In,
+    TaggedTask,
     auto_tag_positions,
+    conj,
     context_sharing_depth,
     extract,
     formula_at,
 )
 from ctxdrt.projection import (
+    EMPTY_BACKGROUND,
     BackgroundTheory,
     ProjectionError,
     build_tasks,
     candidate_readings,
     eligible_alpha_paths,
     project,
+    require_pure,
+    site_contents,
     site_premises,
 )
 from ctxdrt.text import parse_drs, parse_lcon, print_drs, print_lcon
@@ -228,3 +233,211 @@ def test_extraction_inputs_must_be_pure():
     assert not validate(impure).pure
     with pytest.raises(ValueError):
         extract(impure)
+
+
+# -- a reference for ``extract``: the same formula assembled in two passes -----
+#
+# It builds a layer for every site, then splices each level that adds
+# nothing into its parent (folding its checks again) and threads positions
+# through the formula by hand.
+
+
+class _RefCheck:
+    def __init__(self, readings):
+        self.disjuncts = tuple([r.accommodated for r in readings])
+        self.readings = [[r] for r in readings]
+
+
+def _ref_add_check(parts, check, fold=True):
+    for existing in parts:
+        if fold and isinstance(existing, _RefCheck) and existing.disjuncts == check.disjuncts:
+            for mine, theirs in zip(existing.readings, check.readings):
+                mine.extend(r for r in theirs if r not in mine)
+            return
+    parts.append(check)
+
+
+class _RefLayer:
+    def __init__(self, site_path, delta):
+        self.site_path = site_path
+        self.delta = delta
+        self.checks = []
+        self.children = []
+
+    def child(self, site_path, delta):
+        for existing in self.children:
+            if existing.site_path == site_path:
+                return existing
+        layer = _RefLayer(site_path, delta)
+        self.children.append(layer)
+        return layer
+
+
+def _ref_emit(layer, fold_empty=True):
+    parts = list(layer.checks)
+    for child in layer.children:
+        inner = _ref_emit(child, fold_empty)
+        if not inner:
+            continue
+        if not child.delta.is_empty():
+            parts.append((child.delta, inner))
+            continue
+        for part in inner:
+            if isinstance(part, _RefCheck):
+                _ref_add_check(parts, part, fold_empty)
+            else:
+                parts.append(part)
+    return parts
+
+
+def _ref_realize(parts, position):
+    items, found = [], []
+    for i, part in enumerate(parts):
+        at = position + (i,) if len(parts) > 1 else position
+        if isinstance(part, _RefCheck):
+            many = len(part.disjuncts) > 1
+            for j, (drs, readings) in enumerate(zip(part.disjuncts, part.readings)):
+                found.append((at + (j,) if many else at, drs, tuple(readings)))
+            lits = tuple([DrsLit(d) for d in part.disjuncts])
+            items.append(Disj(lits) if many else lits[0])
+        else:
+            delta, inner = part
+            body, inner_found = _ref_realize(inner, at + (0,))
+            items.append(In(delta, body))
+            found.extend(inner_found)
+    return conj(items), found
+
+
+def reference_extract(root, bg=EMPTY_BACKGROUND, fold_empty=True):
+    """``extract`` as two passes; ``fold_empty=False`` appends the check of a
+    level that adds nothing instead of folding it into an equal one."""
+    require_pure(root, "input")
+    paths = eligible_alpha_paths(root)
+    for path in paths:
+        if any(sel == ALPHA_BODY for _, sel in path[:-1]):
+            raise ProjectionError("nested inside other anaphoric material")
+    top = _RefLayer((), EMPTY)
+    for alpha_path in paths:
+        readings = candidate_readings(root, alpha_path)[0]
+        layer = top
+        for site_path, content in site_contents(root, alpha_path, bg):
+            layer = layer.child(site_path, content)
+            at_site = [r for r in readings if r.site_path == site_path]
+            if at_site:
+                _ref_add_check(layer.checks, _RefCheck(at_site))
+    formula, found = _ref_realize(_ref_emit(top, fold_empty), ())
+    return Extraction(
+        formula, tuple([TaggedTask("t%d" % n, *f) for n, f in enumerate(found, 1)])
+    )
+
+
+def _observed(extraction):
+    """An extraction as text: formula, and per task its tag, position,
+    conclusion, reading refs and alpha paths."""
+    formula = None if extraction.formula is None else print_lcon(extraction.formula)
+    return formula, [
+        (
+            t.tag,
+            t.position,
+            print_drs(t.conclusion),
+            [r.ref for r in t.readings],
+            [r.alpha_path for r in t.readings],
+        )
+        for t in extraction.tasks
+    ]
+
+
+def _observed_or_error(extract_fn, root, bg):
+    try:
+        return _observed(extract_fn(root, bg))
+    except ProjectionError:
+        return "ProjectionError"
+
+
+def assert_matches_reference(root, bg=EMPTY_BACKGROUND):
+    assert _observed_or_error(extract, root, bg) == _observed_or_error(
+        reference_extract, root, bg
+    )
+
+
+# an empty antecedent level beside the corpus alpha, and a second alpha at the root
+_BESIDE_EMPTY = Imp(EMPTY, DRS((), (Alpha(DRS((Referent("z"),), (Atom("r", (Referent("z"),)),))),)))
+_ROOT_ALPHA = Alpha(DRS((Referent("y"),), (Atom("s", (Referent("y"), Referent("y"))),)))
+
+# Two alphas whose checks are equal and share an empty level: a task lists
+# the readings of a site before those of the empty sites folded into it.
+SHARED_ACROSS_EMPTY = (
+    "[x | p(x), [ | ] => [ | alpha:[ | q(v), alpha:[v | ]], alpha:[ | q(w), alpha:[w | ]]]]",
+    "[x | p(x), [y | m(y)] => [ | alpha:[ | q(v), alpha:[v | ]], alpha:[ | q(w), alpha:[w | ]]]]",
+    "[x | p(x), [ | ] => [ | s(x), alpha:[ | q(x)], alpha:[ | q(x)]]]",
+    "[x | p(x), [ | ] => [ | [ | ] => [ | alpha:[ | q(x)]], alpha:[ | q(x)]]]",
+)
+
+
+def _with_empty_level(root, rng):
+    conditions = list(root.conditions)
+    for extra in (_BESIDE_EMPTY, _ROOT_ALPHA):
+        conditions.insert(rng.randrange(len(conditions) + 1), extra)
+    return DRS(root.universe, tuple(conditions))
+
+
+@pytest.mark.parametrize("text", [HANK, *SHARED_ACROSS_EMPTY])
+def test_extract_matches_reference_on_fixed_boxes(text):
+    for bg in (EMPTY_BACKGROUND, MARRIAGE_BG):
+        assert_matches_reference(parse_drs(text), bg)
+
+
+def test_extract_matches_reference_on_corpus():
+    rng = random.Random(41)
+    for i in range(2000):
+        assert_matches_reference(corpus_drs(rng), MARRIAGE_BG if i % 2 else EMPTY_BACKGROUND)
+
+
+def _as_written(box):
+    return box.universe, box.conditions
+
+
+def assert_empty_sites_admit_what_the_site_before_admits(root, bg):
+    # why ``extract`` may fold an empty site's check into the previous
+    # site's: the site adds no referent, so the free-variable constraint
+    # admits the same bindings, giving the same accommodated boxes
+    for alpha_path in eligible_alpha_paths(root):
+        readings = candidate_readings(root, alpha_path)[0]
+        contents = site_contents(root, alpha_path, bg)
+        for (before, _), (site, content) in zip(contents, contents[1:]):
+            if content.is_empty():
+                admitted = [_as_written(r.accommodated) for r in readings if r.site_path == site]
+                assert admitted == [
+                    _as_written(r.accommodated) for r in readings if r.site_path == before
+                ]
+
+
+def test_extract_matches_reference_with_an_empty_level_beside_another_alpha():
+    rng = random.Random(43)
+    for i in range(400):
+        root = _with_empty_level(corpus_drs(rng), rng)
+        assert validate(root).pure
+        bg = MARRIAGE_BG if i % 2 else EMPTY_BACKGROUND
+        assert_matches_reference(root, bg)
+        assert_empty_sites_admit_what_the_site_before_admits(root, bg)
+        # every input reaches the fold: appending the empty level's check differs
+        unfolded = reference_extract(root, bg, fold_empty=False)
+        assert _observed(unfolded) != _observed(extract(root, bg))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(nested_alpha_boxes, drs_boxes), st.booleans())
+def test_extract_matches_reference_on_generated_boxes(root, with_bg):
+    assume(validate(root).pure)
+    assert_matches_reference(root, MARRIAGE_BG if with_bg else EMPTY_BACKGROUND)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(nested_alpha_boxes, drs_boxes), st.booleans())
+@example(parse_drs(HANK), True)
+@example(parse_drs(SHARED_ACROSS_EMPTY[3]), False)
+def test_empty_site_admits_what_the_site_before_it_admits(root, with_bg):
+    assume(validate(root).pure)
+    assert_empty_sites_admit_what_the_site_before_admits(
+        root, MARRIAGE_BG if with_bg else EMPTY_BACKGROUND
+    )
