@@ -25,6 +25,7 @@ from .projection import (
     BackgroundTheory,
     NoAdmissibleReading,
     ProjectionError,
+    accommodate,
     candidate_readings,
     eligible_alpha_paths,
     project,
@@ -125,8 +126,8 @@ def _site_json(item) -> dict:
     }
 
 
-def _reading_json(reading, verdict=None) -> dict:
-    payload = {**_site_json(reading), "drs": print_drs(reading.result)}
+def _reading_json(reading, result, verdict=None) -> dict:
+    payload = {**_site_json(reading), "drs": print_drs(result)}
     if verdict is not None:
         payload["informativity"] = verdict.informative
         payload["consistency"] = verdict.consistent
@@ -187,14 +188,14 @@ def _cmd_readings(config: RunConfig) -> Result:
         readings, blocked_all = [], []
         for path in eligible_alpha_paths(box):
             admitted, blocked = candidate_readings(box, path)
-            readings.extend(admitted)
+            readings.extend(zip(admitted, accommodate(box, admitted)))
             blocked_all.extend(blocked)
         payload = {
             "filtering": False,
-            "readings": [_reading_json(r) for r in readings],
+            "readings": [_reading_json(r, result) for r, result in readings],
             "blocked": [_blocked_json(b) for b in blocked_all],
         }
-        lines = ["%s: %s" % (r.ref, print_drs(r.result)) for r in readings]
+        lines = ["%s: %s" % (r.ref, print_drs(result)) for r, result in readings]
         for b in blocked_all:
             lines.append("blocked %s@%s: %s" % (b.site_kind, path_str(b.site_path), b.reason))
         return EXIT_OK, payload, _text(lines)
@@ -205,15 +206,15 @@ def _cmd_readings(config: RunConfig) -> Result:
         unknown = any(c.verdict.unknown for c in failure.checks)
         payload = {
             "readings": [],
-            "checked": [_reading_json(c.reading, c.verdict) for c in failure.checks],
+            "checked": [_reading_json(c.reading, c.result, c.verdict) for c in failure.checks],
         }
         return (EXIT_UNKNOWN if unknown else EXIT_NO_READING), payload, "no admissible reading\n"
 
     admitted = [c for c in outcome.checks if c.verdict.admitted]
     rejected = [c for c in outcome.checks if not c.verdict.admitted]
     payload = {
-        "readings": [_reading_json(c.reading, c.verdict) for c in admitted],
-        "filtered": [_reading_json(c.reading, c.verdict) for c in rejected],
+        "readings": [_reading_json(c.reading, c.result, c.verdict) for c in admitted],
+        "filtered": [_reading_json(c.reading, c.result, c.verdict) for c in rejected],
         "blocked": [_blocked_json(b) for b in outcome.blocked],
         "results": [
             {

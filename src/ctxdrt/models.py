@@ -107,10 +107,13 @@ def drs_to_fol(box: DRS) -> FolFormula:
     )
 
 
-def _scan(f: FolFormula, preds: dict[str, int], negated: bool, under: bool) -> tuple[bool, int]:
+def _scan(
+    f: FolFormula, preds: set[tuple[str, int]], negated: bool, under: bool
+) -> tuple[bool, int]:
     """One pass over a formula's quantifiers and atoms.
 
-    Records each predicate's arity in ``preds`` and returns ``(nested,
+    Adds each predicate to ``preds`` as (name, arity), so a name used with
+    two arities names two predicates, and returns ``(nested,
     witnesses)``: whether an existential-strength quantifier sits in
     universal scope, and how many variables existential-strength
     quantifiers bind.  Negation flips the quantifier force of everything
@@ -118,8 +121,7 @@ def _scan(f: FolFormula, preds: dict[str, int], negated: bool, under: bool) -> t
     effective kind.
     """
     if isinstance(f, FAtom):
-        if preds.setdefault(f.pred, len(f.args)) != len(f.args):
-            raise ValueError("predicate %r used with two arities" % f.pred)
+        preds.add((f.pred, len(f.args)))
         return False, 0
     if isinstance(f, FNot):
         return _scan(f.body, preds, not negated, under)
@@ -293,10 +295,10 @@ def model_check(
     conclusive for the formula's fragment.
     """
     formula = _combined_formula(premise, conclusion)
-    preds: dict[str, int] = {}
+    preds: set[tuple[str, int]] = set()
     nested, witnesses = _scan(formula, preds, False, False)
     for size in range(1, max_domain + 1):
-        atoms = sum(size**arity for arity in preds.values())
+        atoms = sum(size**arity for _, arity in preds)
         if atoms > ATOM_CEILING:
             raise ResourceLimit(
                 "%d ground atoms at domain size %d exceeds ceiling %d"

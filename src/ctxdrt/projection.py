@@ -4,7 +4,10 @@ Anaphoric boxes are resolved against their context when possible; otherwise
 accommodation readings are enumerated over the global, intermediate, and
 local sites, filtered by the free-variable constraint, and checked for
 local informativity (the context must not already entail the accommodated
-material) and local consistency (the result must be satisfiable).
+material) and local consistency (the result must be satisfiable).  As with
+resolution (``resolve_alpha`` enumerates, ``apply_resolution`` applies), a
+reading only says where and what to accommodate: ``candidate_readings``
+enumerates them and ``accommodate`` builds the boxes they yield.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ __all__ = [
     "eligible_alpha_paths",
     "resolve_alpha",
     "apply_resolution",
+    "accommodate",
     "candidate_readings",
     "site_contents",
     "site_premises",
@@ -113,14 +117,13 @@ class Resolution:
 
 @dataclass(frozen=True)
 class Reading:
-    """One way of accommodating an alpha box."""
+    """One way of accommodating an alpha box: where, and what."""
 
     site_kind: str  # global | intermediate | local
     site_path: DrsPath
     alpha_path: DrsPath
     resolution: Resolution
     accommodated: DRS
-    result: DRS
 
     @property
     def ref(self) -> str:
@@ -128,18 +131,13 @@ class Reading:
 
 
 @dataclass(frozen=True)
-class BlockedReading:
+class BlockedReading(Reading):
     """A site/binding pair the free-variable constraint rules out.
 
     Either the accommodated material would use a referent freely, or an
     anaphor was bound to a referent that is not accessible at the site.
     """
 
-    site_kind: str
-    site_path: DrsPath
-    alpha_path: DrsPath
-    resolution: Resolution
-    accommodated: DRS
     free: tuple[Referent, ...]
     inaccessible: tuple[Referent, ...] = ()
 
@@ -260,6 +258,15 @@ def apply_resolution(root: DRS, alpha_path: DrsPath, resolution: Resolution) -> 
     return substitute_free(pruned, resolution.as_dict())
 
 
+def accommodate(root: DRS, readings: list[Reading]) -> list[DRS]:
+    """The boxes the readings of one alpha yield: the alpha deleted, and
+    each reading's accommodated box merged into its site."""
+    if not readings:
+        return []
+    pruned = delete_alpha(root, readings[0].alpha_path)
+    return [extend_drs_at(pruned, r.site_path, r.accommodated) for r in readings]
+
+
 def candidate_readings(
     root: DRS, alpha_path: DrsPath
 ) -> tuple[list[Reading], list[BlockedReading]]:
@@ -269,7 +276,8 @@ def candidate_readings(
     of the inner simple anaphors; a candidate is blocked when accommodation
     would leave a referent free that was not free in the input.  An alpha
     with nothing to accommodate (no condition besides simple anaphors) has
-    no candidates.
+    no candidates.  This only enumerates: ``accommodate`` builds the boxes
+    that admitted readings yield.
 
     Only the moved conditions can gain free occurrences (deleting the
     alpha removes occurrences, and the site's universe only grows), so the
@@ -284,7 +292,6 @@ def candidate_readings(
         return [], []
     pool = chain_referents(chain)
     root_free = validate(root).free
-    pruned = delete_alpha(root, alpha_path)
     admitted: list[Reading] = []
     blocked: list[BlockedReading] = []
     site_refs: set[Referent] = set()
@@ -297,23 +304,11 @@ def candidate_readings(
             new_free = validate(accommodated).free - site_refs - root_free
             outside = tuple(sorted(set(combo) - site_refs))
             resolution = Resolution(tuple(zip(anaphors, combo)))
+            fields = (kind, site_path, alpha_path, resolution, accommodated)
             if new_free or outside:
-                blocked.append(
-                    BlockedReading(
-                        kind,
-                        site_path,
-                        alpha_path,
-                        resolution,
-                        accommodated,
-                        tuple(sorted(new_free)),
-                        outside,
-                    )
-                )
+                blocked.append(BlockedReading(*fields, tuple(sorted(new_free)), outside))
             else:
-                result = extend_drs_at(pruned, site_path, accommodated)
-                admitted.append(
-                    Reading(kind, site_path, alpha_path, resolution, accommodated, result)
-                )
+                admitted.append(Reading(*fields))
     return admitted, blocked
 
 
@@ -433,9 +428,9 @@ def check_reading(
 
 @dataclass(frozen=True)
 class CheckRecord:
-    alpha_path: DrsPath
     reading: Reading
     verdict: ReadingVerdict
+    result: DRS  # the box the reading yields
 
 
 @dataclass(frozen=True)
@@ -527,13 +522,13 @@ def project(
         readings, blocked = candidate_readings(box, target)
         blocked_all.extend(blocked)
         premises = site_premises(box, target, bg) if readings else {}
-        for reading in readings:
+        for reading, result in zip(readings, accommodate(box, readings)):
             tasks = _reading_tasks(reading, premises[reading.site_path])
             verdict = check_reading(tasks, bounds, model_bound)
-            checks.append(CheckRecord(target, reading, verdict))
+            checks.append(CheckRecord(reading, verdict, result))
             if verdict.admitted:
                 step = ProjectionStep(target, "accommodated", reading.ref)
-                pending.append((reading.result, trail + (step,)))
+                pending.append((result, trail + (step,)))
     if not survivors:
         raise NoAdmissibleReading(tuple(checks))
     return ProjectOutcome(tuple(survivors), tuple(checks), tuple(blocked_all))

@@ -177,6 +177,20 @@ def test_impure_input_exits_2_everywhere_with_one_message(tmp_path):
     assert results == {(2, "", "error: impure input: x introduced twice\n")}
 
 
+def test_predicate_with_two_arities_exits_0_everywhere(tmp_path):
+    path = tmp_path / "arities.drs"
+    path.write_text(
+        "[x | p(x), p(x,x), [y | q(y)] => [ | alpha:[u | r(u), s(u,y)]]]", encoding="utf-8"
+    )
+    commands = ("resolve", "readings", "extract", "compare")
+    configs = [RunConfig(command, (str(path),)) for command in commands]
+    configs.append(RunConfig("readings", (str(path),), no_filter=True))
+    for config in configs:
+        code, stdout, stderr = run(config)
+        assert (code, stderr) == (0, ""), config
+        assert stdout
+
+
 def test_anaphoric_background_postulate_exits_2_everywhere(hank_file, tmp_path):
     bg = tmp_path / "anaphoric.bg"
     bg.write_text("[ | alpha:[u | p(u)]]\n", encoding="utf-8")

@@ -31,8 +31,8 @@ def _calls(source: str) -> dict:
     box = text.parse_drs(source)
     (path,) = projection.eligible_alpha_paths(box)
     extraction = lcon.extract(box, bg)
-    reading = projection.candidate_readings(box, path)[0][0]
-    informativity, _ = projection.build_tasks(reading, box, bg)
+    readings = projection.candidate_readings(box, path)[0]
+    informativity, _ = projection.build_tasks(readings[0], box, bg)
     return {
         "parse_drs": lambda: text.parse_drs(source),
         "validate": lambda: drs.validate(text.parse_drs(source)),
@@ -45,6 +45,7 @@ def _calls(source: str) -> dict:
         "resolve_alpha": lambda: projection.resolve_alpha(path, box),
         "accommodation_sites": lambda: projection.accommodation_sites(path, box),
         "candidate_readings": lambda: projection.candidate_readings(box, path),
+        "accommodate": lambda: projection.accommodate(box, readings),
         "site_premises": lambda: projection.site_premises(box, path, bg),
         "project": lambda: projection.project(box, bg),
         "extract": lambda: lcon.extract(box, bg),

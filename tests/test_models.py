@@ -248,10 +248,7 @@ def _witness_count(f, negated):
 
 def _predicates(f, acc):
     if isinstance(f, FAtom):
-        prev = acc.get(f.pred)
-        if prev is not None and prev != len(f.args):
-            raise ValueError("predicate %r used with two arities" % f.pred)
-        acc[f.pred] = len(f.args)
+        acc.add((f.pred, len(f.args)))
     elif isinstance(f, FNot):
         _predicates(f.body, acc)
     elif isinstance(f, (FAnd, FOr)):
@@ -262,20 +259,14 @@ def _predicates(f, acc):
 
 
 def _reference_scan(f, negated):
-    preds = {}
-    try:
-        _predicates(f, preds)
-    except ValueError as exc:
-        return str(exc)
+    preds = set()
+    _predicates(f, preds)
     return preds, _exists_under_forall(f, negated), _witness_count(f, negated)
 
 
 def _one_scan(f, negated):
-    preds = {}
-    try:
-        nested, witnesses = models._scan(f, preds, negated, False)
-    except ValueError as exc:
-        return str(exc)
+    preds = set()
+    nested, witnesses = models._scan(f, preds, negated, False)
     return preds, nested, witnesses
 
 
@@ -288,8 +279,14 @@ def test_scan_agrees_with_the_three_walks(premise, conclusion, negated):
 
 def test_scan_examples():
     nested = models._combined_formula(parse_drs("[x | p(x), [m | p(m)] => [w | q(w,m)]]"), None)
-    assert _one_scan(nested, False) == ({"p": 1, "q": 2}, True, 2)
+    assert _one_scan(nested, False) == ({("p", 1), ("q", 2)}, True, 2)
     flat = models._combined_formula(parse_drs("[x | p(x)]"), parse_drs("[u | q(u,x)]"))
-    assert _one_scan(flat, False) == ({"p": 1, "q": 2}, False, 1)
-    clash = models._combined_formula(parse_drs("[x | p(x), p(x,x)]"), None)
-    assert _one_scan(clash, False) == "predicate 'p' used with two arities"
+    assert _one_scan(flat, False) == ({("p", 1), ("q", 2)}, False, 1)
+    # a name used with two arities names two predicates
+    two = models._combined_formula(parse_drs("[x | p(x), p(x,x)]"), None)
+    assert _one_scan(two, False) == ({("p", 1), ("p", 2)}, False, 1)
+
+
+def test_a_name_with_two_arities_names_two_predicates():
+    assert model_check(parse_drs("[x | p(x), not [ | p(x,x)]]")).status == "satisfiable"
+    assert model_check(parse_drs("[x | p(x)]"), parse_drs("[ | p(x,x)]")).status == "refuted"

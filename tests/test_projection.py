@@ -35,6 +35,7 @@ from ctxdrt.projection import (
     NotAnAlpha,
     _split_body,
     _task_content,
+    accommodate,
     accommodation_sites,
     build_tasks,
     candidate_readings,
@@ -106,12 +107,14 @@ def test_contentless_alpha_not_accommodatable():
 
 def test_reading_results_are_pure_and_alpha_free(hank):
     root_free = validate(hank).free
-    for reading in candidate_readings(hank, alpha_of(hank))[0]:
-        report = validate(reading.result)
+    results = accommodate(hank, candidate_readings(hank, alpha_of(hank))[0])
+    assert len(results) == 5
+    for result in results:
+        report = validate(result)
         assert report.pure
         assert report.free <= root_free
-        assert parse_drs(print_drs(reading.result)) == reading.result
-        assert eligible_alpha_paths(reading.result) == []
+        assert parse_drs(print_drs(result)) == result
+        assert eligible_alpha_paths(result) == []
 
 
 def test_build_tasks_instantiates_site_rows(hank):
@@ -375,9 +378,9 @@ def assert_readings_match_whole_result_check(root):
                 r.site_path,
                 r.resolution.bindings,
                 print_drs(r.accommodated),
-                print_drs(r.result),
+                print_drs(result),
             )
-            for r in admitted
+            for r, result in zip(admitted, accommodate(root, admitted), strict=True)
         ]
         got_blocked = [
             (
@@ -507,7 +510,7 @@ def test_site_premises_match_rebuilt_premises_on_families(marriage_bg):
         # the boxes project meets after accommodating one alpha, too
         boxes = [root]
         for path in eligible_alpha_paths(root):
-            boxes += [r.result for r in candidate_readings(root, path)[0]]
+            boxes += accommodate(root, candidate_readings(root, path)[0])
         for box in boxes:
             assert_site_premises_match_rebuilt(box, marriage_bg)
 
@@ -534,3 +537,37 @@ def test_project_builds_premises_once_per_alpha(monkeypatch, marriage_bg):
     outcome = project(box, marriage_bg)
     assert len(outcome.checks) == 5
     assert calls == {"merged_for": 1, "presupposed_referents": 1}
+
+
+def test_only_project_builds_the_boxes_readings_yield(monkeypatch, hank, marriage_bg):
+    calls = Counter()
+
+    def counted(function):
+        def wrapper(*args):
+            calls[function.__name__] += 1
+            return function(*args)
+
+        return wrapper
+
+    for module in (drs, projection):
+        monkeypatch.setattr(module, "delete_alpha", counted(delete_alpha))
+        monkeypatch.setattr(module, "extend_drs_at", counted(extend_drs_at))
+    extraction = extract(hank, marriage_bg)
+    prove_lcon(extraction.formula, extraction.tag_positions())
+    compare_cost(hank, marriage_bg)
+    assert calls == {}
+    # the alpha is deleted once, and each of its 5 checked readings is merged once
+    project(hank, marriage_bg)
+    assert calls == {"delete_alpha": 1, "extend_drs_at": 5}
+
+
+def test_every_survivor_is_the_result_of_an_admitted_check(hank, marriage_bg):
+    outcome = project(hank, marriage_bg)
+    admitted = [c.result for c in outcome.checks if c.verdict.admitted]
+    assert [s.drs for s in outcome.survivors] == admitted
+    for k in range(1, 4):  # family K: a survivor is what its last accommodation yielded
+        sentences = ", ".join(possessive(t) for t in range(k))
+        outcome = project(parse_drs("[x | hank(x), married(x), %s]" % sentences), marriage_bg)
+        admitted = [c.result for c in outcome.checks if c.verdict.admitted]
+        assert outcome.survivors
+        assert all(any(s.drs is r for r in admitted) for s in outcome.survivors)
