@@ -8,6 +8,17 @@ over each candidate domain and handed to a small splitting SAT check
 with unit propagation, so a box of n root facts costs a few passes over
 its grounding rather than n nested ones.
 
+Two reductions keep out of the grounding what cannot change the answer.
+A predicate that occurs with one polarity only is pure (the pure-literal
+rule of Davis & Putnam 1960, lifted to predicates): the formula is
+monotone in it, so it has a model of a given size exactly when it has one
+with that predicate true everywhere (or false everywhere, if it occurs
+only negated), and its atoms are translated as that constant.  Every
+name is bound by a quantifier, so any permutation of the domain maps a
+model to a model; the outermost existentials therefore take only one
+assignment per orbit, the least-number assignments of Zhang & Zhang
+(1995), while inner quantifiers range over the whole domain.
+
 Absence of a model up to the bound is definitive only for formulas whose
 translation keeps every existential out of universal scope; in that
 fragment a model, if any, exists within the number of existential
@@ -81,63 +92,133 @@ class FForall:
 FolFormula = Union[FAtom, FNot, FAnd, FOr, FExists, FForall]
 
 
-def _condition_to_fol(cond: Condition) -> FolFormula:
+_TRUE = FAnd(())
+_FALSE = FOr(())
+
+
+def _condition_to_fol(cond: Condition, fixed: dict[tuple[str, int], bool]) -> FolFormula:
+    """``cond`` translated, with the atoms of the predicates in ``fixed`` as constants."""
     if isinstance(cond, Atom):
+        value = fixed.get((cond.predicate, len(cond.args)))
+        if value is not None:
+            return _TRUE if value else _FALSE
         return FAtom(cond.predicate, tuple([a.name for a in cond.args]))
     if isinstance(cond, Neg):
-        return FNot(drs_to_fol(cond.body))
+        return FNot(_box_to_fol(cond.body, fixed))
     if isinstance(cond, Imp):
-        guard = FAnd(tuple([_condition_to_fol(c) for c in cond.antecedent.conditions]))
+        guard = _conjunction(cond.antecedent.conditions, fixed)
         return FForall(
             tuple([r.name for r in cond.antecedent.universe]),
-            FOr((FNot(guard), drs_to_fol(cond.consequent))),
+            FOr((FNot(guard), _box_to_fol(cond.consequent, fixed))),
         )
     if isinstance(cond, Or):
-        return FOr((drs_to_fol(cond.left), drs_to_fol(cond.right)))
+        return FOr((_box_to_fol(cond.left, fixed), _box_to_fol(cond.right, fixed)))
     if isinstance(cond, Alpha):
         raise AlphaRemaining("anaphoric condition has no first-order translation")
     raise TypeError("not a condition: %r" % (cond,))
 
 
+def _conjunction(conditions: tuple[Condition, ...], fixed: dict[tuple[str, int], bool]) -> FAnd:
+    """The conjoined translations, without the conjuncts that are true."""
+    items = [_condition_to_fol(c, fixed) for c in conditions]
+    return FAnd(tuple([f for f in items if f is not _TRUE]))
+
+
+def _box_to_fol(box: DRS, fixed: dict[tuple[str, int], bool]) -> FolFormula:
+    return FExists(tuple([r.name for r in box.universe]), _conjunction(box.conditions, fixed))
+
+
 def drs_to_fol(box: DRS) -> FolFormula:
     """Existential closure of the universe over the conjoined conditions."""
-    return FExists(
-        tuple([r.name for r in box.universe]),
-        FAnd(tuple([_condition_to_fol(c) for c in box.conditions])),
-    )
+    return _box_to_fol(box, {})
 
 
-def _scan(
-    f: FolFormula, preds: set[tuple[str, int]], negated: bool, under: bool
-) -> tuple[bool, int]:
-    """One pass over a formula's quantifiers and atoms.
+def _polarities(conditions: tuple[Condition, ...], sign: int, acc: dict) -> None:
+    """Record in ``acc`` the signs each predicate occurs with, as bits: 1 positive, 2 negated.
 
-    Adds each predicate to ``preds`` as (name, arity), so a name used with
-    two arities names two predicates, and returns ``(nested,
-    witnesses)``: whether an existential-strength quantifier sits in
-    universal scope, and how many variables existential-strength
-    quantifiers bind.  Negation flips the quantifier force of everything
-    below; quantifiers under an odd number of negations count by their
-    effective kind.
+    Keyed by (name, arity), so a name used with two arities names two
+    predicates.  Negation and an implication's antecedent flip the sign;
+    anything but a box's logical structure is left to the translation to
+    reject.
+    """
+    for cond in conditions:
+        if isinstance(cond, Atom):
+            key = (cond.predicate, len(cond.args))
+            acc[key] = acc.get(key, 0) | sign
+        elif isinstance(cond, Neg):
+            _polarities(cond.body.conditions, 3 - sign, acc)
+        elif isinstance(cond, Imp):
+            _polarities(cond.antecedent.conditions, 3 - sign, acc)
+            _polarities(cond.consequent.conditions, sign, acc)
+        elif isinstance(cond, Or):
+            _polarities(cond.left.conditions, sign, acc)
+            _polarities(cond.right.conditions, sign, acc)
+
+
+def _scan(f: FolFormula, negated: bool, under: bool) -> tuple[bool, int]:
+    """One pass over a formula's quantifiers.
+
+    Returns ``(nested, witnesses)``: whether an existential-strength
+    quantifier sits in universal scope, and how many variables
+    existential-strength quantifiers bind.  Negation flips the quantifier
+    force of everything below; quantifiers under an odd number of
+    negations count by their effective kind.
     """
     if isinstance(f, FAtom):
-        preds.add((f.pred, len(f.args)))
         return False, 0
     if isinstance(f, FNot):
-        return _scan(f.body, preds, not negated, under)
+        return _scan(f.body, not negated, under)
     if isinstance(f, (FAnd, FOr)):
         nested, witnesses = False, 0
         for item in f.items:
-            inner, count = _scan(item, preds, negated, under)
+            inner, count = _scan(item, negated, under)
             nested = nested or inner
             witnesses += count
         return nested, witnesses
     if not isinstance(f, (FExists, FForall)):
         raise TypeError
     if isinstance(f, FExists) != negated:  # existential strength
-        nested, witnesses = _scan(f.body, preds, negated, under)
+        nested, witnesses = _scan(f.body, negated, under)
         return nested or (under and bool(f.variables)), witnesses + len(f.variables)
-    return _scan(f.body, preds, negated, under or bool(f.variables))
+    return _scan(f.body, negated, under or bool(f.variables))
+
+
+def _fold(f: FolFormula) -> FolFormula:
+    """``f`` with its constants folded away, or the constant it is.
+
+    A quantifier over a constant is that constant, as every domain here
+    has an element.
+    """
+    if isinstance(f, FAtom):
+        return f
+    if isinstance(f, FNot):
+        body = _fold(f.body)
+        return _FALSE if body == _TRUE else _TRUE if body == _FALSE else FNot(body)
+    if isinstance(f, (FAnd, FOr)):
+        absorbing, neutral = (_FALSE, _TRUE) if isinstance(f, FAnd) else (_TRUE, _FALSE)
+        items = []
+        for item in f.items:
+            g = _fold(item)
+            if g == absorbing:
+                return absorbing
+            if g != neutral:
+                items.append(g)
+        return type(f)(tuple(items))
+    body = _fold(f.body)
+    return body if body == _TRUE or body == _FALSE else type(f)(f.variables, body)
+
+
+def _canonical(count: int, size: int) -> list[tuple[int, ...]]:
+    """One assignment of ``count`` variables to ``range(size)`` per orbit of its permutations.
+
+    The first variable takes 0 and each later one at most one more than
+    the largest value so far: 41 assignments for 5 variables at size 3,
+    where the product has 243.
+    """
+    rows: list[tuple[int, ...]] = [()]
+    for _ in range(count):
+        rows = [row + (v,) for row in rows for v in range(min(size, max(row, default=-1) + 2))]
+    return rows
 
 
 # Ground formulas: ("lit", key, positive) | ("and", tuple) | ("or", tuple)
@@ -229,26 +310,32 @@ def _sat(g, assignment: dict) -> Optional[dict]:
     is assigned at once, and the formula simplified again, until none is
     left.  Every satisfying assignment makes the forced literals true, so
     propagation loses no model and the search stays complete; it only
-    spares one nested call per forced literal.
+    spares one split per forced literal.  A split tries its key true, then
+    false; ``splits`` holds the splits whose false side is still to come,
+    so the depth of the search is not bounded by the interpreter's stack.
     """
+    splits: list[tuple] = []  # (formula, assignment, key)
     while True:
-        g = _simplify(g, assignment)
-        if g == _GTRUE:
-            return assignment
-        if g == _GFALSE:
+        while True:
+            g = _simplify(g, assignment)
+            if g == _GTRUE:
+                return assignment
+            units: dict = {}
+            if g == _GFALSE or not _forced(g, units):
+                g = _GFALSE
+                break
+            if not units:
+                break
+            assignment.update(units)
+        if g != _GFALSE:
+            key = _first_literal(g)
+            splits.append((g, assignment, key))
+            assignment = {**assignment, key: True}
+        elif splits:
+            g, assignment, key = splits.pop()
+            assignment = {**assignment, key: False}
+        else:
             return None
-        units: dict = {}
-        if not _forced(g, units):
-            return None
-        if not units:
-            break
-        assignment.update(units)
-    key = _first_literal(g)
-    for value in (True, False):
-        found = _sat(g, {**assignment, key: value})
-        if found is not None:
-            return found
-    return None
 
 
 @dataclass(frozen=True)
@@ -261,23 +348,24 @@ def _free_names(box: DRS) -> list[str]:
     return sorted(r.name for r in validate(box).free)
 
 
-def _combined_formula(premise: DRS, conclusion: Optional[DRS]) -> FolFormula:
+def _combined_formula(
+    premise: DRS, conclusion: Optional[DRS], fixed: Optional[dict[tuple[str, int], bool]] = None
+) -> FExists:
     """Premise (and negated conclusion) under one shared scope.
 
     The conclusion's referents that the premise binds stay bound by the
     premise; genuinely free referents of either side become outermost
-    existentials, i.e. arbitrary fixed individuals.
+    existentials, i.e. arbitrary fixed individuals.  The atoms of the
+    predicates in ``fixed`` are translated as constants.
     """
-    parts = [_condition_to_fol(c) for c in premise.conditions]
+    fixed = fixed or {}
+    body = _conjunction(premise.conditions, fixed)
     free = set(_free_names(premise))
     if conclusion is not None:
-        parts.append(FNot(drs_to_fol(conclusion)))
+        body = FAnd(body.items + (FNot(_box_to_fol(conclusion, fixed)),))
         premise_scope = {r.name for r in premise.universe}
         free |= set(_free_names(conclusion)) - premise_scope
-    return FExists(
-        tuple(sorted(free)) + tuple([r.name for r in premise.universe]),
-        FAnd(tuple(parts)),
-    )
+    return FExists(tuple(sorted(free)) + tuple([r.name for r in premise.universe]), body)
 
 
 # the most ground atoms a domain may give before the search stops with ResourceLimit
@@ -293,18 +381,41 @@ def model_check(
     one, searches for a countermodel of the entailment; "entailed" is
     reported only when the absence of countermodels up to the bound is
     conclusive for the formula's fragment.
+
+    Each domain size grounds only what can decide it.  Pure predicates
+    (one polarity, the negated conclusion's flipped) are fixed before
+    translation: exact, as the formula is monotone in each.  The rest is
+    grounded under the least-number assignments of the outermost
+    existentials: exact, as the formula names no individual, so
+    assignments that differ by a permutation of the domain are
+    satisfiable alike.  The fragment test reads the whole quantifier
+    structure, and the atom ceiling counts every predicate, fixed or not.
     """
-    formula = _combined_formula(premise, conclusion)
-    preds: set[tuple[str, int]] = set()
-    nested, witnesses = _scan(formula, preds, False, False)
+    polarity: dict[tuple[str, int], int] = {}
+    _polarities(premise.conditions, 1, polarity)
+    if conclusion is not None:
+        _polarities(conclusion.conditions, 2, polarity)
+    fixed = {key: sign == 1 for key, sign in polarity.items() if sign != 3}
+    formula = _combined_formula(premise, conclusion, fixed)
+    nested, witnesses = _scan(formula, False, False)
+    body = _fold(formula.body)
     for size in range(1, max_domain + 1):
-        atoms = sum(size**arity for _, arity in preds)
+        atoms = sum(size**arity for _, arity in polarity)
         if atoms > ATOM_CEILING:
             raise ResourceLimit(
                 "%d ground atoms at domain size %d exceeds ceiling %d"
                 % (atoms, size, ATOM_CEILING)
             )
-        grounded = _ground(formula, {}, range(size), True)
+        domain = range(size)
+        grounded = (
+            "or",
+            tuple(
+                [
+                    _ground(body, dict(zip(formula.variables, row)), domain, True)
+                    for row in _canonical(len(formula.variables), size)
+                ]
+            ),
+        )
         if _sat(grounded, {}) is not None:
             return ModelCheckResult(
                 "refuted" if conclusion is not None else "satisfiable", size

@@ -581,33 +581,40 @@ class _Engine:
         last, or once it is empty from the first node below ``budget``.
         The branch is extended in place, and a split copies it for every
         child but the last, so a returned leaf can be resumed at a larger
-        budget: it goes on from each node's count.  ``stack`` ends empty.
+        budget: it goes on from each node's count.  The children of a
+        split wait in ``children``, the next one last, and each is taken up
+        once the one before it is done, so the leaves come depth-first
+        however deep the splits go.  ``stack`` ends empty.
         """
+        leaves: list[_Branch] = []
+        children: list[tuple] = []  # (branch, stack, alternative, whether it is the last child)
+        origin = stack
         while True:
             if stack:
                 alternatives = self._step(stack.pop(), branch)
             else:
                 i = next((i for i, count in enumerate(branch.counts) if count < budget), None)
                 if i is None:
-                    return [branch]
-                alternatives = self._instantiate(i, branch)
+                    leaves.append(branch)
+                    alternatives = ()
+                else:
+                    alternatives = self._instantiate(i, branch)
             if alternatives is None:
                 continue
             if len(alternatives) == 1:
                 stack.extend(reversed(alternatives[0]))
                 continue
-            out: list[_Branch] = []
             last = len(alternatives) - 1
-            for i, alt in enumerate(alternatives):
-                self.stats.branches += 1
-                if i == last:
-                    child, child_stack = branch, stack
-                else:
-                    child, child_stack = branch.copy(), stack.copy()
-                child_stack.extend(reversed(alt))
-                out.extend(self._saturate(child, child_stack, budget))
-            stack.clear()  # the last child emptied it, unless the branch closed
-            return out
+            for i in range(last, -1, -1):
+                children.append((branch, stack, alternatives[i], i == last))
+            if not children:
+                origin.clear()  # the last child emptied it, unless its branch closed
+                return leaves
+            branch, stack, alt, is_last = children.pop()
+            self.stats.branches += 1
+            if not is_last:
+                branch, stack = branch.copy(), stack.copy()
+            stack.extend(reversed(alt))
 
     # -- the formula spine ---------------------------------------------------------
 

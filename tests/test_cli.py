@@ -138,6 +138,20 @@ def test_readings_exit_3_on_model_resource_ceiling(tmp_path, bg_file):
     assert stdout == "no admissible reading\n"
 
 
+def test_flat_box_with_many_splits_exits_3(tmp_path):
+    # flat, but each pair splits a tableau branch twice: a proof 1,200
+    # splits deep runs out of its node bound, an undecided verdict and not
+    # input nested too deeply
+    pairs = ", ".join(
+        "[ | p%d(x)] or [ | q%d(x)], not [ | p%d(x), q%d(x)]" % (i, i, i, i) for i in range(600)
+    )
+    path = tmp_path / "flat.drs"
+    path.write_text("[x | hank(x), %s, alpha:[u | wife(u)]]" % pairs, encoding="utf-8")
+    for command in ("readings", "compare"):
+        code, _, stderr = run(RunConfig(command, (str(path),)))
+        assert (code, stderr) == (3, ""), command
+
+
 def test_extract_prints_reference_formula(hank_file):
     code, stdout, _ = run(RunConfig("extract", (hank_file,)))
     assert code == 0

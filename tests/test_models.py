@@ -1,11 +1,13 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ctxdrt import models
+from ctxdrt.drs import DRS, validate
 from ctxdrt.models import (
     AlphaRemaining,
     FAnd,
@@ -19,9 +21,17 @@ from ctxdrt.models import (
     drs_to_fol,
     model_check,
 )
+from ctxdrt.projection import (
+    EMPTY_BACKGROUND,
+    BackgroundTheory,
+    build_tasks,
+    candidate_readings,
+    eligible_alpha_paths,
+)
 from ctxdrt.text import parse_drs
 
-from gen import alpha_free_boxes
+from conftest import MARRIAGE_POSTULATE
+from gen import alpha_free_boxes, corpus_drs
 
 
 def test_translation_of_simple_box():
@@ -130,37 +140,85 @@ def test_resource_limit_is_signalled():
 
 
 FACTS = ", ".join("f%d(x)" % i for i in range(300))
+FACT_BOX = "[x | hank(x), married(x), %s, [m | married(m)] => [w | wife(w), of(w,m)]]" % FACTS
+
+
+def _count_splits(monkeypatch) -> list:
+    """Records one entry per split of ``models._sat``: each split picks its key once."""
+    calls = []
+    first_literal = models._first_literal
+
+    def counting(g):
+        calls.append(1)
+        return first_literal(g)
+
+    monkeypatch.setattr(models, "_first_literal", counting)
+    return calls
 
 
 def test_unit_propagation_assigns_root_facts_at_once(monkeypatch):
-    box = parse_drs(
-        "[x | hank(x), married(x), %s, [m | married(m)] => [w | wife(w), of(w,m)]]" % FACTS
-    )
-    calls = []
-    search = models._sat
-
-    def counting(g, assignment):
-        calls.append(1)
-        return search(g, assignment)
-
-    monkeypatch.setattr(models, "_sat", counting)
+    box = parse_drs(FACT_BOX)
     assert model_check(box, None, max_domain=3) == ModelCheckResult("satisfiable", 1)
-    assert len(calls) <= 3  # one nested call per root fact without propagation
+    # model_check fixes the pure facts; ground them all, so that the search has to assign them
+    grounded = models._ground(models._combined_formula(box, None), {}, range(1), True)
+    splits = _count_splits(monkeypatch)
+    assert models._sat(grounded, {}) is not None
+    assert len(splits) <= 1  # one split per root fact without propagation
+
+
+def test_pure_facts_build_no_atoms(monkeypatch):
+    built = []
+
+    class Recording(FAtom):
+        def __init__(self, pred, args):
+            built.append(pred)
+            super().__init__(pred, args)
+
+    monkeypatch.setattr(models, "FAtom", Recording)
+    assert model_check(parse_drs(FACT_BOX), None, max_domain=3).status == "satisfiable"
+    # married(x) and the postulate's guard: married occurs negated there, so
+    # it is not pure; hank, the facts and the postulate's head are
+    assert built == ["married", "married"]
 
 
 def test_complementary_children_decide_their_node(monkeypatch):
-    # every one of the 3^5 disjuncts at domain size 3 holds r(f) and not r(f)
+    # every disjunct at domain size 3 holds r(f) and not r(f)
     box = parse_drs("[a,b,e,f,c | q(a,b), p(a), not [ | r(f)], r(c), r(f)]")
-    calls = []
-    search = models._sat
-
-    def counting(g, assignment):
-        calls.append(1)
-        return search(g, assignment)
-
-    monkeypatch.setattr(models, "_sat", counting)
+    splits = _count_splits(monkeypatch)
     assert model_check(box, None, max_domain=3).status == "unknown"
-    assert len(calls) <= 3  # one per domain size; splitting through the clashes took 1,217
+    assert not splits  # splitting through the clashes took 1,217 calls of the search
+
+
+def test_canonical_assignments_are_one_per_orbit():
+    assert len(models._canonical(5, 3)) == 41  # the product has 3**5 = 243
+    assert models._canonical(5, 1) == [(0, 0, 0, 0, 0)]
+    assert models._canonical(0, 3) == [()]
+    assert models._canonical(3, 3) == [
+        (0, 0, 0),
+        (0, 0, 1),
+        (0, 1, 0),
+        (0, 1, 1),
+        (0, 1, 2),
+    ]
+
+
+def test_search_depth_is_not_bounded_by_the_stack():
+    # both polarities of every predicate occur, so each pair costs the search one split
+    pair = "[ | p%d(x)] or [ | q%d(x)], not [ | p%d(x), q%d(x)]"
+    pairs = (pair % (i, i, i, i) for i in range(400))
+    box = parse_drs("[x | %s]" % ", ".join(pairs))
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        result = model_check(box, None, max_domain=1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == ModelCheckResult("satisfiable", 1)
 
 
 def test_unit_propagation_finds_clash_among_root_facts():
@@ -264,29 +322,157 @@ def _reference_scan(f, negated):
     return preds, _exists_under_forall(f, negated), _witness_count(f, negated)
 
 
-def _one_scan(f, negated):
-    preds = set()
-    nested, witnesses = models._scan(f, preds, negated, False)
-    return preds, nested, witnesses
+def _one_scan(premise, conclusion, negated):
+    preds = {}
+    models._polarities(premise.conditions, 1, preds)
+    if conclusion is not None:
+        models._polarities(conclusion.conditions, 2, preds)
+    formula = models._combined_formula(premise, conclusion)
+    return set(preds), *models._scan(formula, negated, False)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(alpha_free_boxes, st.one_of(st.none(), alpha_free_boxes), st.booleans())
 def test_scan_agrees_with_the_three_walks(premise, conclusion, negated):
     formula = models._combined_formula(premise, conclusion)
-    assert _one_scan(formula, negated) == _reference_scan(formula, negated)
+    assert _one_scan(premise, conclusion, negated) == _reference_scan(formula, negated)
 
 
 def test_scan_examples():
-    nested = models._combined_formula(parse_drs("[x | p(x), [m | p(m)] => [w | q(w,m)]]"), None)
-    assert _one_scan(nested, False) == ({("p", 1), ("q", 2)}, True, 2)
-    flat = models._combined_formula(parse_drs("[x | p(x)]"), parse_drs("[u | q(u,x)]"))
-    assert _one_scan(flat, False) == ({("p", 1), ("q", 2)}, False, 1)
+    nested = parse_drs("[x | p(x), [m | p(m)] => [w | q(w,m)]]")
+    assert _one_scan(nested, None, False) == ({("p", 1), ("q", 2)}, True, 2)
+    flat = (parse_drs("[x | p(x)]"), parse_drs("[u | q(u,x)]"))
+    assert _one_scan(*flat, False) == ({("p", 1), ("q", 2)}, False, 1)
     # a name used with two arities names two predicates
-    two = models._combined_formula(parse_drs("[x | p(x), p(x,x)]"), None)
-    assert _one_scan(two, False) == ({("p", 1), ("p", 2)}, False, 1)
+    two = parse_drs("[x | p(x), p(x,x)]")
+    assert _one_scan(two, None, False) == ({("p", 1), ("p", 2)}, False, 1)
 
 
 def test_a_name_with_two_arities_names_two_predicates():
     assert model_check(parse_drs("[x | p(x), not [ | p(x,x)]]")).status == "satisfiable"
     assert model_check(parse_drs("[x | p(x)]"), parse_drs("[ | p(x,x)]")).status == "refuted"
+
+
+# The search before pure predicates were fixed and the outermost existentials
+# taken up to symmetry: the whole formula grounded over every assignment.
+
+
+def _reference_ground(f, env, domain, positive):
+    if isinstance(f, FAtom):
+        return ("lit", (f.pred, tuple(env[a] for a in f.args)), positive)
+    if isinstance(f, FNot):
+        return _reference_ground(f.body, env, domain, not positive)
+    if isinstance(f, (FAnd, FOr)):
+        items = tuple(_reference_ground(i, env, domain, positive) for i in f.items)
+        return ("and" if isinstance(f, FAnd) == positive else "or", items)
+    items = []
+    for values in itertools.product(domain, repeat=len(f.variables)):
+        env2 = {**env, **dict(zip(f.variables, values))}
+        items.append(_reference_ground(f.body, env2, domain, positive))
+    return ("or" if isinstance(f, FExists) == positive else "and", tuple(items))
+
+
+def reference_model_check(premise, conclusion=None, max_domain=3):
+    parts = drs_to_fol(DRS((), premise.conditions)).body.items
+    free = {r.name for r in validate(premise).free}
+    if conclusion is not None:
+        parts += (FNot(drs_to_fol(conclusion)),)
+        free |= {r.name for r in validate(conclusion).free} - {r.name for r in premise.universe}
+    formula = FExists(
+        tuple(sorted(free)) + tuple(r.name for r in premise.universe), FAnd(parts)
+    )
+    preds, nested, witnesses = _reference_scan(formula, False)
+    for size in range(1, max_domain + 1):
+        atoms = sum(size**arity for _, arity in preds)
+        if atoms > models.ATOM_CEILING:
+            raise ResourceLimit(
+                "%d ground atoms at domain size %d exceeds ceiling %d"
+                % (atoms, size, models.ATOM_CEILING)
+            )
+        if models._sat(_reference_ground(formula, {}, range(size), True), {}) is not None:
+            return ModelCheckResult("refuted" if conclusion is not None else "satisfiable", size)
+    if not nested and max_domain >= max(1, witnesses):
+        return ModelCheckResult("entailed" if conclusion is not None else "refuted")
+    return ModelCheckResult("unknown")
+
+
+def _outcome(check, premise, conclusion, max_domain):
+    try:
+        result = check(premise, conclusion, max_domain)
+    except ResourceLimit as limit:
+        return str(limit)
+    return result.status, result.domain_size
+
+
+def assert_matches_reference(premise, conclusion, max_domains=(1, 2, 3), max_work=None):
+    """The same outcome as the reference at every bound in ``max_domains``.
+
+    With ``max_work``, the bounds stop before one at which the reference
+    might do more than that: ground the formula under more assignments of
+    its outermost block, or split its search into more leaves (2 to the
+    number of ground atoms).
+    """
+    formula = models._combined_formula(premise, conclusion)
+    preds, _, _ = _reference_scan(formula, False)
+    for max_domain in max_domains:
+        atoms = sum(max_domain**arity for _, arity in preds)
+        if max_work is not None and max(max_domain ** len(formula.variables), 2**atoms) > max_work:
+            break
+        expected = _outcome(reference_model_check, premise, conclusion, max_domain)
+        assert _outcome(model_check, premise, conclusion, max_domain) == expected, (
+            premise,
+            conclusion,
+            max_domain,
+        )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(alpha_free_boxes, alpha_free_boxes)
+def test_model_check_matches_reference_on_generated_boxes(premise, conclusion):
+    # most generated names are distinct, so the outermost block can bind 20
+    # names and a 3-place predicate gives 27 ground atoms at size 3: the
+    # reference would ground 3**20 assignments, or split 2**27 ways where
+    # the reduced search splits over 5 least-number assignments
+    for question in (None, conclusion):
+        assert_matches_reference(premise, question, max_work=2**9)
+
+
+def _tasks(root, bg):
+    """(premise, conclusion) of the informativity and consistency task of every reading."""
+    tasks = []
+    for path in eligible_alpha_paths(root):
+        for reading in candidate_readings(root, path)[0]:
+            for task in build_tasks(reading, root, bg):
+                tasks.append((task.premise, task.conclusion))
+    return tasks
+
+
+def test_model_check_matches_reference_on_the_corpus():
+    rng = random.Random(20260808)
+    marriage = BackgroundTheory((parse_drs(MARRIAGE_POSTULATE),))
+    tasks = 0
+    for i in range(2000):
+        root = corpus_drs(rng)
+        # under the postulate, the reference takes about 0.1 s to refute all
+        # of size 3 for each entailment that holds; size 3 is checked there
+        # on the first 100 boxes only
+        marriage_domains = (1, 2, 3) if i < 100 else (1, 2)
+        for bg, max_domains in ((EMPTY_BACKGROUND, (1, 2, 3)), (marriage, marriage_domains)):
+            for premise, conclusion in _tasks(root, bg):
+                assert_matches_reference(premise, conclusion, max_domains)
+                tasks += 1
+    assert tasks > 8000
+
+
+@pytest.mark.parametrize("m", [0, 40, 320])
+def test_model_check_matches_reference_on_family_m(m):
+    # hank, the marriage postulate and m extra root facts
+    root = parse_drs(
+        "[x | hank(x), married(x), %s"
+        " [y | man(y)] => [ | likes(y,u), alpha:[u | wife(u), of(u,v), alpha:[v | ]]]]"
+        % "".join("f%d(x), " % i for i in range(m))
+    )
+    tasks = _tasks(root, BackgroundTheory((parse_drs(MARRIAGE_POSTULATE),)))
+    assert len(tasks) == 10
+    for premise, conclusion in tasks:
+        assert_matches_reference(premise, conclusion)
