@@ -8,16 +8,19 @@ over each candidate domain and handed to a small splitting SAT check
 with unit propagation, so a box of n root facts costs a few passes over
 its grounding rather than n nested ones.
 
-Two reductions keep out of the grounding what cannot change the answer.
-A predicate that occurs with one polarity only is pure (the pure-literal
-rule of Davis & Putnam 1960, lifted to predicates): the formula is
-monotone in it, so it has a model of a given size exactly when it has one
-with that predicate true everywhere (or false everywhere, if it occurs
-only negated), and its atoms are translated as that constant.  Every
-name is bound by a quantifier, so any permutation of the domain maps a
-model to a model; the outermost existentials therefore take only one
-assignment per orbit, the least-number assignments of Zhang & Zhang
-(1995), while inner quantifiers range over the whole domain.
+Two reductions, read off the boxes in one walk before translation, keep
+out of the grounding what cannot change the answer.  A predicate that
+occurs with one polarity only is pure (the pure-literal rule of Davis &
+Putnam 1960, lifted to predicates): the formula is monotone in it, so it
+has a model of a given size exactly when it has one with that predicate
+true everywhere (or false everywhere, if it occurs only negated), and
+its atoms are translated as that constant.  Every name is bound by a
+quantifier, so any permutation of the domain maps a model to a model;
+the outermost existentials therefore take only one assignment per orbit,
+the least-number assignments of Zhang & Zhang (1995), while inner
+quantifiers range over the whole domain.  The ground formula is kept
+flat, so a clash is found wherever along a chain of conjunctions its two
+literals sit.
 
 Absence of a model up to the bound is definitive only for formulas whose
 translation keeps every existential out of universal scope; in that
@@ -133,79 +136,43 @@ def drs_to_fol(box: DRS) -> FolFormula:
     return _box_to_fol(box, {})
 
 
-def _polarities(conditions: tuple[Condition, ...], sign: int, acc: dict) -> None:
-    """Record in ``acc`` the signs each predicate occurs with, as bits: 1 positive, 2 negated.
+def _shape(box: DRS, sign: int, under: bool, acc: dict) -> tuple[bool, int]:
+    """One walk over a box: its predicates' signs and its quantifier shape.
 
-    Keyed by (name, arity), so a name used with two arities names two
-    predicates.  Negation and an implication's antecedent flip the sign;
-    anything but a box's logical structure is left to the translation to
-    reject.
+    Records in ``acc`` the signs of each (name, arity) as bits, 1 positive
+    and 2 negated.  Returns ``(nested, witnesses)`` of the box's
+    translation read at ``sign``, in universal scope if ``under``: whether
+    an existential-strength quantifier sits in universal scope, and how
+    many variables such quantifiers bind.  A universe is existential at a
+    positive sign and universal at a negated one, where it puts the
+    conditions in universal scope.  Negation and an implication's
+    antecedent flip the sign; the consequent sits in the scope of the
+    antecedent's universe, as in the guarded universal it translates to.
+    Anything but a box's logical structure is left to the translation.
     """
-    for cond in conditions:
+    if sign == 1:
+        nested, witnesses = under and bool(box.universe), len(box.universe)
+    else:
+        nested, witnesses = False, 0
+        under = under or bool(box.universe)
+    for cond in box.conditions:
         if isinstance(cond, Atom):
             key = (cond.predicate, len(cond.args))
             acc[key] = acc.get(key, 0) | sign
-        elif isinstance(cond, Neg):
-            _polarities(cond.body.conditions, 3 - sign, acc)
+            continue
+        if isinstance(cond, Neg):
+            parts = ((cond.body, 3 - sign, under),)
         elif isinstance(cond, Imp):
-            _polarities(cond.antecedent.conditions, 3 - sign, acc)
-            _polarities(cond.consequent.conditions, sign, acc)
+            scope = under or (sign == 1 and bool(cond.antecedent.universe))
+            parts = ((cond.antecedent, 3 - sign, under), (cond.consequent, sign, scope))
         elif isinstance(cond, Or):
-            _polarities(cond.left.conditions, sign, acc)
-            _polarities(cond.right.conditions, sign, acc)
-
-
-def _scan(f: FolFormula, negated: bool, under: bool) -> tuple[bool, int]:
-    """One pass over a formula's quantifiers.
-
-    Returns ``(nested, witnesses)``: whether an existential-strength
-    quantifier sits in universal scope, and how many variables
-    existential-strength quantifiers bind.  Negation flips the quantifier
-    force of everything below; quantifiers under an odd number of
-    negations count by their effective kind.
-    """
-    if isinstance(f, FAtom):
-        return False, 0
-    if isinstance(f, FNot):
-        return _scan(f.body, not negated, under)
-    if isinstance(f, (FAnd, FOr)):
-        nested, witnesses = False, 0
-        for item in f.items:
-            inner, count = _scan(item, negated, under)
-            nested = nested or inner
-            witnesses += count
-        return nested, witnesses
-    if not isinstance(f, (FExists, FForall)):
-        raise TypeError
-    if isinstance(f, FExists) != negated:  # existential strength
-        nested, witnesses = _scan(f.body, negated, under)
-        return nested or (under and bool(f.variables)), witnesses + len(f.variables)
-    return _scan(f.body, negated, under or bool(f.variables))
-
-
-def _fold(f: FolFormula) -> FolFormula:
-    """``f`` with its constants folded away, or the constant it is.
-
-    A quantifier over a constant is that constant, as every domain here
-    has an element.
-    """
-    if isinstance(f, FAtom):
-        return f
-    if isinstance(f, FNot):
-        body = _fold(f.body)
-        return _FALSE if body == _TRUE else _TRUE if body == _FALSE else FNot(body)
-    if isinstance(f, (FAnd, FOr)):
-        absorbing, neutral = (_FALSE, _TRUE) if isinstance(f, FAnd) else (_TRUE, _FALSE)
-        items = []
-        for item in f.items:
-            g = _fold(item)
-            if g == absorbing:
-                return absorbing
-            if g != neutral:
-                items.append(g)
-        return type(f)(tuple(items))
-    body = _fold(f.body)
-    return body if body == _TRUE or body == _FALSE else type(f)(f.variables, body)
+            parts = ((cond.left, sign, under), (cond.right, sign, under))
+        else:
+            continue
+        for sub, sub_sign, sub_under in parts:
+            inner, count = _shape(sub, sub_sign, sub_under, acc)
+            nested, witnesses = nested or inner, witnesses + count
+    return nested, witnesses
 
 
 def _canonical(count: int, size: int) -> list[tuple[int, ...]]:
@@ -247,12 +214,15 @@ def _ground(f: FolFormula, env: dict[str, int], domain: range, positive: bool):
 
 
 def _simplify(g, assignment: dict):
-    """``g`` under ``assignment``, with constant children folded away.
+    """``g`` under ``assignment``, flat, with constant children folded away.
 
-    A node whose literal children include a key and its complement is
-    decided outright: an "and" node is false and an "or" node true under
-    every assignment, so satisfiability is unchanged and the search need
-    not split on that key.
+    A simplified child of its node's own kind is merged into it, keeping
+    the order of the leaves, so a chain of "and" (or of "or") nodes becomes
+    one node.  A node whose literal children include a key and its
+    complement is then decided outright, wherever along the chain the two
+    sat: an "and" node is false and an "or" node true under every
+    assignment, so satisfiability is unchanged and the search need not
+    split on that key.
     """
     kind = g[0]
     if kind == "lit":
@@ -261,19 +231,17 @@ def _simplify(g, assignment: dict):
         if value is None:
             return g
         return _GTRUE if value == positive else _GFALSE
-    absorbing, neutral = (_GFALSE, _GTRUE) if kind == "and" else (_GTRUE, _GFALSE)
+    absorbing = _GFALSE if kind == "and" else _GTRUE
     items = []
     signs: dict = {}
     for item in g[1]:
         s = _simplify(item, assignment)
         if s == absorbing:
             return absorbing
-        if s[0] == "lit" and signs.setdefault(s[1], s[2]) != s[2]:
-            return absorbing
-        if s != neutral:
-            items.append(s)
-    if not items:
-        return neutral
+        for t in s[1] if s[0] == kind else (s,):
+            if t[0] == "lit" and signs.setdefault(t[1], t[2]) != t[2]:
+                return absorbing
+            items.append(t)
     if len(items) == 1:
         return items[0]
     return (kind, tuple(items))
@@ -289,17 +257,18 @@ def _first_literal(g):
     return None
 
 
-def _forced(g, units: dict) -> bool:
-    """Collect the literals ``g`` forces: leaves reached through "and" nodes.
+def _forced(g) -> dict:
+    """The literals a simplified formula forces, as ``{key: value}``.
 
-    Returns False when two of them clash.
+    These are ``g`` itself if it is a literal, else the literal children
+    of an "and" root: ``_simplify`` has merged every "and" below into the
+    root and decided the root if two of them clash.
     """
     if g[0] == "lit":
-        _, key, positive = g
-        return units.setdefault(key, positive) == positive
+        return {g[1]: g[2]}
     if g[0] == "and":
-        return all(_forced(item, units) for item in g[1])
-    return True
+        return {t[1]: t[2] for t in g[1] if t[0] == "lit"}
+    return {}
 
 
 def _sat(g, assignment: dict) -> Optional[dict]:
@@ -310,9 +279,11 @@ def _sat(g, assignment: dict) -> Optional[dict]:
     is assigned at once, and the formula simplified again, until none is
     left.  Every satisfying assignment makes the forced literals true, so
     propagation loses no model and the search stays complete; it only
-    spares one split per forced literal.  A split tries its key true, then
-    false; ``splits`` holds the splits whose false side is still to come,
-    so the depth of the search is not bounded by the interpreter's stack.
+    spares one split per forced literal.  The formula is flat, so a clash
+    among forced literals has already made it false.  A split tries its
+    key true, then false; ``splits`` holds the splits whose false side is
+    still to come, so the depth of the search is not bounded by the
+    interpreter's stack.
     """
     splits: list[tuple] = []  # (formula, assignment, key)
     while True:
@@ -320,10 +291,7 @@ def _sat(g, assignment: dict) -> Optional[dict]:
             g = _simplify(g, assignment)
             if g == _GTRUE:
                 return assignment
-            units: dict = {}
-            if g == _GFALSE or not _forced(g, units):
-                g = _GFALSE
-                break
+            units = _forced(g)
             if not units:
                 break
             assignment.update(units)
@@ -382,25 +350,26 @@ def model_check(
     reported only when the absence of countermodels up to the bound is
     conclusive for the formula's fragment.
 
-    Each domain size grounds only what can decide it.  Pure predicates
-    (one polarity, the negated conclusion's flipped) are fixed before
-    translation: exact, as the formula is monotone in each.  The rest is
-    grounded under the least-number assignments of the outermost
-    existentials: exact, as the formula names no individual, so
-    assignments that differ by a permutation of the domain are
-    satisfiable alike.  The fragment test reads the whole quantifier
-    structure, and the atom ceiling counts every predicate, fixed or not.
+    One walk over the boxes (``_shape``) gives the predicates' signs and
+    the quantifier shape; one translation and one grounding per domain
+    size follow.  Pure predicates (one polarity, the negated conclusion's
+    flipped) are fixed before translation: exact, as the formula is
+    monotone in each.  The rest is grounded under the least-number
+    assignments of the outermost existentials: exact, as the formula names
+    no individual, so assignments that differ by a permutation of the
+    domain are satisfiable alike.  The fragment test reads the whole
+    quantifier structure, which fixing a predicate leaves in place, and
+    the atom ceiling counts every predicate, fixed or not.
     """
-    polarity: dict[tuple[str, int], int] = {}
-    _polarities(premise.conditions, 1, polarity)
-    if conclusion is not None:
-        _polarities(conclusion.conditions, 2, polarity)
-    fixed = {key: sign == 1 for key, sign in polarity.items() if sign != 3}
+    signs: dict[tuple[str, int], int] = {}
+    tail = () if conclusion is None else (Neg(conclusion),)
+    # the premise's universe is in the outermost block, with the free names, counted below
+    nested, witnesses = _shape(DRS((), premise.conditions + tail), 1, False, signs)
+    fixed = {key: bits == 1 for key, bits in signs.items() if bits != 3}
     formula = _combined_formula(premise, conclusion, fixed)
-    nested, witnesses = _scan(formula, False, False)
-    body = _fold(formula.body)
+    witnesses += len(formula.variables)
     for size in range(1, max_domain + 1):
-        atoms = sum(size**arity for _, arity in polarity)
+        atoms = sum(size**arity for _, arity in signs)
         if atoms > ATOM_CEILING:
             raise ResourceLimit(
                 "%d ground atoms at domain size %d exceeds ceiling %d"
@@ -411,7 +380,7 @@ def model_check(
             "or",
             tuple(
                 [
-                    _ground(body, dict(zip(formula.variables, row)), domain, True)
+                    _ground(formula.body, dict(zip(formula.variables, row)), domain, True)
                     for row in _canonical(len(formula.variables), size)
                 ]
             ),

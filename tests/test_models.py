@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ctxdrt import models
-from ctxdrt.drs import DRS, validate
+from ctxdrt.drs import DRS, Neg, Referent, validate
 from ctxdrt.models import (
     AlphaRemaining,
     FAnd,
@@ -189,6 +189,29 @@ def test_complementary_children_decide_their_node(monkeypatch):
     assert not splits  # splitting through the clashes took 1,217 calls of the search
 
 
+@pytest.mark.parametrize("names, status", [(3, "entailed"), (5, "unknown")])
+def test_a_clash_one_level_down_decides_its_row(monkeypatch, names, status):
+    # each outer row at size 3 grounds to and(not w(r), and(w(r), ... 27 copies));
+    # while the clash was one "and" level down, the 3-name box took 66 splits
+    # and the 5-name box did not finish in 60 s
+    atom = "w(%s)" % ",".join("a%d" % i for i in range(names))
+    premise = parse_drs("[ | not [ | %s]]" % atom)
+    conclusion = parse_drs("[u0, u1, u2 | not [ | %s]]" % atom)
+    splits = _count_splits(monkeypatch)
+    assert model_check(premise, conclusion, 3).status == status
+    assert not splits
+
+
+def test_sat_finds_a_clash_along_an_and_chain(monkeypatch):
+    k, j = ("k", (0,)), ("j", (0,))
+    chain = ("and", (("lit", k, False), ("and", (("lit", k, True), ("lit", j, True)))))
+    flipped = ("and", (("lit", k, True), ("and", (("lit", j, False), ("lit", k, False)))))
+    splits = _count_splits(monkeypatch)
+    assert models._sat(chain, {}) is None
+    assert models._sat(("or", (chain, flipped)), {}) is None
+    assert not splits
+
+
 def test_canonical_assignments_are_one_per_orbit():
     assert len(models._canonical(5, 3)) == 41  # the product has 3**5 = 243
     assert models._canonical(5, 1) == [(0, 0, 0, 0, 0)]
@@ -275,7 +298,9 @@ def test_sat_agrees_with_truth_tables():
                 assert models._simplify(g, found) == models._GTRUE
 
 
-# The three walks ``models._scan`` replaced, kept as its reference.
+# Walks over the translation, the reference for what ``models._shape`` reads
+# off the box: where existentials sit, how many witnesses they bind, and
+# (below) the signs each predicate occurs with.
 
 
 def _exists_under_forall(f, negated, under=False):
@@ -322,30 +347,51 @@ def _reference_scan(f, negated):
     return preds, _exists_under_forall(f, negated), _witness_count(f, negated)
 
 
+def _reference_signs(f, negated, acc):
+    if isinstance(f, FAtom):
+        key = (f.pred, len(f.args))
+        acc[key] = acc.get(key, 0) | (2 if negated else 1)
+    elif isinstance(f, FNot):
+        _reference_signs(f.body, not negated, acc)
+    elif isinstance(f, (FAnd, FOr)):
+        for i in f.items:
+            _reference_signs(i, negated, acc)
+    else:
+        _reference_signs(f.body, negated, acc)
+    return acc
+
+
 def _one_scan(premise, conclusion, negated):
-    preds = {}
-    models._polarities(premise.conditions, 1, preds)
-    if conclusion is not None:
-        models._polarities(conclusion.conditions, 2, preds)
+    """``models._shape`` over the box whose translation ``_combined_formula`` gives."""
     formula = models._combined_formula(premise, conclusion)
-    return set(preds), *models._scan(formula, negated, False)
+    tail = () if conclusion is None else (Neg(conclusion),)
+    box = DRS(tuple(Referent(v) for v in formula.variables), premise.conditions + tail)
+    assert drs_to_fol(box) == formula
+    signs = {}
+    nested, witnesses = models._shape(box, 2 if negated else 1, False, signs)
+    return signs, nested, witnesses
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(alpha_free_boxes, st.one_of(st.none(), alpha_free_boxes), st.booleans())
 def test_scan_agrees_with_the_three_walks(premise, conclusion, negated):
     formula = models._combined_formula(premise, conclusion)
-    assert _one_scan(premise, conclusion, negated) == _reference_scan(formula, negated)
+    preds, nested, witnesses = _reference_scan(formula, negated)
+    signs = _reference_signs(formula, negated, {})
+    assert set(signs) == preds
+    assert _one_scan(premise, conclusion, negated) == (signs, nested, witnesses)
 
 
 def test_scan_examples():
     nested = parse_drs("[x | p(x), [m | p(m)] => [w | q(w,m)]]")
-    assert _one_scan(nested, None, False) == ({("p", 1), ("q", 2)}, True, 2)
+    assert _one_scan(nested, None, False) == ({("p", 1): 3, ("q", 2): 1}, True, 2)
+    # read negated, x and w are universal and m is the one witness, in their scope
+    assert _one_scan(nested, None, True) == ({("p", 1): 3, ("q", 2): 2}, True, 1)
     flat = (parse_drs("[x | p(x)]"), parse_drs("[u | q(u,x)]"))
-    assert _one_scan(*flat, False) == ({("p", 1), ("q", 2)}, False, 1)
+    assert _one_scan(*flat, False) == ({("p", 1): 1, ("q", 2): 2}, False, 1)
     # a name used with two arities names two predicates
     two = parse_drs("[x | p(x), p(x,x)]")
-    assert _one_scan(two, None, False) == ({("p", 1), ("p", 2)}, False, 1)
+    assert _one_scan(two, None, False) == ({("p", 1): 1, ("p", 2): 1}, False, 1)
 
 
 def test_a_name_with_two_arities_names_two_predicates():
