@@ -129,19 +129,33 @@ class Referent(_ReferentFields):
         return "Referent(%r)" % self.name
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A predicate applied to one or more referents."""
-
+class _AtomFields(NamedTuple):
     predicate: str
     args: tuple[Referent, ...]
 
-    def __post_init__(self) -> None:
-        if not _IDENT.match(self.predicate):
-            raise ValueError("bad predicate name: %r" % (self.predicate,))
-        if not self.args:
+
+class Atom(_AtomFields):
+    """A predicate applied to one or more referents.
+
+    A two-field named tuple, so merging, box equality and every set of
+    conditions hash and compare it in C; it hashes as ``(predicate, args)``,
+    as the frozen dataclass it replaces did.  Being a tuple, it equals any
+    2-tuple of its fields, so a dict or set that holds conditions must hold
+    no other tuples.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, predicate: str, args: tuple[Referent, ...]) -> "Atom":
+        if not _IDENT.match(predicate):
+            raise ValueError("bad predicate name: %r" % (predicate,))
+        args = tuple(args)
+        if not args:
             raise ValueError("atoms need at least one argument")
-        object.__setattr__(self, "args", tuple(self.args))
+        return tuple.__new__(cls, (predicate, args))
+
+    def __repr__(self) -> str:
+        return "Atom(predicate=%r, args=%r)" % self
 
 
 @dataclass(frozen=True)
@@ -323,18 +337,27 @@ def _sub_drs_paths(box: DRS, prefix: DrsPath, out: list[DrsPath]) -> None:
 
 
 def merge(k1: DRS, k2: DRS) -> DRS:
-    """Union of universes and conditions; universes must be disjoint."""
+    """Union of universes and conditions; universes must be disjoint.
+
+    When both operands carry a validation report (see ``validate``), both
+    are pure and no referent is bound in both, the merge carries the
+    report it derives from theirs: pure, bound by either, and free where
+    free in one operand and not in the other's top universe.  That is
+    exact: every condition of the merge sees both top universes, and a
+    condition dropped as a duplicate equals one that is kept, with the
+    same free referents and, as no binder is shared, no universe of its
+    own.  Otherwise ``validate`` walks the merge when asked.
+    """
     left = set(k1.universe)
     for ref in k2.universe:
         if ref in left:
             raise OverlappingUniverses(ref)
-    conds: list[Condition] = []
-    seen: set[Condition] = set()
-    for cond in k1.conditions + k2.conditions:
-        if cond not in seen:
-            seen.add(cond)
-            conds.append(cond)
-    return DRS(k1.universe + k2.universe, tuple(conds))
+    out = DRS(k1.universe + k2.universe, tuple(dict.fromkeys(k1.conditions + k2.conditions)))
+    r1, r2 = k1.__dict__.get("_report"), k2.__dict__.get("_report")
+    if r1 is not None and r2 is not None and r1.pure and r2.pure and r1.bound.isdisjoint(r2.bound):
+        free = r1.free.difference(k2.universe) | r2.free.difference(k1.universe)
+        object.__setattr__(out, "_report", ValidationReport(True, free, (), r1.bound | r2.bound))
+    return out
 
 
 def merge_all(boxes: Iterable[DRS]) -> DRS:

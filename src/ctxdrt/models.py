@@ -122,9 +122,21 @@ def _condition_to_fol(cond: Condition, fixed: dict[tuple[str, int], bool]) -> Fo
 
 
 def _conjunction(conditions: tuple[Condition, ...], fixed: dict[tuple[str, int], bool]) -> FAnd:
-    """The conjoined translations, without the conjuncts that are true."""
-    items = [_condition_to_fol(c, fixed) for c in conditions]
-    return FAnd(tuple([f for f in items if f is not _TRUE]))
+    """The conjoined translations, without the conjuncts that are true.
+
+    Only a fixed atom translates to a constant, so it is read off here: a
+    true one is left out and a false one is ``_FALSE``.
+    """
+    items = []
+    for c in conditions:
+        if isinstance(c, Atom):
+            value = fixed.get((c.predicate, len(c.args)))
+            if value is not None:
+                if not value:
+                    items.append(_FALSE)
+                continue
+        items.append(_condition_to_fol(c, fixed))
+    return FAnd(tuple(items))
 
 
 def _box_to_fol(box: DRS, fixed: dict[tuple[str, int], bool]) -> FolFormula:
@@ -203,6 +215,9 @@ def _ground(f: FolFormula, env: dict[str, int], domain: range, positive: bool):
         items = tuple([_ground(i, env, domain, positive) for i in f.items])
         return ("and" if isinstance(f, FAnd) == positive else "or", items)
     if isinstance(f, (FExists, FForall)):
+        if f.body == _TRUE or f.body == _FALSE:
+            # the same constant under every assignment, and the domain is never empty
+            return _ground(f.body, env, domain, positive)
         branching = isinstance(f, FExists) == positive  # exists-like grounds to "or"
         items = []
         for values in itertools.product(domain, repeat=len(f.variables)):

@@ -46,6 +46,7 @@ even after they die, and wide contexts set off full collections mid-proof.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -402,6 +403,7 @@ class _Shared:
 
     def __init__(self) -> None:
         self.lits: list[LitNode] = []
+        self.keys: list[tuple[str, int]] = []  # (predicate, arity) of each of ``lits``
         self.positives: dict[tuple[str, int], list[LitNode]] = {}
         self.gammas: list[_GammaTemplate] = []
         self.deferred: list[_Item] = []
@@ -411,14 +413,23 @@ class _Shared:
         return len(self.lits), len(self.gammas), len(self.deferred), self.env
 
     def rewind(self, mark: tuple) -> None:
+        """Drop what was added since ``mark``.
+
+        Each predicate list the added literals touched loses as many from
+        its end as were added to it; back at the start, the index empties.
+        """
         nl, ng, nd, env = mark
-        for n in self.lits[nl:]:
-            key = (n.pred, len(n.args))
-            side = self.positives[key]
-            side.pop()
-            if not side:
-                del self.positives[key]
+        if nl == 0:
+            self.positives.clear()
+        else:
+            for key, count in Counter(self.keys[nl:]).items():
+                side = self.positives[key]
+                if count == len(side):
+                    del self.positives[key]
+                else:
+                    del side[-count:]
         del self.lits[nl:]
+        del self.keys[nl:]
         del self.gammas[ng:]
         del self.deferred[nd:]
         self.env = env
@@ -468,20 +479,40 @@ class _Engine:
         """Expand ``box`` into ``shared`` under ``label``.
 
         The work is linear in the box, so no task's node budget pays for it.
+        One loop over the conditions: an atom becomes a context literal,
+        numbered as the next node and indexed by predicate and arity, an
+        implication a universal node, and a negation or disjunction waits
+        for each task.  The box's conditions are counted at once.
         """
         self.stats.contexts.append(box)
+        per_rule = self.stats.per_rule
         env = shared.env.copy()
         if box.universe:
-            self.stats.bump("+:universe")
+            per_rule["+:universe"] = per_rule.get("+:universe", 0) + 1
             for ref in box.universe:
                 env[ref] = self.fresh_skolem(())
+        if box.conditions:
+            per_rule["+:condition"] = per_rule.get("+:condition", 0) + len(box.conditions)
+        lits, keys, positives, nodes = shared.lits, shared.keys, shared.positives, self.nodes
+        terms: dict[tuple, tuple] = {}  # argument tuples met in this box, as terms
+        new_tuple = tuple.__new__  # a LitNode from its fields, past its Python-level __new__
         for cond in box.conditions:
-            self.stats.bump("+:condition")
             if isinstance(cond, Atom):
-                self.nodes += 1
-                lit = self._lit(label, cond, env)
-                shared.lits.append(lit)
-                shared.positives.setdefault((lit.pred, len(lit.args)), []).append(lit)
+                nodes += 1
+                args = terms.get(cond.args)
+                if args is None:
+                    args = terms[cond.args] = tuple(
+                        [env[a] if a in env else Const(a.name) for a in cond.args]
+                    )
+                lit = new_tuple(LitNode, (label, cond.predicate, args, nodes))
+                lits.append(lit)
+                key = (cond.predicate, len(args))
+                keys.append(key)
+                side = positives.get(key)
+                if side is None:
+                    positives[key] = [lit]
+                else:
+                    side.append(lit)
             elif isinstance(cond, Imp):
                 shared.gammas.append(_GammaTemplate(label, "imp", cond, env))
             elif isinstance(cond, (Neg, Or)):
@@ -490,6 +521,7 @@ class _Engine:
                 raise AlphaRemaining("context boxes must be alpha-free")
             else:
                 raise TypeError("unexpected condition %r" % (cond,))
+        self.nodes = nodes
         shared.env = env
 
     # -- per-task expansion -------------------------------------------------------

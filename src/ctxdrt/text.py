@@ -1,6 +1,7 @@
 """Concrete syntax for boxes and context formulas.
 
-Grammar (whitespace-insensitive, ``#`` starts a line comment):
+Grammar (whitespace, which is space, tab, carriage return and line feed,
+separates tokens; ``#`` starts a line comment):
 
     drs   := '[' refs '|' conds ']'
     refs  := (ident (',' ident)*)?
@@ -19,9 +20,8 @@ both languages.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .drs import DRS, Alpha, Atom, Condition, Imp, Neg, Or, Referent
 from .lcon import Conj, Disj, DrsLit, Formula, In
@@ -59,157 +59,143 @@ class ParseError(Exception):
         self.expected = expected
 
 
-class _Token(NamedTuple):
-    kind: str  # one of: ident, kw, punct, eof
-    value: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
+# A token is its own text: a punctuation mark, a keyword or an identifier;
+# whitespace and comments are skipped, and any other character is an error.
+_TOKEN = re.compile(r"(=>|[\[\]()|,:&]|[a-z][a-zA-Z0-9_]*)|[ \t\r\n]+|#[^\n]*|(.)", re.S)
+_PUNCT = frozenset({"[", "]", "(", ")", "|", ",", ":", "&", "=>"})
+_NOT_IDENT = _PUNCT | KEYWORDS | {""}
 
 
-_PUNCT = {"[", "]", "(", ")", "|", ",", ":", "&"}
-_IDENT_CHARS = frozenset(string.ascii_letters + string.digits + "_")
+def _tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The token texts and their start offsets, ending with ``""`` at ``len(text)``.
 
-
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "=" and i + 1 < n and text[i + 1] == ">":
-            toks.append(_Token("punct", "=>", i, i + 2))
-            i += 2
-            continue
-        if ch in _PUNCT:
-            toks.append(_Token("punct", ch, i, i + 1))
-            i += 1
-            continue
-        if "a" <= ch <= "z":
-            j = i + 1
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(_Token(kind, word, i, j))
-            i = j
-            continue
-        raise ParseError(
-            "unexpected character %r" % ch,
-            SourceSpan(i, i + 1),
-            frozenset({"identifier", "punctuation"}),
-        )
-    toks.append(_Token("eof", "", n, n))
-    return toks
+    One compiled pattern walks the text.  Whitespace is exactly space, tab,
+    carriage return and line feed (not the rest of Python's ``\\s``), and a
+    ``#`` comment runs to the end of its line.
+    """
+    toks: list[str] = []
+    starts: list[int] = []
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            toks.append(m.group())
+            starts.append(m.start())
+        elif group:
+            i = m.start()
+            raise ParseError(
+                "unexpected character %r" % m.group(),
+                SourceSpan(i, i + 1),
+                frozenset({"identifier", "punctuation"}),
+            )
+    toks.append("")
+    starts.append(len(text))
+    return toks, starts
 
 
 class _Parser:
+    """Recursive descent over token texts.
+
+    A token's kind follows from its text (see ``_tokenize``), so the
+    parser compares strings; each distinct name becomes one ``Referent``.
+    """
+
     def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
+        self.toks, self.starts = _tokenize(text)
         self.pos = 0
+        self.refs: dict[str, Referent] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def span(self) -> SourceSpan:
+        start = self.starts[self.pos]
+        return SourceSpan(start, start + len(self.toks[self.pos]))
 
     def fail(self, expected: set[str]) -> "ParseError":
-        tok = self.peek()
-        got = tok.value if tok.kind != "eof" else "end of input"
+        got = self.toks[self.pos] or "end of input"
         return ParseError(
             "expected %s, found %r" % (" or ".join(sorted(expected)), got),
-            tok.span,
+            self.span(),
             frozenset(expected),
         )
 
-    def expect(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == value:
-            return self.next()
-        raise self.fail({value})
+    def expect(self, value: str) -> None:
+        if self.toks[self.pos] != value:
+            raise self.fail({value})
+        self.pos += 1
 
     def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return self.next().value
-        raise self.fail({"identifier"})
+        tok = self.toks[self.pos]
+        if tok in _NOT_IDENT:
+            raise self.fail({"identifier"})
+        self.pos += 1
+        return tok
+
+    def referent(self) -> Referent:
+        name = self.ident()
+        ref = self.refs.get(name)
+        if ref is None:
+            ref = self.refs[name] = Referent(name)
+        return ref
 
     def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
-
-    def at_kw(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "kw" and tok.value == word
+        return self.toks[self.pos] == value
 
     def eof(self) -> None:
-        if self.peek().kind != "eof":
+        if self.toks[self.pos]:
             raise self.fail({"end of input"})
 
     # -- boxes -------------------------------------------------------------
 
     def box(self) -> DRS:
+        toks = self.toks
         self.expect("[")
         refs: list[Referent] = []
-        if self.peek().kind == "ident":
-            refs.append(Referent(self.ident()))
-            while self.at(","):
-                self.next()
-                refs.append(Referent(self.ident()))
+        if toks[self.pos] not in _NOT_IDENT:
+            refs.append(self.referent())
+            while toks[self.pos] == ",":
+                self.pos += 1
+                refs.append(self.referent())
         self.expect("|")
         conds: list[Condition] = []
-        if not self.at("]"):
+        if toks[self.pos] != "]":
             conds.append(self.condition())
-            while self.at(","):
-                self.next()
+            while toks[self.pos] == ",":
+                self.pos += 1
                 conds.append(self.condition())
         self.expect("]")
         try:
             return DRS(tuple(refs), tuple(conds))
         except ValueError as exc:
-            raise ParseError(str(exc), self.peek().span, frozenset())
+            raise ParseError(str(exc), self.span(), frozenset())
 
     def condition(self) -> Condition:
-        if self.at_kw("not"):
-            self.next()
+        tok = self.toks[self.pos]
+        if tok == "not":
+            self.pos += 1
             return Neg(self.box())
-        if self.at_kw("alpha"):
-            self.next()
+        if tok == "alpha":
+            self.pos += 1
             self.expect(":")
             return Alpha(self.box())
-        if self.at("["):
+        if tok == "[":
             left = self.box()
-            if self.at("=>"):
-                self.next()
+            tok = self.toks[self.pos]
+            if tok == "=>":
+                self.pos += 1
                 return Imp(left, self.box())
-            if self.at_kw("or"):
-                self.next()
+            if tok == "or":
+                self.pos += 1
                 return Or(left, self.box())
             raise self.fail({"=>", "or"})
-        if self.peek().kind == "ident":
+        if tok not in _NOT_IDENT:
             return self.atom()
         raise self.fail({"identifier", "not", "alpha", "["})
 
     def atom(self) -> Atom:
         pred = self.ident()
         self.expect("(")
-        args = [Referent(self.ident())]
-        while self.at(","):
-            self.next()
-            args.append(Referent(self.ident()))
+        args = [self.referent()]
+        while self.toks[self.pos] == ",":
+            self.pos += 1
+            args.append(self.referent())
         self.expect(")")
         return Atom(pred, tuple(args))
 
@@ -218,22 +204,22 @@ class _Parser:
     def lcon(self) -> Formula:
         items = [self.lterm()]
         while self.at("|"):
-            self.next()
+            self.pos += 1
             items.append(self.lterm())
         return items[0] if len(items) == 1 else Disj(tuple(items))
 
     def lterm(self) -> Formula:
         items = [self.lfac()]
         while self.at("&"):
-            self.next()
+            self.pos += 1
             items.append(self.lfac())
         return items[0] if len(items) == 1 else Conj(tuple(items))
 
     def lfac(self) -> Formula:
         if self.at("["):
             return DrsLit(self.box())
-        if self.at_kw("in"):
-            self.next()
+        if self.at("in"):
+            self.pos += 1
             self.expect("(")
             ctx = self.box()
             self.expect(",")
@@ -242,9 +228,9 @@ class _Parser:
             try:
                 return In(ctx, body)
             except ValueError as exc:
-                raise ParseError(str(exc), self.peek().span, frozenset())
+                raise ParseError(str(exc), self.span(), frozenset())
         if self.at("("):
-            self.next()
+            self.pos += 1
             inner = self.lcon()
             self.expect(")")
             return inner

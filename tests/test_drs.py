@@ -13,8 +13,11 @@ from ctxdrt.drs import (
     BoundReferent,
     Imp,
     InvalidPath,
+    Neg,
+    Or,
     OverlappingUniverses,
     Referent,
+    _validation_report,
     accessible_referents,
     alpha_condition_paths,
     context_drs,
@@ -336,3 +339,77 @@ def test_referents_are_tuples_with_the_dataclass_repr_hash_and_order():
 
     assert Referent("x") == ("x",) == Const("x")
     assert Referent("x") != "x" and Referent("x") != Referent("y")
+
+
+def test_atoms_are_tuples_with_the_dataclass_repr_and_hash():
+    old = make_dataclass(
+        "Atom",
+        [("predicate", str), ("args", tuple)],
+        frozen=True,
+    )
+    rng = random.Random(16)
+    atoms = [
+        (rng.choice("pqrs") + rng.choice(["", "1", "_b"]), refs(*rng.sample("xyzuv", rng.randrange(1, 4))))
+        for _ in range(300)
+    ]
+    for pred, args in atoms:
+        assert repr(Atom(pred, args)) == repr(old(pred, args))
+        assert hash(Atom(pred, args)) == hash(old(pred, args))
+    assert repr(Atom("p", refs("x"))) == "Atom(predicate='p', args=(Referent('x'),))"
+    # equal hashes, so sets of conditions iterate in the same order
+    assert [tuple(a) for a in set(Atom(*a) for a in atoms)] == [
+        (a.predicate, a.args) for a in set(old(*a) for a in atoms)
+    ]
+    assert Atom("p", [Referent("x")]).args == refs("x")
+    assert Atom(predicate="p", args=refs("x")) == Atom("p", refs("x"))
+    with pytest.raises(ValueError, match="bad predicate name: 'P'"):
+        Atom("P", refs("x"))
+    with pytest.raises(ValueError, match="atoms need at least one argument"):
+        Atom("p", ())
+    # a tuple: it equals the 2-tuple of its fields
+    assert Atom("p", refs("x")) == ("p", refs("x"))
+
+
+_NAMES = refs("x", "y", "z", "u", "v")
+
+
+def _random_box(rng: random.Random, depth: int, avoid=(), shared=()) -> DRS:
+    """A small box over five names: impure, with free names, or sharing ``shared``."""
+    universe = [r for r in _NAMES if r not in avoid and rng.random() < 0.1 * (depth + 1)]
+    conds = [c for c in shared if rng.random() < 0.4]
+    for _ in range(rng.randrange(4)):
+        kind = rng.randrange(5) if depth else 0
+        if kind <= 1:
+            pred, arity = rng.choice((("p", 1), ("q", 2)))
+            conds.append(Atom(pred, tuple(rng.choice(_NAMES) for _ in range(arity))))
+        elif kind == 2:
+            conds.append(Neg(_random_box(rng, depth - 1)))
+        elif kind == 3:
+            conds.append(Imp(_random_box(rng, depth - 1), _random_box(rng, depth - 1)))
+        else:
+            conds.append(Or(_random_box(rng, depth - 1), _random_box(rng, depth - 1)))
+    rng.shuffle(conds)
+    return DRS(tuple(universe), tuple(conds))
+
+
+def test_a_report_a_merge_carries_is_the_report_of_the_merged_box():
+    rng = random.Random(17)
+    carried_count = unbound_by_other = 0
+    for _ in range(3000):
+        k1 = _random_box(rng, 2)
+        k2 = _random_box(rng, 2, avoid=k1.universe, shared=k1.conditions)
+        reports = [validate(k) for k in (k1, k2) if rng.random() < 0.85]
+        merged = merge(k1, k2)
+        carried = merged.__dict__.get("_report")
+        derivable = (
+            len(reports) == 2
+            and all(r.pure for r in reports)
+            and reports[0].bound.isdisjoint(reports[1].bound)
+        )
+        assert (carried is not None) == derivable
+        if carried is not None:
+            assert carried == _validation_report(merged)
+            assert validate(merged) is carried
+            carried_count += 1
+            unbound_by_other += bool(reports[0].free & set(k2.universe))
+    assert carried_count > 300 and unbound_by_other > 40

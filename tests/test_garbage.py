@@ -14,16 +14,9 @@ import pytest
 
 from ctxdrt import cli, drs, lcon, models, projection, tableau, text
 
-from conftest import HANK, MARRIAGE_POSTULATE
+from conftest import FAMILY_M_40, HANK, MARRIAGE_POSTULATE
 
 CASES = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
-
-# family M at m = 40: hank, the marriage postulate and 40 extra root facts
-FAMILY_M_40 = (
-    "[x | hank(x), married(x), %s,"
-    " [y | man(y)] => [ | likes(y,u), alpha:[u | wife(u), of(u,v), alpha:[v | ]]]]"
-    % ", ".join("f%d(x)" % i for i in range(40))
-)
 
 
 def _calls(source: str) -> dict:

@@ -202,6 +202,25 @@ def test_a_clash_one_level_down_decides_its_row(monkeypatch, names, status):
     assert not splits
 
 
+@pytest.mark.parametrize("quantifier", [FExists, FForall])
+@pytest.mark.parametrize("body", [FAnd(()), FOr(())], ids=["true", "false"])
+@pytest.mark.parametrize("positive", [True, False])
+def test_a_quantifier_over_a_constant_grounds_once(monkeypatch, quantifier, body, positive):
+    # the domain is never empty, so the constant under every assignment is the constant
+    constant = models._ground(body, {}, range(3), positive)
+    assert constant == (("and", ()) if isinstance(body, FAnd) == positive else ("or", ()))
+    calls = []
+    ground = models._ground
+
+    def counting(*args):
+        calls.append(args)
+        return ground(*args)
+
+    monkeypatch.setattr(models, "_ground", counting)
+    assert models._ground(quantifier(("w",), body), {}, range(3), positive) == constant
+    assert len(calls) == 2  # the quantifier and its body, not one body per assignment
+
+
 def test_sat_finds_a_clash_along_an_and_chain(monkeypatch):
     k, j = ("k", (0,)), ("j", (0,))
     chain = ("and", (("lit", k, False), ("and", (("lit", k, True), ("lit", j, True)))))

@@ -48,7 +48,7 @@ from ctxdrt.projection import (
 from ctxdrt.tableau import compare_cost, prove_lcon
 from ctxdrt.text import parse_drs, print_drs
 
-from conftest import HANK
+from conftest import FAMILY_M_40, HANK
 from gen import corpus_drs, drs_boxes, nested_alpha_boxes
 
 CORPUS_SEED = 20260808
@@ -424,9 +424,9 @@ def test_large_boxes_are_validated_once(monkeypatch, marriage_bg):
 
     monkeypatch.setattr(drs, "_validation_report", counting)
     project(parse_drs(source), marriage_bg)
-    # the premise of each of the 3 sites, the consistency premise of each
-    # of the 5 readings, and the input
-    assert 0 < len(misses) <= 9
+    # the input and the premise of each of the 3 sites; a reading's
+    # consistency premise carries the report its merge derives
+    assert 0 < len(misses) <= 4
     misses.clear()
     extraction = extract(parse_drs(source), marriage_bg)
     prove_lcon(extraction.formula, extraction.tag_positions())
@@ -436,6 +436,23 @@ def test_large_boxes_are_validated_once(monkeypatch, marriage_bg):
     # compare_cost proves only informativity: the input and the premise of
     # each of the 3 sites, and no consistency premise
     assert 0 < len(misses) <= 4
+
+
+@pytest.mark.parametrize("source", [HANK, FAMILY_M_40], ids=["hank", "family_m_40"])
+def test_project_walks_ten_boxes_however_wide_the_context(monkeypatch, marriage_bg, source):
+    # the input, the 6 accommodated boxes of the 3 sites and the 3 site
+    # premises; no reading's consistency premise is walked
+    walked = []
+    compute = drs._validation_report
+
+    def counting(box):
+        walked.append(box)
+        return compute(box)
+
+    box = parse_drs(source)
+    monkeypatch.setattr(drs, "_validation_report", counting)
+    project(box, marriage_bg)
+    assert len(walked) == 10
 
 
 def test_validation_report_is_kept_per_instance():

@@ -40,4 +40,6 @@ def test_tracer_enters_every_spanned_function_and_uninstalls():
     assert tracer.counts["tableau.naive_prove"] == 5
     assert tracer.counts["tableau.naive_rules"] == 151
     assert tracer.counts["tableau.shared_rules"] == 76
-    assert tracer.counts["tableau.unify_calls"] > 0
+    # the closure search's unification work on hank, as the benchmark counts it
+    assert tracer.counts["tableau.unify_calls"] == 691
+    assert tracer.counts["tableau.unify_hits"] == 607
