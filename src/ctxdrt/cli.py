@@ -20,7 +20,7 @@ from typing import Optional
 
 from .drs import DrsError, path_str, validate
 from .lcon import context_sharing_depth, extract
-from .models import AlphaRemaining, ResourceLimit
+from .models import AlphaRemaining
 from .projection import (
     BackgroundTheory,
     NoAdmissibleReading,
@@ -329,7 +329,7 @@ def run(config: RunConfig) -> tuple[int, str, str]:
             "",
             "error: %s (offsets %d..%d)\n" % (exc.message, exc.span.start, exc.span.end),
         )
-    except (AlphaRemaining, DrsError, ProjectionError, ResourceLimit, ValueError) as exc:
+    except (AlphaRemaining, DrsError, ProjectionError, ValueError) as exc:
         return EXIT_INPUT_ERROR, "", "error: %s\n" % exc
     if config.json_output:
         text = emit_json({"version": SCHEMA_VERSION, "command": config.command, **payload})

@@ -20,17 +20,20 @@ previous round by one more instance per universal node, instead of
 rebuilding the task's tree from its first node (the incremental deepening
 of leanTAP, Beckert & Posegga 1995).
 
-``_Engine.refute`` walks the formula spine.  The shared context material,
-the task tags and the statuses live on the engine, so a proof is one
-engine object and no closure refers back to it once the call returns.
+``_Engine.refute`` walks the formula spine.  The task tags and the
+statuses live on the engine, so a proof is one engine object and no
+closure refers back to it once the call returns.
 Inside a task one loop expands items and instances alike: each returns
 the alternatives it opens.  A refuted condition set (an instance's body or
 an implication's antecedent) is a box with an empty universe under ``-``.
 
-The spine indexes each context literal once, by predicate and arity, as
-it expands the context, and drops it again when it leaves the context.
-A task's branches hold only the literals they add, so no branch or
-deepening round copies the context or rescans it for closure pairs.
+Each ``in`` level is a value, a ``_Context`` that ``expand_context`` builds
+once from the level above: the context literals indexed by predicate and
+arity, the parent's first, their ground terms, and the universal nodes and
+waiting conditions every task at that level starts from.  The spine passes
+it down as an argument and nothing writes to it, so leaving a level undoes
+nothing.  A task's branches hold only the literals they add, so no branch
+or deepening round copies the context or rescans it for closure pairs.
 The spine decides which contexts a task sees, all on one chain, so a
 proof pairs literals without a label check; ``close_branch``, given
 free-standing literals, checks label compatibility itself.
@@ -46,7 +49,6 @@ even after they die, and wide contexts set off full collections mid-proof.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -392,54 +394,31 @@ class _Branch:
 _Item = tuple
 
 
-class _Shared:
-    """Context material accumulated along the formula spine.
+class _Context(NamedTuple):
+    """One ``in`` level: what every task refuted under ``label`` starts from.
 
     Every context literal is asserted and ground.  ``positives`` indexes
-    ``lits`` by predicate and arity, each list in ``lits`` order, so a task
-    finds its closure partners in the context without scanning it; ``mark``
-    and ``rewind`` keep both as the spine leaves a context.
+    them by predicate and arity, each list in node order, so a task finds
+    its closure partners in the context without scanning it; ``terms`` are
+    their arguments.  Built once by ``expand_context``; nothing writes to
+    it afterwards, so the levels below share it as it is.
     """
 
-    def __init__(self) -> None:
-        self.lits: list[LitNode] = []
-        self.keys: list[tuple[str, int]] = []  # (predicate, arity) of each of ``lits``
-        self.positives: dict[tuple[str, int], list[LitNode]] = {}
-        self.gammas: list[_GammaTemplate] = []
-        self.deferred: list[_Item] = []
-        self.env: dict[Referent, Term] = {}
+    label: Label  # the "-" label of the tasks at this level
+    positives: dict[tuple[str, int], list[LitNode]]
+    terms: set[Term]
+    gammas: list[_GammaTemplate]
+    deferred: list[_Item]
+    env: dict[Referent, Term]
 
-    def mark(self) -> tuple:
-        return len(self.lits), len(self.gammas), len(self.deferred), self.env
 
-    def rewind(self, mark: tuple) -> None:
-        """Drop what was added since ``mark``.
-
-        Each predicate list the added literals touched loses as many from
-        its end as were added to it; back at the start, the index empties.
-        """
-        nl, ng, nd, env = mark
-        if nl == 0:
-            self.positives.clear()
-        else:
-            for key, count in Counter(self.keys[nl:]).items():
-                side = self.positives[key]
-                if count == len(side):
-                    del self.positives[key]
-                else:
-                    del side[-count:]
-        del self.lits[nl:]
-        del self.keys[nl:]
-        del self.gammas[ng:]
-        del self.deferred[nd:]
-        self.env = env
+_ROOT = _Context(Label(0, frozenset(), "-"), {}, set(), [], [], {})
 
 
 class _Engine:
     def __init__(self, bounds: Bounds, tags: Sequence[str] = ()) -> None:
         self.bounds = bounds
         self.tags = tags  # task tags, in depth-first (spine) order
-        self.shared = _Shared()
         self.statuses: list[tuple[str, str]] = []  # (tag, status), in task order
         self.stats = ProofStats()
         self.nodes = 0  # over the whole proof; numbers the literals
@@ -475,54 +454,65 @@ class _Engine:
 
     # -- shared context expansion (once per in-wrapper) -------------------------
 
-    def expand_context(self, label: Label, box: DRS, shared: _Shared) -> None:
-        """Expand ``box`` into ``shared`` under ``label``.
+    def expand_context(self, box: DRS, outer: _Context) -> _Context:
+        """The level of ``in(box, ...)`` below ``outer``, in a fresh context.
 
-        The work is linear in the box, so no task's node budget pays for it.
-        One loop over the conditions: an atom becomes a context literal,
-        numbered as the next node and indexed by predicate and arity, an
-        implication a universal node, and a negation or disjunction waits
-        for each task.  The box's conditions are counted at once.
+        The new context can access ``outer``'s contexts and ``outer``
+        itself.  The work is linear in the box, so no task's node budget
+        pays for it.  One loop over the conditions: an atom becomes a
+        context literal, numbered as the next node and indexed by predicate
+        and arity, an implication a universal node, and a negation or
+        disjunction waits for each task.  The box's conditions are counted
+        at once.  This box's index lists then follow the parent's, key by key.
         """
+        above = outer.label
+        label = Label(self.fresh_context(), above.accessible | {above.context}, "+")
         self.stats.contexts.append(box)
         per_rule = self.stats.per_rule
-        env = shared.env.copy()
+        env = outer.env.copy()
         if box.universe:
             per_rule["+:universe"] = per_rule.get("+:universe", 0) + 1
             for ref in box.universe:
                 env[ref] = self.fresh_skolem(())
         if box.conditions:
             per_rule["+:condition"] = per_rule.get("+:condition", 0) + len(box.conditions)
-        lits, keys, positives, nodes = shared.lits, shared.keys, shared.positives, self.nodes
-        terms: dict[tuple, tuple] = {}  # argument tuples met in this box, as terms
+        positives: dict[tuple[str, int], list[LitNode]] = {}  # this box's own, at first
+        terms, gammas, deferred = outer.terms.copy(), outer.gammas.copy(), outer.deferred.copy()
+        nodes = self.nodes
+        arg_terms: dict[tuple, tuple] = {}  # argument tuples met in this box, as terms
         new_tuple = tuple.__new__  # a LitNode from its fields, past its Python-level __new__
         for cond in box.conditions:
             if isinstance(cond, Atom):
                 nodes += 1
-                args = terms.get(cond.args)
+                args = arg_terms.get(cond.args)
                 if args is None:
-                    args = terms[cond.args] = tuple(
+                    args = arg_terms[cond.args] = tuple(
                         [env[a] if a in env else Const(a.name) for a in cond.args]
                     )
+                    terms.update(args)
                 lit = new_tuple(LitNode, (label, cond.predicate, args, nodes))
-                lits.append(lit)
                 key = (cond.predicate, len(args))
-                keys.append(key)
                 side = positives.get(key)
                 if side is None:
                     positives[key] = [lit]
                 else:
                     side.append(lit)
             elif isinstance(cond, Imp):
-                shared.gammas.append(_GammaTemplate(label, "imp", cond, env))
+                gammas.append(_GammaTemplate(label, "imp", cond, env))
             elif isinstance(cond, (Neg, Or)):
-                shared.deferred.append((label, cond, env))
+                deferred.append((label, cond, env))
             elif isinstance(cond, Alpha):
                 raise AlphaRemaining("context boxes must be alpha-free")
             else:
                 raise TypeError("unexpected condition %r" % (cond,))
         self.nodes = nodes
-        shared.env = env
+        if outer.positives:
+            own, positives = positives, outer.positives.copy()
+            for key, side in own.items():
+                if key in positives:
+                    side = positives[key] + side
+                positives[key] = side
+        return _Context(label.signed("-"), positives, terms, gammas, deferred, env)
 
     # -- per-task expansion -------------------------------------------------------
 
@@ -616,11 +606,10 @@ class _Engine:
         budget: it goes on from each node's count.  The children of a
         split wait in ``children``, the next one last, and each is taken up
         once the one before it is done, so the leaves come depth-first
-        however deep the splits go.  ``stack`` ends empty.
+        however deep the splits go.
         """
         leaves: list[_Branch] = []
         children: list[tuple] = []  # (branch, stack, alternative, whether it is the last child)
-        origin = stack
         while True:
             if stack:
                 alternatives = self._step(stack.pop(), branch)
@@ -640,7 +629,6 @@ class _Engine:
             for i in range(last, -1, -1):
                 children.append((branch, stack, alternatives[i], i == last))
             if not children:
-                origin.clear()  # the last child emptied it, unless its branch closed
                 return leaves
             branch, stack, alt, is_last = children.pop()
             self.stats.branches += 1
@@ -650,27 +638,21 @@ class _Engine:
 
     # -- the formula spine ---------------------------------------------------------
 
-    def refute(self, f: Formula, label: Label) -> None:
-        """Refute a formula node under ``label``, deciding every task below it.
+    def refute(self, f: Formula, context: _Context) -> None:
+        """Refute a formula node at ``context``, deciding every task below it.
 
-        ``in(K, g)`` takes a fresh context accessible from everything above,
-        expands K into ``self.shared`` once for all of g, and rewinds it
-        afterwards; conjunctions and disjunctions pass their label to every
-        item; each box literal runs one task against the shared contexts and
-        takes the next tag, as the spine meets box literals depth-first.
+        ``in(K, g)`` builds the level of K from ``context`` once for all of
+        g; conjunctions and disjunctions pass their context to every item;
+        each box literal runs one task at its context and takes the next
+        tag, as the spine meets box literals depth-first.
         """
-        shared = self.shared
         if isinstance(f, DrsLit):
             tag = self.tags[len(self.statuses)]
-            self.statuses.append((tag, self.run_task(label, f.drs, shared, shared.env)))
+            self.statuses.append((tag, self.run_task(f.drs, context)))
             return
         if isinstance(f, In):
-            inner = Label(self.fresh_context(), label.accessible | {label.context}, "+")
             self.stats.bump("-:in")
-            mark = shared.mark()
-            self.expand_context(inner, f.context, shared)
-            self.refute(f.body, inner.signed("-"))
-            shared.rewind(mark)
+            self.refute(f.body, self.expand_context(f.context, context))
             return
         if isinstance(f, Conj):
             self.stats.bump("-:conj")
@@ -679,7 +661,7 @@ class _Engine:
         else:
             raise TypeError("cannot prove %r" % (f,))
         for item in f.items:
-            self.refute(item, label)
+            self.refute(item, context)
 
     # -- closure ---------------------------------------------------------------------
 
@@ -729,8 +711,8 @@ class _Engine:
                 return found
         return None
 
-    def run_task(self, label: Label, goal: DRS, shared: _Shared, env: dict) -> str:
-        """Decide one entailment question against the shared contexts.
+    def run_task(self, goal: DRS, context: _Context) -> str:
+        """Decide whether ``context`` entails ``goal``, refuting it there.
 
         The task may build ``depth_limit`` nodes from its own start and take
         ``depth_limit`` closure-search steps, so its verdict does not depend
@@ -744,26 +726,27 @@ class _Engine:
         further variants could not enable new closures.  A count grows
         only while it is below the budget, and ``_saturate`` ends only when
         none is, so every node of an open branch has ``budget`` instances.
-        The shared contexts do not change while the task runs, so their
-        terms are collected once, and each round adds the branches' terms.
+        Each round adds the branches' ground terms to the context's.  The
+        first branch starts from the goal and the waiting conditions; a
+        resumed branch has expanded all its items, so it gets an empty stack.
         """
         self.node_limit = self.nodes + self.bounds.depth_limit
         self.closure_steps = 0
-        branches = [_Branch([], (), shared.gammas.copy())]
-        stack: list[_Item] = [(label.signed("-"), goal, env), *reversed(shared.deferred)]
-        context_terms = {arg for n in shared.lits for arg in n.args}  # ground, fixed for the task
+        branches = [_Branch([], (), context.gammas.copy())]
+        stack: list[_Item] = [(context.label, goal, context.env), *reversed(context.deferred)]
         for budget in range(self.bounds.gamma_limit + 1):
             try:
                 deeper: list[_Branch] = []
                 for branch in branches:
                     deeper.extend(self._saturate(branch, stack, budget))
+                    stack = []
                 branches = deeper
                 if not branches:
                     return CLOSED
                 closing = None
                 branch_pairs = []
                 for branch in branches:
-                    pairs = _closure_pairs(shared.positives, branch.lits)
+                    pairs = _closure_pairs(context.positives, branch.lits)
                     if not pairs:
                         break
                     branch_pairs.append((len(pairs), pairs))
@@ -774,7 +757,7 @@ class _Engine:
             if closing is not None:
                 self.stats.closures += len(branches)
                 return CLOSED
-            terms = set(context_terms)
+            terms = context.terms.copy()
             for arg in {arg for b in branches for n in b.lits for arg in n.args} - terms:
                 _add_ground(arg, terms)
             ground = max(1, len(terms))
@@ -800,7 +783,7 @@ def prove_lcon(
     """
     position_tags = {**auto_tag_positions(formula), **(tags or {})}
     engine = _Engine(bounds, list(position_tags.values()))
-    engine.refute(formula, Label(0, frozenset(), "-"))
+    engine.refute(formula, _ROOT)
     return Verdict(tuple(engine.statuses)), engine.stats
 
 

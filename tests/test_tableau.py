@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ctxdrt import tableau
+from ctxdrt.drs import Atom
 from ctxdrt.lcon import Conj, Disj, In, auto_tag_positions, extract
 from ctxdrt.projection import BackgroundTheory, InferenceTask
 from ctxdrt.tableau import (
@@ -37,7 +38,7 @@ from ctxdrt.tableau import (
 )
 from ctxdrt.text import parse_drs, parse_lcon, print_condition
 
-from conftest import CONTENTLESS
+from conftest import CONTENTLESS, FAMILY_M_40, HANK
 from gen import alpha_free_boxes, alpha_free_lcon_formulas, corpus_drs
 
 
@@ -159,30 +160,73 @@ def random_branch(rng, context, count, counter):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(alpha_free_boxes, min_size=1, max_size=4), st.randoms(use_true_random=False))
 def test_spine_index_matches_flat_scan(boxes, rng):
-    # the spine indexes each context once: closure pairs must come out as
-    # the flat scan over context + branch gives them, and leaving a context
-    # must restore the index exactly
+    # the spine indexes each context once: the index must hold the boxes'
+    # atoms, numbered in order from the nodes before each level, and closure
+    # pairs must come out as the flat scan over context + branch gives them
     engine = _Engine(Bounds())
-    shared = engine.shared
-    label = Label(0, frozenset(), "-")
-    marks = []
+    context = tableau._ROOT
+    flat = []
     for box in boxes:
-        marks.append((shared.mark(), {k: v.copy() for k, v in shared.positives.items()}))
-        label = Label(engine.fresh_context(), label.accessible | {label.context}, "+")
-        engine.expand_context(label, box, shared)
-        for n in shared.lits:
-            assert n.label.polarity == "+"
+        start = engine.nodes
+        context = engine.expand_context(box, context)
+        label = context.label.signed("+")
+        atoms = [c for c in box.conditions if isinstance(c, Atom)]
+        for index, atom in enumerate(atoms, start + 1):
+            args = tuple(context.env.get(a, Const(a.name)) for a in atom.args)
+            flat.append(LitNode(label, atom.predicate, args, index))
+        assert engine.nodes == start + len(atoms)
+        for side in context.positives.values():
+            assert side == sorted(side, key=lambda n: n.index)
+        indexed = [n for side in context.positives.values() for n in side]
+        assert sorted(indexed, key=lambda n: n.index) == flat
+        for n in flat:
             assert set(n.args) <= plain_ground_terms([n])
+        assert context.terms == plain_ground_terms(flat)
         counter = itertools.count(engine.nodes + 1)
         for _ in range(5):
-            branch = random_branch(rng, shared.lits, rng.randrange(8), counter)
-            assert _closure_pairs(shared.positives, branch) == plain_closure_pairs(
-                shared.lits + branch
-            )
-    for mark, positives in reversed(marks):
-        shared.rewind(mark)
-        assert shared.positives == positives
-    assert shared.lits == [] and shared.positives == {}
+            branch = random_branch(rng, flat, rng.randrange(8), counter)
+            assert _closure_pairs(context.positives, branch) == plain_closure_pairs(flat + branch)
+
+
+def snapshot(context):
+    """A copy of everything a context record holds, down to its index lists."""
+    return (
+        context.label,
+        {key: side.copy() for key, side in context.positives.items()},
+        context.terms.copy(),
+        context.gammas.copy(),
+        context.deferred.copy(),
+        context.env.copy(),
+    )
+
+
+def prove_checking_contexts(formula, tags=None, bounds=Bounds()):
+    """``prove_lcon``, asserting afterwards that no context record changed."""
+    built = [(tableau._ROOT, snapshot(tableau._ROOT))]
+    expand = _Engine.expand_context
+
+    def recording(self, box, outer):
+        context = expand(self, box, outer)
+        built.append((context, snapshot(context)))
+        return context
+
+    with mock.patch.object(_Engine, "expand_context", recording):
+        prove_lcon(formula, tags, bounds)
+    for context, before in built:
+        assert snapshot(context) == before
+    return len(built) - 1
+
+
+@pytest.mark.parametrize("source", [HANK, FAMILY_M_40], ids=["hank", "family_m_40"])
+def test_a_context_is_never_changed_below_it(source, marriage_bg):
+    extraction = extract(parse_drs(source), marriage_bg)
+    assert prove_checking_contexts(extraction.formula, extraction.tag_positions()) >= 2
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(alpha_free_lcon_formulas)
+def test_no_context_of_a_formula_is_changed_below_it(formula):
+    prove_checking_contexts(formula, None, Bounds(gamma_limit=2, depth_limit=2000))
 
 
 def reference_close_all(engine, branch_pairs, subst):
@@ -258,18 +302,19 @@ def test_pruned_closure_search_matches_full_scan(monkeypatch):
     assert calls["pruned"] < calls["reference"]
 
 
-def reference_run_task(self, label, goal, shared, env):
+def reference_run_task(self, goal, context):
     """Deepening as it was before: rebuild every branch from nothing at each budget."""
     self.node_limit = self.nodes + self.bounds.depth_limit
     self.closure_steps = 0
+    context_lits = [n for side in context.positives.values() for n in side]
     for budget in range(self.bounds.gamma_limit + 1):
-        branch0 = _Branch([], (), shared.gammas.copy())
-        stack = [(label.signed("-"), goal, env), *reversed(shared.deferred)]
+        branch0 = _Branch([], (), context.gammas.copy())
+        stack = [(context.label, goal, context.env), *reversed(context.deferred)]
         try:
             branches = self._saturate(branch0, stack, budget)
             if not branches:
                 return CLOSED
-            branch_pairs = [_closure_pairs(shared.positives, b.lits) for b in branches]
+            branch_pairs = [_closure_pairs(context.positives, b.lits) for b in branches]
             closing = None
             if all(branch_pairs):
                 closing = self._close_all([(len(p), p) for p in branch_pairs], {})
@@ -278,7 +323,7 @@ def reference_run_task(self, label, goal, shared, env):
         if closing is not None:
             self.stats.closures += len(branches)
             return CLOSED
-        lits = shared.lits + [n for b in branches for n in b.lits]
+        lits = context_lits + [n for b in branches for n in b.lits]
         ground = max(1, len(plain_ground_terms(lits)))
         gammas = [(t, count) for b in branches for t, count in zip(b.gammas, b.counts)]
         if all(count >= ground ** len(t.universe) for t, count in gammas):
@@ -286,15 +331,27 @@ def reference_run_task(self, label, goal, shared, env):
     return OPEN_BOUNDED
 
 
-def test_saturate_empties_its_stack_when_the_last_child_closes():
-    # every branch of a round resumes with the same (empty) stack, so items
-    # left pending under a closed last child must not leak to the next branch
+def test_saturate_keeps_the_open_leaf_when_the_last_child_closes():
+    # the last child takes over its parent's stack; when it closes, the
+    # first child's leaf is still returned, with only its own literals
     engine = _Engine(Bounds())
     box = parse_drs("[ | [ | p(a)] or [ | not [ | ]], q(a)]")  # refuting [ | ] closes
     stack = [(Label(1, frozenset({0}), "+"), box, {})]
     leaves = engine._saturate(_Branch([], (), []), stack, 0)
-    assert stack == []
     assert [[n.pred for n in leaf.lits] for leaf in leaves] == [["p", "q"]]
+
+
+def test_a_resumed_branch_expands_its_items_once():
+    # the context's disjunction splits before the goal is expanded, and its
+    # last child closes with the goal still pending; the open branch resumes
+    # at budget 1 and must not meet the goal again.  Three refuted boxes:
+    # the goal, the negated [ | ] and the implication instance's antecedent.
+    context = "[ | [ | p(a)] or [ | not [ | ]], [m | r(m)] => [ | s(m)]]"
+    formula = parse_lcon("in(%s, [ | t(a)])" % context)
+    verdict, stats = prove_lcon(formula)
+    assert verdict["t1"] == OPEN_SATURATED
+    assert stats.per_rule["gamma:imp"] == 1
+    assert stats.per_rule["-:condition"] == 3
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -405,7 +462,7 @@ def test_node_budget_accounting_on_hank(with_bg, nodes, rules, imp_instances, ha
     # instance is a node of its own, besides the items it opens
     formula = extract(hank, marriage_bg if with_bg else BackgroundTheory()).formula
     engine = _Engine(Bounds(), list(auto_tag_positions(formula).values()))
-    engine.refute(formula, Label(0, frozenset(), "-"))
+    engine.refute(formula, tableau._ROOT)
     assert engine.nodes == nodes
     assert engine.stats.rule_applications == rules
     assert engine.stats.per_rule.get("gamma:imp", 0) == imp_instances
@@ -421,9 +478,10 @@ def test_spine_labels_nest_with_fresh_contexts(hank, marriage_bg, monkeypatch):
     seen: list[Label] = []
     expand = _Engine.expand_context
 
-    def recording(self, label, box, shared):
-        seen.append(label)
-        return expand(self, label, box, shared)
+    def recording(self, box, outer):
+        context = expand(self, box, outer)
+        seen.append(context.label)
+        return context
 
     monkeypatch.setattr(_Engine, "expand_context", recording)
     extraction = extract(hank, marriage_bg)
@@ -546,6 +604,58 @@ def test_deepening_in_place_saves_rule_applications(hank, marriage_bg):
         assert in_place <= reference
         saved += reference - in_place
     assert saved > 0
+
+
+def possessive(t):
+    """'Every man<t> likes his wife', as the benchmark families write it."""
+    return (
+        "[y{0} | man{0}(y{0})] => [ | likes(y{0},u{0}),"
+        " alpha:[u{0} | wife(u{0}), of(u{0},v{0}), alpha:[v{0} | ]]]"
+    ).format(t)
+
+
+def family_m(m, rng):
+    """Hank with ``m`` extra unary root facts, in seeded order (family M)."""
+    facts = ["f%d_%d(x)" % (i, rng.randrange(1000)) for i in range(m)]
+    conds = ["hank(x)", "married(x)"] + facts
+    rng.shuffle(conds)
+    return parse_drs("[x | %s]" % ", ".join(conds + [possessive("")]))
+
+
+def family_k(k, rng):
+    """Hank is married, then ``k`` sentences 'every man_i likes his wife' (family K)."""
+    sentences = [possessive(t) for t in rng.sample(range(100), k)]
+    return parse_drs("[x | %s]" % ", ".join(["hank(x)", "married(x)"] + sentences))
+
+
+def cost(report):
+    """Rule applications and context-condition expansions, shared then per task."""
+    shared, naive = report.shared_stats, report.naive_stats
+    return (
+        shared.rule_applications,
+        naive.rule_applications,
+        sum(shared.context_condition_expansions.values()),
+        sum(naive.context_condition_expansions.values()),
+    )
+
+
+@pytest.mark.parametrize("m", [0, 40, 320])
+def test_family_m_cost_laws(m, marriage_bg):
+    # the shared proof expands the m facts once, the per-task route once for
+    # each of the 5 readings; any change to the prover's work shows here
+    report = compare_cost(family_m(m, random.Random(m)))
+    assert cost(report) == (26 + m, 55 + 5 * m, 3 + m, 14 + 5 * m)
+    assert report.agreement
+    report = compare_cost(family_m(m, random.Random(m)), marriage_bg)
+    assert cost(report) == (76 + m, 151 + 5 * m, 4 + m, 19 + 5 * m)
+    assert report.agreement
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_family_k_cost_laws(k, marriage_bg):
+    report = compare_cost(family_k(k, random.Random(k)), marriage_bg)
+    assert cost(report)[:2] == (70 * k + 6, 151 * k)
+    assert report.agreement
 
 
 def test_compare_ratio_is_one_without_shared_context():
