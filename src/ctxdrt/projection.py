@@ -352,9 +352,14 @@ def site_premises(
     the site's own assertable content: the running merge of
     ``site_contents``.  The condition housing the alpha at each level is
     not assertable, and an antecedent is listed before its consequent, so
-    this is the context box's content in its order.
+    this is the context box's content in its order.  Each content is
+    validated before the merge, so every later premise, and every merge
+    of a premise with a validated box, carries the report its merge
+    derives instead of being walked.
     """
     contents = site_contents(root, alpha_path, bg)
+    for _, content in contents:
+        validate(content)
     premises = itertools.accumulate([content for _, content in contents], merge)
     return dict(zip([site_path for site_path, _ in contents], premises))
 

@@ -40,6 +40,8 @@ free-standing literals, checks label compatibility itself.
 Every task gets its own node and closure-step budgets, counted from its
 start; expanding a context on the spine is charged to no task, so a
 verdict does not depend on where its task sits in the proof.
+A task never instantiates a universal node with a pure disjunct, one
+whose literals meet no complement anywhere in the task (see ``run_task``).
 
 Proof state is copied with ``.copy()`` and literals: CPython's ``dict()``
 and ``list()`` constructors and ``tuple()`` over a generator allocate past
@@ -357,6 +359,71 @@ class _ClosureExceeded(Exception):
     pass
 
 
+_FLIP = {"+": "-", "-": "+"}
+
+
+def _signed_keys(cond: Union[DRS, Atom, Neg, Imp, Or], sign: str, keys: set) -> bool:
+    """Add to ``keys`` the (predicate, arity, sign) of every literal that
+    ``cond`` under ``sign`` can put on a branch.
+
+    Returns whether those literals, all true, make ``cond`` true under its
+    sign.  A refuted box, an asserted implication and an asserted
+    disjunction hold by one of their parts, the others by all of them; so
+    ``-[ | ]`` is false however its (no) literals are set.
+    """
+    if isinstance(cond, Atom):
+        keys.add((cond.predicate, len(cond.args), sign))
+        return True
+    if isinstance(cond, Neg):
+        return _signed_keys(cond.body, _FLIP[sign], keys)
+    if isinstance(cond, DRS):
+        parts = [_signed_keys(c, sign, keys) for c in cond.conditions]
+        return all(parts) if sign == "+" else any(parts)
+    if isinstance(cond, Imp):
+        flipped = _FLIP[sign]
+        parts = [_signed_keys(c, flipped, keys) for c in cond.antecedent.conditions]
+        parts.append(_signed_keys(cond.consequent, sign, keys))
+        return any(parts) if sign == "+" else all(parts)
+    if isinstance(cond, Or):
+        left = _signed_keys(cond.left, sign, keys)
+        right = _signed_keys(cond.right, sign, keys)
+        return left or right if sign == "+" else left and right
+    if isinstance(cond, Alpha):
+        raise AlphaRemaining("anaphoric material reached the prover")
+    raise TypeError("cannot expand %r" % (cond,))
+
+
+def _node_keys(payload: Union[Imp, DRS]) -> tuple[frozenset, tuple]:
+    """The keys of a universal node's literals, and those that could close
+    against each of its disjuncts.
+
+    An implication's instance holds by one of its antecedent's conditions
+    refuted or by its consequent asserted; a box's by one of its
+    conditions refuted.  A disjunct that its own literals cannot make true
+    is left out of the second part, so it never counts as pure.  The first
+    part is also what a refuted box's conditions can add, as a goal.  Kept
+    on the payload, which is immutable, as ``validate`` keeps its report.
+    """
+    found = payload.__dict__.get("_node_keys")
+    if found is not None:
+        return found
+    if isinstance(payload, Imp):
+        parts = [(c, "-") for c in payload.antecedent.conditions]
+        parts.append((payload.consequent, "+"))
+    else:
+        parts = [(c, "-") for c in payload.conditions]
+    literals: set = set()
+    complements = []
+    for part, sign in parts:
+        keys: set = set()
+        if _signed_keys(part, sign, keys):
+            complements.append(tuple([(pred, arity, _FLIP[s]) for pred, arity, s in keys]))
+        literals |= keys
+    found = (frozenset(literals), tuple(complements))
+    object.__setattr__(payload, "_node_keys", found)
+    return found
+
+
 @dataclass(frozen=True)
 class _GammaTemplate:
     """A universal-strength node, instantiable with fresh free variables."""
@@ -400,8 +467,10 @@ class _Context(NamedTuple):
     Every context literal is asserted and ground.  ``positives`` indexes
     them by predicate and arity, each list in node order, so a task finds
     its closure partners in the context without scanning it; ``terms`` are
-    their arguments.  Built once by ``expand_context``; nothing writes to
-    it afterwards, so the levels below share it as it is.
+    their arguments.  ``signs`` holds the (predicate, arity, sign) of every
+    literal the universal nodes and waiting conditions can add.  Built
+    once by ``expand_context``; nothing writes to it afterwards, so the
+    levels below share it as it is.
     """
 
     label: Label  # the "-" label of the tasks at this level
@@ -410,9 +479,10 @@ class _Context(NamedTuple):
     gammas: list[_GammaTemplate]
     deferred: list[_Item]
     env: dict[Referent, Term]
+    signs: set[tuple[str, int, str]]
 
 
-_ROOT = _Context(Label(0, frozenset(), "-"), {}, set(), [], [], {})
+_ROOT = _Context(Label(0, frozenset(), "-"), {}, set(), [], [], {}, set())
 
 
 class _Engine:
@@ -424,6 +494,7 @@ class _Engine:
         self.nodes = 0  # over the whole proof; numbers the literals
         self.node_limit = bounds.depth_limit  # run_task sets it per task
         self.closure_steps = 0
+        self.signature: tuple = ({}, set())  # (positives, signs) of the running task
         self._var = 0
         self._skolem = 0
         self._context = 0
@@ -478,6 +549,7 @@ class _Engine:
             per_rule["+:condition"] = per_rule.get("+:condition", 0) + len(box.conditions)
         positives: dict[tuple[str, int], list[LitNode]] = {}  # this box's own, at first
         terms, gammas, deferred = outer.terms.copy(), outer.gammas.copy(), outer.deferred.copy()
+        signs = outer.signs.copy()
         nodes = self.nodes
         arg_terms: dict[tuple, tuple] = {}  # argument tuples met in this box, as terms
         new_tuple = tuple.__new__  # a LitNode from its fields, past its Python-level __new__
@@ -499,8 +571,10 @@ class _Engine:
                     side.append(lit)
             elif isinstance(cond, Imp):
                 gammas.append(_GammaTemplate(label, "imp", cond, env))
+                signs |= _node_keys(cond)[0]
             elif isinstance(cond, (Neg, Or)):
                 deferred.append((label, cond, env))
+                _signed_keys(cond, "+", signs)
             elif isinstance(cond, Alpha):
                 raise AlphaRemaining("context boxes must be alpha-free")
             else:
@@ -512,7 +586,7 @@ class _Engine:
                 if key in positives:
                     side = positives[key] + side
                 positives[key] = side
-        return _Context(label.signed("-"), positives, terms, gammas, deferred, env)
+        return _Context(label.signed("-"), positives, terms, gammas, deferred, env, signs)
 
     # -- per-task expansion -------------------------------------------------------
 
@@ -543,7 +617,9 @@ class _Engine:
                 return [[(label, c, env2) for c in payload.conditions]]
             if payload.universe:
                 self.stats.bump("-:universe")
-                branch.add_gamma(_GammaTemplate(label, "drs", payload, env))
+                template = _GammaTemplate(label, "drs", payload, env)
+                if not self._useless(template):
+                    branch.add_gamma(template)
                 return None
             self.stats.bump("-:condition")
             return [[(label, c, env)] for c in payload.conditions]
@@ -554,7 +630,9 @@ class _Engine:
         if isinstance(payload, Imp):
             if sign == "+":
                 self.stats.bump("+:imp")
-                branch.add_gamma(_GammaTemplate(label, "imp", payload, env))
+                template = _GammaTemplate(label, "imp", payload, env)
+                if not self._useless(template):
+                    branch.add_gamma(template)
                 return None
             self.stats.bump("-:imp")
             env2 = env.copy()
@@ -571,6 +649,17 @@ class _Engine:
         if isinstance(payload, Alpha):
             raise AlphaRemaining("anaphoric material reached the prover")
         raise TypeError("cannot expand %r" % (payload,))
+
+    def _useless(self, template: _GammaTemplate) -> bool:
+        """Whether a disjunct of the node can meet no complement in this task."""
+        positives, signs = self.signature
+        for keys in _node_keys(template.payload)[1]:
+            for key in keys:
+                if key in signs or key[2] == "+" and key[:2] in positives:
+                    break
+            else:
+                return True
+        return False
 
     def _instantiate(self, i: int, branch: _Branch) -> Sequence[Sequence[_Item]]:
         """One fresh-variable instance of the branch's ``i``-th universal node.
@@ -729,10 +818,27 @@ class _Engine:
         Each round adds the branches' ground terms to the context's.  The
         first branch starts from the goal and the waiting conditions; a
         resumed branch has expanded all its items, so it gets an empty stack.
+
+        No universal node that a pure disjunct satisfies is instantiated
+        (the pure-literal rule of Davis & Putnam 1960, as SETHEO's purity
+        reduction applies it to tableau nodes).  The task's signature is
+        the (predicate, arity, sign) of every literal it can hold: the
+        context's positives and ``signs``, and the refuted goal's.  A
+        disjunct is pure when no literal it can add has its complement in
+        the signature, and its own literals, all true, make it true; an
+        empty consequent is such a disjunct.  Dropping the node changes no
+        verdict.  Make every pure key true everywhere: the node then holds,
+        and no other formula loses a model, since none carries a pure key's
+        complement, so an ``open_saturated`` branch still gives a model of
+        the whole task.  A closed tableau that uses the node has a closed
+        one without it, because the pure child's subtree closes without its
+        pure literals, which meet no complement.
         """
         self.node_limit = self.nodes + self.bounds.depth_limit
         self.closure_steps = 0
-        branches = [_Branch([], (), context.gammas.copy())]
+        self.signature = (context.positives, context.signs | _node_keys(goal)[0])
+        gammas = [t for t in context.gammas if not self._useless(t)]
+        branches = [_Branch([], (), gammas)]
         stack: list[_Item] = [(context.label, goal, context.env), *reversed(context.deferred)]
         for budget in range(self.bounds.gamma_limit + 1):
             try:

@@ -441,18 +441,31 @@ def test_large_boxes_are_validated_once(monkeypatch, marriage_bg):
 @pytest.mark.parametrize("source", [HANK, FAMILY_M_40], ids=["hank", "family_m_40"])
 def test_project_walks_ten_boxes_however_wide_the_context(monkeypatch, marriage_bg, source):
     # the input, the 6 accommodated boxes of the 3 sites and the 3 site
-    # premises; no reading's consistency premise is walked
+    # contents; the root's premise is its content, and no other premise and
+    # no reading's consistency premise is walked, so the root's facts are
+    # walked twice: in the input and in the root's content
     walked = []
+    premises = []
     compute = drs._validation_report
+    build = projection.site_premises
 
     def counting(box):
         walked.append(box)
         return compute(box)
 
+    def recording(*args):
+        out = build(*args)
+        premises.extend(out.values())
+        return out
+
     box = parse_drs(source)
     monkeypatch.setattr(drs, "_validation_report", counting)
+    monkeypatch.setattr(projection, "site_premises", recording)
     project(box, marriage_bg)
     assert len(walked) == 10
+    assert len(premises) == 3
+    assert not any(premise is b for premise in premises[1:] for b in walked)
+    assert sum(Atom("hank", (Referent("x"),)) in b.conditions for b in walked) == 2
 
 
 def test_validation_report_is_kept_per_instance():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ctxdrt import tableau
 from ctxdrt.drs import Atom
 from ctxdrt.lcon import Conj, Disj, In, auto_tag_positions, extract
-from ctxdrt.projection import BackgroundTheory, InferenceTask
+from ctxdrt.projection import BackgroundTheory, InferenceTask, project
 from ctxdrt.tableau import (
     CLOSED,
     OPEN_BOUNDED,
@@ -197,6 +197,7 @@ def snapshot(context):
         context.gammas.copy(),
         context.deferred.copy(),
         context.env.copy(),
+        context.signs.copy(),
     )
 
 
@@ -302,8 +303,16 @@ def test_pruned_closure_search_matches_full_scan(monkeypatch):
     assert calls["pruned"] < calls["reference"]
 
 
+def unpruned():
+    """The search without the pure-literal rule: every universal node is instantiated."""
+    return mock.patch.object(_Engine, "_useless", lambda self, template: False)
+
+
 def reference_run_task(self, goal, context):
-    """Deepening as it was before: rebuild every branch from nothing at each budget."""
+    """Deepening as it was before: rebuild every branch from nothing at each budget.
+
+    Run it ``unpruned()``: it sets no task signature.
+    """
     self.node_limit = self.nodes + self.bounds.depth_limit
     self.closure_steps = 0
     context_lits = [n for side in context.positives.values() for n in side]
@@ -346,12 +355,64 @@ def test_a_resumed_branch_expands_its_items_once():
     # last child closes with the goal still pending; the open branch resumes
     # at budget 1 and must not meet the goal again.  Three refuted boxes:
     # the goal, the negated [ | ] and the implication instance's antecedent.
-    context = "[ | [ | p(a)] or [ | not [ | ]], [m | r(m)] => [ | s(m)]]"
+    # The consequent asserts r, so neither side of the implication is pure.
+    context = "[ | [ | p(a)] or [ | not [ | ]], [m | r(m)] => [ | s(m), r(m)]]"
     formula = parse_lcon("in(%s, [ | t(a)])" % context)
     verdict, stats = prove_lcon(formula)
     assert verdict["t1"] == OPEN_SATURATED
     assert stats.per_rule["gamma:imp"] == 1
     assert stats.per_rule["-:condition"] == 3
+
+
+@pytest.mark.parametrize(
+    "context",
+    [
+        # nothing refutes s, so asserting the consequent satisfies the node
+        "[g | r(g), s(g), [m | r(m)] => [ | s(m)]]",
+        # nothing asserts r, so refuting the antecedent satisfies the node
+        "[g | s(g), not [ | r(g)], [m | r(m)] => [ | s(m)]]",
+    ],
+)
+def test_a_pure_node_gets_no_instance(context):
+    # the node's pure side can be made true everywhere, so it never helps
+    # a closure: the search without the rule instantiates it in vain
+    formula = parse_lcon("in(%s, [ | t(g)])" % context)
+    with unpruned():
+        verdict, stats = prove_lcon(formula)
+    assert verdict["t1"] == OPEN_SATURATED
+    assert stats.per_rule["gamma:imp"] == 1
+    verdict, stats = prove_lcon(formula)
+    assert verdict["t1"] == OPEN_SATURATED
+    assert not any(rule.startswith("gamma:") for rule in stats.per_rule)
+
+
+def test_a_node_the_goal_refutes_is_instantiated():
+    # only the goal refutes s, so the consequent is not pure in this task
+    formula = parse_lcon("in([g | r(g), [m | r(m)] => [ | s(m)]], [ | s(g)])")
+    verdict, stats = prove_lcon(formula)
+    assert verdict["t1"] == CLOSED
+    assert stats.per_rule["gamma:imp"] == 1
+
+
+def test_a_false_disjunct_is_never_pure():
+    # refuting [ | ] => [ | ] closes at once, however its (no) literals are
+    # set: that side cannot be made true, so the node must still be used
+    formula = parse_lcon("in([g | [ | [ | ] => [ | ]] => [ | s(g)]], [ | s(g)])")
+    assert prove_lcon(formula)[0]["t1"] == CLOSED
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(alpha_free_lcon_formulas)
+def test_pure_nodes_change_no_decided_verdict(formula):
+    # every verdict the search without the rule decides stays as it is; only
+    # a task it left open_bounded may become decided
+    bounds = Bounds(gamma_limit=2, depth_limit=2000)
+    with unpruned():
+        expected, _ = prove_lcon(formula, None, bounds)
+    verdict, _ = prove_lcon(formula, None, bounds)
+    for (tag, want), (_, got) in zip(expected.statuses, verdict.statuses):
+        if want != OPEN_BOUNDED:
+            assert got == want, tag
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -361,7 +422,7 @@ def test_deepening_in_place_decides_as_rebuilding_does(formula):
     # task the rebuilding loop decides, the same way; only a task the
     # rebuilding loop left open_bounded may become decided
     bounds = Bounds(gamma_limit=2, depth_limit=2000)
-    with mock.patch.object(_Engine, "run_task", reference_run_task):
+    with unpruned(), mock.patch.object(_Engine, "run_task", reference_run_task):
         expected, _ = prove_lcon(formula, None, bounds)
     verdict, _ = prove_lcon(formula, None, bounds)
     for (tag, want), (_, got) in zip(expected.statuses, verdict.statuses):
@@ -455,11 +516,16 @@ def test_inconsistent_premise_entails_anything():
 
 
 @pytest.mark.parametrize(
-    "with_bg, nodes, rules, imp_instances", [(False, 41, 26, 0), (True, 139, 76, 7)]
+    "with_bg, nodes, rules, imp_instances", [(False, 6, 12, 0), (True, 139, 76, 7)]
 )
 def test_node_budget_accounting_on_hank(with_bg, nodes, rules, imp_instances, hank, marriage_bg):
     # the node count decides where depth_limit trips; an implication's
-    # instance is a node of its own, besides the items it opens
+    # instance is a node of its own, besides the items it opens.  Without
+    # the background: the spine's 2 in, 1 conjunction and 1 disjunction
+    # rules; 3 + 2 rules and 2 + 1 literal nodes for the two context boxes;
+    # and per task one -:universe rule and its node for the goal
+    # [u | wife(u), of(u,_)], whose conditions meet no asserted wife or of,
+    # so the goal is never instantiated: 12 rules, 6 nodes.
     formula = extract(hank, marriage_bg if with_bg else BackgroundTheory()).formula
     engine = _Engine(Bounds(), list(auto_tag_positions(formula).values()))
     engine.refute(formula, tableau._ROOT)
@@ -598,7 +664,7 @@ def test_deepening_in_place_saves_rule_applications(hank, marriage_bg):
         if extraction.formula is None:
             continue
         args = extraction.formula, extraction.tag_positions()
-        with mock.patch.object(_Engine, "run_task", reference_run_task):
+        with unpruned(), mock.patch.object(_Engine, "run_task", reference_run_task):
             reference = prove_lcon(*args)[1].rule_applications
         in_place = prove_lcon(*args)[1].rule_applications
         assert in_place <= reference
@@ -642,9 +708,11 @@ def cost(report):
 @pytest.mark.parametrize("m", [0, 40, 320])
 def test_family_m_cost_laws(m, marriage_bg):
     # the shared proof expands the m facts once, the per-task route once for
-    # each of the 5 readings; any change to the prover's work shows here
+    # each of the 5 readings; any change to the prover's work shows here.
+    # Without the postulate nothing asserts wife or of, so no goal is
+    # instantiated: each task costs its one -:universe rule
     report = compare_cost(family_m(m, random.Random(m)))
-    assert cost(report) == (26 + m, 55 + 5 * m, 3 + m, 14 + 5 * m)
+    assert cost(report) == (12 + m, 29 + 5 * m, 3 + m, 14 + 5 * m)
     assert report.agreement
     report = compare_cost(family_m(m, random.Random(m)), marriage_bg)
     assert cost(report) == (76 + m, 151 + 5 * m, 4 + m, 19 + 5 * m)
@@ -656,6 +724,16 @@ def test_family_k_cost_laws(k, marriage_bg):
     report = compare_cost(family_k(k, random.Random(k)), marriage_bg)
     assert cost(report)[:2] == (70 * k + 6, 151 * k)
     assert report.agreement
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_family_k_readings_are_all_decided(k, marriage_bg):
+    # each sentence keeps two readings of "his wife", the man's wife in the
+    # antecedent or in the consequent; Hank's wife is entailed by the
+    # postulate, so every reading about him fails, and no check is unknown
+    outcome = project(family_k(k, random.Random(k)), marriage_bg)
+    assert len(outcome.survivors) == 2**k
+    assert not any(check.verdict.unknown for check in outcome.checks)
 
 
 def test_compare_ratio_is_one_without_shared_context():
