@@ -8,7 +8,8 @@ over each candidate domain and handed to a small splitting SAT check
 with unit propagation, so a box of n root facts costs a few passes over
 its grounding rather than n nested ones.
 
-Two reductions, read off the boxes in one walk before translation, keep
+Each question is one box (``_combined_box``), which ``_shape`` reads for
+two reductions before ``_box_to_fol`` translates it; the reductions keep
 out of the grounding what cannot change the answer.  A predicate that
 occurs with one polarity only is pure (the pure-literal rule of Davis &
 Putnam 1960, lifted to predicates): the formula is monotone in it, so it
@@ -100,11 +101,11 @@ _FALSE = FOr(())
 
 
 def _condition_to_fol(cond: Condition, fixed: dict[tuple[str, int], bool]) -> FolFormula:
-    """``cond`` translated, with the atoms of the predicates in ``fixed`` as constants."""
+    """``cond`` translated, with the atoms in ``fixed`` as constants below it.
+
+    ``_conjunction``, the one caller, decides a fixed atom ``cond`` itself.
+    """
     if isinstance(cond, Atom):
-        value = fixed.get((cond.predicate, len(cond.args)))
-        if value is not None:
-            return _TRUE if value else _FALSE
         return FAtom(cond.predicate, tuple([a.name for a in cond.args]))
     if isinstance(cond, Neg):
         return FNot(_box_to_fol(cond.body, fixed))
@@ -327,28 +328,19 @@ class ModelCheckResult:
     domain_size: Optional[int] = None
 
 
-def _free_names(box: DRS) -> list[str]:
-    return sorted(r.name for r in validate(box).free)
-
-
-def _combined_formula(
-    premise: DRS, conclusion: Optional[DRS], fixed: Optional[dict[tuple[str, int], bool]] = None
-) -> FExists:
+def _combined_box(premise: DRS, conclusion: Optional[DRS]) -> DRS:
     """Premise (and negated conclusion) under one shared scope.
 
     The conclusion's referents that the premise binds stay bound by the
-    premise; genuinely free referents of either side become outermost
-    existentials, i.e. arbitrary fixed individuals.  The atoms of the
-    predicates in ``fixed`` are translated as constants.
+    premise; genuinely free referents of either side come first in the
+    universe, sorted: outermost existentials, i.e. arbitrary individuals.
     """
-    fixed = fixed or {}
-    body = _conjunction(premise.conditions, fixed)
-    free = set(_free_names(premise))
+    free = validate(premise).free
+    conditions = premise.conditions
     if conclusion is not None:
-        body = FAnd(body.items + (FNot(_box_to_fol(conclusion, fixed)),))
-        premise_scope = {r.name for r in premise.universe}
-        free |= set(_free_names(conclusion)) - premise_scope
-    return FExists(tuple(sorted(free)) + tuple([r.name for r in premise.universe]), body)
+        free = free | (validate(conclusion).free - set(premise.universe))
+        conditions += (Neg(conclusion),)
+    return DRS(tuple(sorted(free)) + premise.universe, conditions)
 
 
 # the most ground atoms a domain may give before the search stops with ResourceLimit
@@ -365,9 +357,10 @@ def model_check(
     reported only when the absence of countermodels up to the bound is
     conclusive for the formula's fragment.
 
-    One walk over the boxes (``_shape``) gives the predicates' signs and
-    the quantifier shape; one translation and one grounding per domain
-    size follow.  Pure predicates (one polarity, the negated conclusion's
+    One walk over the question's box (``_shape``) gives the predicates'
+    signs and the quantifier shape, the outermost block's witnesses too;
+    its translation (``_box_to_fol``) and one grounding per domain size
+    follow.  Pure predicates (one polarity, the negated conclusion's
     flipped) are fixed before translation: exact, as the formula is
     monotone in each.  The rest is grounded under the least-number
     assignments of the outermost existentials: exact, as the formula names
@@ -376,13 +369,11 @@ def model_check(
     quantifier structure, which fixing a predicate leaves in place, and
     the atom ceiling counts every predicate, fixed or not.
     """
+    box = _combined_box(premise, conclusion)
     signs: dict[tuple[str, int], int] = {}
-    tail = () if conclusion is None else (Neg(conclusion),)
-    # the premise's universe is in the outermost block, with the free names, counted below
-    nested, witnesses = _shape(DRS((), premise.conditions + tail), 1, False, signs)
+    nested, witnesses = _shape(box, 1, False, signs)
     fixed = {key: bits == 1 for key, bits in signs.items() if bits != 3}
-    formula = _combined_formula(premise, conclusion, fixed)
-    witnesses += len(formula.variables)
+    formula = _box_to_fol(box, fixed)
     for size in range(1, max_domain + 1):
         atoms = sum(size**arity for _, arity in signs)
         if atoms > ATOM_CEILING:

@@ -20,9 +20,9 @@ previous round by one more instance per universal node, instead of
 rebuilding the task's tree from its first node (the incremental deepening
 of leanTAP, Beckert & Posegga 1995).
 
-``_Engine.refute`` walks the formula spine.  The task tags and the
-statuses live on the engine, so a proof is one engine object and no
-closure refers back to it once the call returns.
+``_Engine.refute`` walks the formula spine.  The statuses live on the
+engine, and ``prove_lcon`` pairs them with the task tags, so a proof is
+one engine object and no closure refers back to it once the call returns.
 Inside a task one loop expands items and instances alike: each returns
 the alternatives it opens.  A refuted condition set (an instance's body or
 an implication's antecedent) is a box with an empty universe under ``-``.
@@ -42,6 +42,10 @@ start; expanding a context on the spine is charged to no task, so a
 verdict does not depend on where its task sits in the proof.
 A task never instantiates a universal node with a pure disjunct, one
 whose literals meet no complement anywhere in the task (see ``run_task``).
+
+``_signed_keys`` reads each goal and non-atomic context condition once,
+before any rule runs, and rejects an alpha or a non-condition on the way,
+so no rule checks either.
 
 Proof state is copied with ``.copy()`` and literals: CPython's ``dict()``
 and ``list()`` constructors and ``tuple()`` over a generator allocate past
@@ -393,18 +397,16 @@ def _signed_keys(cond: Union[DRS, Atom, Neg, Imp, Or], sign: str, keys: set) -> 
     raise TypeError("cannot expand %r" % (cond,))
 
 
-def _node_keys(payload: Union[Imp, DRS]) -> tuple[frozenset, tuple]:
-    """The keys of a universal node's literals, and those that could close
-    against each of its disjuncts.
+def _complements(payload: Union[Imp, DRS]) -> tuple:
+    """The keys that could close against each disjunct of a universal node.
 
     An implication's instance holds by one of its antecedent's conditions
     refuted or by its consequent asserted; a box's by one of its
     conditions refuted.  A disjunct that its own literals cannot make true
-    is left out of the second part, so it never counts as pure.  The first
-    part is also what a refuted box's conditions can add, as a goal.  Kept
-    on the payload, which is immutable, as ``validate`` keeps its report.
+    is left out, so it never counts as pure.  Kept on the payload, which
+    is immutable, as ``validate`` keeps its report.
     """
-    found = payload.__dict__.get("_node_keys")
+    found = payload.__dict__.get("_complements")
     if found is not None:
         return found
     if isinstance(payload, Imp):
@@ -412,15 +414,13 @@ def _node_keys(payload: Union[Imp, DRS]) -> tuple[frozenset, tuple]:
         parts.append((payload.consequent, "+"))
     else:
         parts = [(c, "-") for c in payload.conditions]
-    literals: set = set()
     complements = []
     for part, sign in parts:
         keys: set = set()
         if _signed_keys(part, sign, keys):
             complements.append(tuple([(pred, arity, _FLIP[s]) for pred, arity, s in keys]))
-        literals |= keys
-    found = (frozenset(literals), tuple(complements))
-    object.__setattr__(payload, "_node_keys", found)
+    found = tuple(complements)
+    object.__setattr__(payload, "_complements", found)
     return found
 
 
@@ -486,10 +486,9 @@ _ROOT = _Context(Label(0, frozenset(), "-"), {}, set(), [], [], {}, set())
 
 
 class _Engine:
-    def __init__(self, bounds: Bounds, tags: Sequence[str] = ()) -> None:
+    def __init__(self, bounds: Bounds) -> None:
         self.bounds = bounds
-        self.tags = tags  # task tags, in depth-first (spine) order
-        self.statuses: list[tuple[str, str]] = []  # (tag, status), in task order
+        self.statuses: list[str] = []  # in task order, the spine's depth-first order
         self.stats = ProofStats()
         self.nodes = 0  # over the whole proof; numbers the literals
         self.node_limit = bounds.depth_limit  # run_task sets it per task
@@ -532,9 +531,10 @@ class _Engine:
         itself.  The work is linear in the box, so no task's node budget
         pays for it.  One loop over the conditions: an atom becomes a
         context literal, numbered as the next node and indexed by predicate
-        and arity, an implication a universal node, and a negation or
-        disjunction waits for each task.  The box's conditions are counted
-        at once.  This box's index lists then follow the parent's, key by key.
+        and arity; any other, once ``_signed_keys`` has added its keys to
+        ``signs``, a universal node if an implication, else a condition
+        waiting for each task.  The box's conditions are counted at once.
+        This box's index lists then follow the parent's, key by key.
         """
         above = outer.label
         label = Label(self.fresh_context(), above.accessible | {above.context}, "+")
@@ -569,16 +569,12 @@ class _Engine:
                     positives[key] = [lit]
                 else:
                     side.append(lit)
-            elif isinstance(cond, Imp):
-                gammas.append(_GammaTemplate(label, "imp", cond, env))
-                signs |= _node_keys(cond)[0]
-            elif isinstance(cond, (Neg, Or)):
-                deferred.append((label, cond, env))
-                _signed_keys(cond, "+", signs)
-            elif isinstance(cond, Alpha):
-                raise AlphaRemaining("context boxes must be alpha-free")
             else:
-                raise TypeError("unexpected condition %r" % (cond,))
+                _signed_keys(cond, "+", signs)
+                if isinstance(cond, Imp):
+                    gammas.append(_GammaTemplate(label, "imp", cond, env))
+                else:
+                    deferred.append((label, cond, env))
         self.nodes = nodes
         if outer.positives:
             own, positives = positives, outer.positives.copy()
@@ -641,19 +637,15 @@ class _Engine:
             items = [(label.signed("+"), c, env2) for c in payload.antecedent.conditions]
             items.append((label, payload.consequent, env2))
             return [items]
-        if isinstance(payload, Or):
-            self.stats.bump(sign + ":or")
-            if sign == "+":
-                return [[(label, payload.left, env)], [(label, payload.right, env)]]
-            return [[(label, payload.left, env), (label, payload.right, env)]]
-        if isinstance(payload, Alpha):
-            raise AlphaRemaining("anaphoric material reached the prover")
-        raise TypeError("cannot expand %r" % (payload,))
+        self.stats.bump(sign + ":or")
+        if sign == "+":
+            return [[(label, payload.left, env)], [(label, payload.right, env)]]
+        return [[(label, payload.left, env), (label, payload.right, env)]]
 
     def _useless(self, template: _GammaTemplate) -> bool:
         """Whether a disjunct of the node can meet no complement in this task."""
         positives, signs = self.signature
-        for keys in _node_keys(template.payload)[1]:
+        for keys in _complements(template.payload):
             for key in keys:
                 if key in signs or key[2] == "+" and key[:2] in positives:
                     break
@@ -732,12 +724,11 @@ class _Engine:
 
         ``in(K, g)`` builds the level of K from ``context`` once for all of
         g; conjunctions and disjunctions pass their context to every item;
-        each box literal runs one task at its context and takes the next
-        tag, as the spine meets box literals depth-first.
+        each box literal runs one task at its context and appends its
+        status, as the spine meets box literals depth-first.
         """
         if isinstance(f, DrsLit):
-            tag = self.tags[len(self.statuses)]
-            self.statuses.append((tag, self.run_task(f.drs, context)))
+            self.statuses.append(self.run_task(f.drs, context))
             return
         if isinstance(f, In):
             self.stats.bump("-:in")
@@ -823,10 +814,11 @@ class _Engine:
         (the pure-literal rule of Davis & Putnam 1960, as SETHEO's purity
         reduction applies it to tableau nodes).  The task's signature is
         the (predicate, arity, sign) of every literal it can hold: the
-        context's positives and ``signs``, and the refuted goal's.  A
-        disjunct is pure when no literal it can add has its complement in
-        the signature, and its own literals, all true, make it true; an
-        empty consequent is such a disjunct.  Dropping the node changes no
+        context's positives and ``signs``, and the refuted goal's, which
+        ``_signed_keys`` reads (rejecting an alpha).  A disjunct is pure
+        when no literal it can add has its complement in the signature, and
+        its own literals, all true, make it true; an empty consequent is
+        such a disjunct.  Dropping the node changes no
         verdict.  Make every pure key true everywhere: the node then holds,
         and no other formula loses a model, since none carries a pure key's
         complement, so an ``open_saturated`` branch still gives a model of
@@ -836,7 +828,9 @@ class _Engine:
         """
         self.node_limit = self.nodes + self.bounds.depth_limit
         self.closure_steps = 0
-        self.signature = (context.positives, context.signs | _node_keys(goal)[0])
+        signs = context.signs.copy()
+        _signed_keys(goal, "-", signs)
+        self.signature = (context.positives, signs)
         gammas = [t for t in context.gammas if not self._useless(t)]
         branches = [_Branch([], (), gammas)]
         stack: list[_Item] = [(context.label, goal, context.env), *reversed(context.deferred)]
@@ -886,11 +880,21 @@ def prove_lcon(
     met on the way down are expanded once and shared by every task below;
     each box-literal leaf is then closed independently, with branch-local
     substitutions, so tasks receive individual verdicts.
+
+    ``tags`` renames the tasks at some box-literal positions, each task a
+    tag of its own; other tags are a ``ValueError``.
     """
-    position_tags = {**auto_tag_positions(formula), **(tags or {})}
-    engine = _Engine(bounds, list(position_tags.values()))
+    position_tags = auto_tag_positions(formula)
+    for position in tags or ():
+        if position not in position_tags:
+            raise ValueError("no box literal at tag position %r" % (position,))
+    position_tags.update(tags or {})
+    task_tags = list(position_tags.values())
+    if len(set(task_tags)) < len(task_tags):
+        raise ValueError("two tasks share a tag")
+    engine = _Engine(bounds)
     engine.refute(formula, _ROOT)
-    return Verdict(tuple(engine.statuses)), engine.stats
+    return Verdict(tuple(zip(task_tags, engine.statuses))), engine.stats
 
 
 def naive_prove(task: InferenceTask, bounds: Bounds = DEFAULT_BOUNDS) -> tuple[str, ProofStats]:

@@ -291,6 +291,15 @@ def test_prove_rejects_anaphoric_input_with_exit_2(hank_file):
     assert stderr.startswith("error: ")
 
 
+def test_prove_rejects_a_context_alpha_with_one_message(tmp_path):
+    path = tmp_path / "context_alpha.lcon"
+    path.write_text("in([x | p(x), alpha:[y | q(y)]], [ | p(x)])", encoding="utf-8")
+    code, stdout, stderr = run(RunConfig("prove", (str(path),)))
+    assert code == 2
+    assert not stdout
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 def test_compare_reports_fivefold_saving(hank_file, bg_file):
     code, stdout, _ = run(
         RunConfig("compare", (hank_file,), background=bg_file, json_output=True)

@@ -160,7 +160,7 @@ def test_unit_propagation_assigns_root_facts_at_once(monkeypatch):
     box = parse_drs(FACT_BOX)
     assert model_check(box, None, max_domain=3) == ModelCheckResult("satisfiable", 1)
     # model_check fixes the pure facts; ground them all, so that the search has to assign them
-    grounded = models._ground(models._combined_formula(box, None), {}, range(1), True)
+    grounded = models._ground(drs_to_fol(models._combined_box(box, None)), {}, range(1), True)
     splits = _count_splits(monkeypatch)
     assert models._sat(grounded, {}) is not None
     assert len(splits) <= 1  # one split per root fact without propagation
@@ -381,8 +381,8 @@ def _reference_signs(f, negated, acc):
 
 
 def _one_scan(premise, conclusion, negated):
-    """``models._shape`` over the box whose translation ``_combined_formula`` gives."""
-    formula = models._combined_formula(premise, conclusion)
+    """``models._shape`` over the box whose translation ``_combined_box`` gives."""
+    formula = drs_to_fol(models._combined_box(premise, conclusion))
     tail = () if conclusion is None else (Neg(conclusion),)
     box = DRS(tuple(Referent(v) for v in formula.variables), premise.conditions + tail)
     assert drs_to_fol(box) == formula
@@ -394,7 +394,7 @@ def _one_scan(premise, conclusion, negated):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(alpha_free_boxes, st.one_of(st.none(), alpha_free_boxes), st.booleans())
 def test_scan_agrees_with_the_three_walks(premise, conclusion, negated):
-    formula = models._combined_formula(premise, conclusion)
+    formula = drs_to_fol(models._combined_box(premise, conclusion))
     preds, nested, witnesses = _reference_scan(formula, negated)
     signs = _reference_signs(formula, negated, {})
     assert set(signs) == preds
@@ -477,7 +477,7 @@ def assert_matches_reference(premise, conclusion, max_domains=(1, 2, 3), max_wor
     its outermost block, or split its search into more leaves (2 to the
     number of ground atoms).
     """
-    formula = models._combined_formula(premise, conclusion)
+    formula = drs_to_fol(models._combined_box(premise, conclusion))
     preds, _, _ = _reference_scan(formula, False)
     for max_domain in max_domains:
         atoms = sum(max_domain**arity for _, arity in preds)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ctxdrt import tableau
 from ctxdrt.drs import Atom
 from ctxdrt.lcon import Conj, Disj, In, auto_tag_positions, extract
+from ctxdrt.models import AlphaRemaining
 from ctxdrt.projection import BackgroundTheory, InferenceTask, project
 from ctxdrt.tableau import (
     CLOSED,
@@ -527,7 +528,7 @@ def test_node_budget_accounting_on_hank(with_bg, nodes, rules, imp_instances, ha
     # [u | wife(u), of(u,_)], whose conditions meet no asserted wife or of,
     # so the goal is never instantiated: 12 rules, 6 nodes.
     formula = extract(hank, marriage_bg if with_bg else BackgroundTheory()).formula
-    engine = _Engine(Bounds(), list(auto_tag_positions(formula).values()))
+    engine = _Engine(Bounds())
     engine.refute(formula, tableau._ROOT)
     assert engine.nodes == nodes
     assert engine.stats.rule_applications == rules
@@ -629,6 +630,41 @@ def test_prove_lcon_gives_one_status_per_box_literal(formula):
     verdict, _ = prove_lcon(formula, None, Bounds(gamma_limit=2, depth_limit=2000))
     assert len(verdict.statuses) == len(auto_tag_positions(formula))
     assert {s for _, s in verdict.statuses} <= {CLOSED, OPEN_SATURATED, OPEN_BOUNDED}
+
+
+# An alpha at each place a prover input can hold one; only the prover's
+# first walk over the goal or the context may meet it.
+ALPHA_PLACES = {
+    "goal_at_root": "[ | alpha:[z | r(z)]]",
+    "context_top_level": "in([x | p(x), alpha:[y | q(y)]], [ | p(x)])",
+    "context_antecedent": "in([x | [y | q(y), alpha:[z | r(z)]] => [ | p(y)]], [ | p(x)])",
+    "context_consequent": "in([x | [y | q(y)] => [ | alpha:[z | r(z)]]], [ | p(x)])",
+    "context_negation": "in([x | not [ | alpha:[z | r(z)]]], [ | p(x)])",
+    "context_disjunction": "in([x | [ | q(x)] or [ | alpha:[z | r(z)]]], [ | p(x)])",
+    "goal_negation": "in([x | p(x)], [ | not [ | alpha:[z | r(z)]]])",
+    "goal_antecedent": "in([x | p(x)], [ | [y | alpha:[z | r(z)]] => [ | q(y)]])",
+    "goal_consequent": "in([x | p(x)], [ | [ | q(x)] => [ | alpha:[z | r(z)]]])",
+    "goal_disjunction": "in([x | p(x)], [ | [ | q(x)] or [ | alpha:[z | r(z)]]])",
+    "second_disjunct": "in([x | p(x)], [ | p(x)] | [ | alpha:[z | q(z)]])",
+}
+
+
+@pytest.mark.parametrize("source", ALPHA_PLACES.values(), ids=ALPHA_PLACES.keys())
+def test_an_alpha_anywhere_in_a_prover_input_is_rejected(source):
+    with pytest.raises(AlphaRemaining):
+        prove_lcon(parse_lcon(source))
+
+
+def test_tags_must_name_box_literals_one_each():
+    formula = parse_lcon("in([x | p(x)], [ | p(x)] | [ | q(x)])")
+    verdict, _ = prove_lcon(formula, {(0, 1): "b"})
+    assert verdict.statuses == (("t1", CLOSED), ("b", OPEN_SATURATED))
+    for tags in ({(7,): "t9"}, {(0,): "d"}):  # no box literal there
+        with pytest.raises(ValueError, match="no box literal"):
+            prove_lcon(formula, tags)
+    for tags in ({(0, 0): "same", (0, 1): "same"}, {(0, 0): "t2"}):
+        with pytest.raises(ValueError, match="share a tag"):
+            prove_lcon(formula, tags)
 
 
 def test_deterministic_statistics(hank, marriage_bg):
