@@ -47,14 +47,22 @@ whose literals meet no complement anywhere in the task (see ``run_task``).
 before any rule runs, and rejects an alpha or a non-condition on the way,
 so no rule checks either.
 
-Proof state is copied with ``.copy()`` and literals: CPython's ``dict()``
-and ``list()`` constructors and ``tuple()`` over a generator allocate past
-the free lists, so their objects count toward the next garbage collection
-even after they die, and wide contexts set off full collections mid-proof.
+Proof state is copied only where a step writes it, and then with
+``.copy()`` and literals: CPython's ``dict()`` and ``list()`` constructors
+and ``tuple()`` over a generator allocate past the free lists, so their
+objects count toward the next garbage collection even after they die, and
+wide contexts set off full collections mid-proof.  ``unify`` copies a
+substitution at its first new binding and never writes the one it is
+given, so a closure-search level shares its caller's substitution until a
+pair binds something; a box or antecedent with an empty universe keeps its
+environment.  A label builds its flip once, and a universal node the box
+its instances refute, so a step allocates only what it adds: items,
+literals and fresh terms.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -160,28 +168,41 @@ def _occurs(var: FreeVar, term: Term, subst: dict) -> bool:
 
 
 def unify(a: Term, b: Term, subst: Optional[dict] = None) -> Optional[dict]:
-    """Most general unifier extending ``subst``, or None; occurs check on."""
-    out = {} if subst is None else subst.copy()
+    """Most general unifier extending ``subst``, or None; occurs check on.
+
+    Copy on write: ``subst`` is never written.  It is returned as it is
+    when the terms are already equal under it, and copied at the first new
+    binding otherwise.  A variable is bound to the other side, the left one
+    if both are variables.  Only a Skolem term with arguments can contain
+    a variable, so only binding to one runs the occurs check.
+    """
+    out = {} if subst is None else subst
+    owned = subst is None
     pending = [(a, b)]
     while pending:
         s, t = pending.pop()
-        s, t = _resolve(s, out), _resolve(t, out)
+        while type(s) is FreeVar and s in out:  # _resolve, inlined in this hot loop
+            s = out[s]
+        while type(t) is FreeVar and t in out:
+            t = out[t]
         if s == t:
             continue
         if type(s) is FreeVar:
-            if _occurs(s, t, out):
-                return None
-            out[s] = t
+            var, term = s, t
         elif type(t) is FreeVar:
-            if _occurs(t, s, out):
-                return None
-            out[t] = s
+            var, term = t, s
         elif type(s) is SkolemApp and type(t) is SkolemApp:
             if s.fn != t.fn or len(s.args) != len(t.args):
                 return None
             pending.extend(zip(s.args, t.args))
+            continue
         else:
             return None
+        if type(term) is SkolemApp and term.args and _occurs(var, term, out):
+            return None
+        if not owned:
+            out, owned = out.copy(), True
+        out[var] = term
     return out
 
 
@@ -214,7 +235,23 @@ class Label:
             raise ValueError("a context is not accessible from itself")
 
     def signed(self, polarity: str) -> "Label":
-        return Label(self.context, self.accessible, polarity)
+        """This label under ``polarity``: itself, or its flip, built once.
+
+        The flip is kept on the instance, which is immutable, and the flip
+        keeps a weak reference back, so signing back returns this label
+        while it lives, and the two make no reference cycle.  Neither is a
+        field, so equality, hashing and ``repr`` do not see them.
+        """
+        if polarity == self.polarity:
+            return self
+        flipped = self.__dict__.get("_flipped")
+        if type(flipped) is weakref.ref:
+            flipped = flipped()
+        if flipped is None or flipped.polarity != polarity:
+            flipped = Label(self.context, self.accessible, polarity)  # a bad sign raises
+            object.__setattr__(self, "_flipped", flipped)
+            object.__setattr__(flipped, "_flipped", weakref.ref(self))
+        return flipped
 
 
 def labels_compatible(a: Label, b: Label) -> bool:
@@ -289,6 +326,13 @@ def _add_ground(term: Term, terms: set[Term]) -> bool:
     return True
 
 
+def _saturated(branches: list, budget: int, terms: set[Term]) -> bool:
+    """Whether every universal node of ``branches`` has ``budget`` instances
+    for each combination of ``terms`` over its universe."""
+    ground = max(1, len(terms))
+    return all(budget >= ground ** len(t.universe) for b in branches for t in b.gammas)
+
+
 # -- statistics -----------------------------------------------------------------
 
 
@@ -320,8 +364,8 @@ class ProofStats:
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def bump(self, rule: str) -> None:
-        self.per_rule[rule] = self.per_rule.get(rule, 0) + 1
+    def bump(self, rule: str, count: int = 1) -> None:
+        self.per_rule[rule] = self.per_rule.get(rule, 0) + count
 
     def absorb(self, other: "ProofStats") -> None:
         for k, v in other.per_rule.items():
@@ -437,6 +481,16 @@ class _GammaTemplate:
     def universe(self) -> tuple[Referent, ...]:
         return self.payload.antecedent.universe if self.kind == "imp" else self.payload.universe
 
+    def body(self) -> DRS:
+        """The conditions every instance refutes, as a box with an empty
+        universe: built at the first instance and kept on the template."""
+        body = self.__dict__.get("_body")
+        if body is None:
+            refuted = self.payload.antecedent if self.kind == "imp" else self.payload
+            body = DRS((), refuted.conditions)
+            object.__setattr__(self, "_body", body)
+        return body
+
 
 class _Branch:
     __slots__ = ("lits", "scope", "gammas", "counts")  # counts[i]: instances of gammas[i]
@@ -451,9 +505,17 @@ class _Branch:
         return _Branch(self.lits.copy(), self.scope, self.gammas.copy(), self.counts.copy())
 
     def add_gamma(self, template: _GammaTemplate) -> None:
-        if template not in self.gammas:
-            self.gammas.append(template)
-            self.counts.append(0)
+        """Add a universal node, unless the branch holds an equal one.
+
+        Equal as the dataclass compares them; a node of another context has
+        another label, so the full comparison runs only within a context.
+        """
+        context = template.label.context
+        for other in self.gammas:
+            if other.label.context == context and other == template:
+                return
+        self.gammas.append(template)
+        self.counts.append(0)
 
 
 # Items awaiting expansion: (label, payload, env); the label's polarity is
@@ -516,11 +578,6 @@ class _Engine:
         self.nodes += 1
         if self.nodes > self.node_limit:
             raise _DepthExceeded
-
-    def _lit(self, label: Label, atom: Atom, env: dict) -> LitNode:
-        """The literal of ``atom`` under ``env``, numbered by the last node."""
-        args = tuple([env[a] if a in env else Const(a.name) for a in atom.args])
-        return LitNode(label, atom.predicate, args, self.nodes)
 
     # -- shared context expansion (once per in-wrapper) -------------------------
 
@@ -595,22 +652,26 @@ class _Engine:
         list per child.
         """
         label, payload, env = item
-        sign = label.polarity
-        self._tick()
-
         if isinstance(payload, Atom):
-            self._tick()  # the literal is a node of its own
-            branch.lits.append(self._lit(label, payload, env))
+            nodes = self.nodes + 2  # the item, and its literal as a node of its own
+            if nodes > self.node_limit:
+                self._tick()  # raises where counting node by node stops
+                self._tick()
+            self.nodes = nodes
+            args = tuple([env[a] if a in env else Const(a.name) for a in payload.args])
+            branch.lits.append(tuple.__new__(LitNode, (label, payload.predicate, args, nodes)))
             return None
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            raise _DepthExceeded
+        sign = label.polarity
         if isinstance(payload, DRS):
             if sign == "+":
                 self.stats.bump("+:universe" if payload.universe else "+:box")
-                env2 = env.copy()
-                for ref in payload.universe:
-                    env2[ref] = self.fresh_skolem(branch.scope)
-                for _ in payload.conditions:
-                    self.stats.bump("+:condition")
-                return [[(label, c, env2) for c in payload.conditions]]
+                env = self._skolemized(env, payload.universe, branch.scope)
+                if payload.conditions:
+                    self.stats.bump("+:condition", len(payload.conditions))
+                return [[(label, c, env) for c in payload.conditions]]
             if payload.universe:
                 self.stats.bump("-:universe")
                 template = _GammaTemplate(label, "drs", payload, env)
@@ -621,8 +682,7 @@ class _Engine:
             return [[(label, c, env)] for c in payload.conditions]
         if isinstance(payload, Neg):
             self.stats.bump(sign + ":not")
-            flipped = "-" if sign == "+" else "+"
-            return [[(label.signed(flipped), payload.body, env)]]
+            return [[(label.signed(_FLIP[sign]), payload.body, env)]]
         if isinstance(payload, Imp):
             if sign == "+":
                 self.stats.bump("+:imp")
@@ -631,16 +691,24 @@ class _Engine:
                     branch.add_gamma(template)
                 return None
             self.stats.bump("-:imp")
-            env2 = env.copy()
-            for ref in payload.antecedent.universe:
-                env2[ref] = self.fresh_skolem(branch.scope)
-            items = [(label.signed("+"), c, env2) for c in payload.antecedent.conditions]
-            items.append((label, payload.consequent, env2))
+            env = self._skolemized(env, payload.antecedent.universe, branch.scope)
+            asserted = label.signed("+")
+            items = [(asserted, c, env) for c in payload.antecedent.conditions]
+            items.append((label, payload.consequent, env))
             return [items]
         self.stats.bump(sign + ":or")
         if sign == "+":
             return [[(label, payload.left, env)], [(label, payload.right, env)]]
         return [[(label, payload.left, env), (label, payload.right, env)]]
+
+    def _skolemized(self, env: dict, universe: tuple, scope: tuple) -> dict:
+        """``env`` with a fresh Skolem term for each referent of ``universe``;
+        ``env`` itself, unwritten, if there is none."""
+        if universe:
+            env = env.copy()
+            for ref in universe:
+                env[ref] = self.fresh_skolem(scope)
+        return env
 
     def _useless(self, template: _GammaTemplate) -> bool:
         """Whether a disjunct of the node can meet no complement in this task."""
@@ -668,14 +736,11 @@ class _Engine:
         branch.scope = branch.scope + fresh
         env.update(zip(universe, fresh))
         label = template.label
+        refuted = ((label.signed("-"), template.body(), env),)
         if template.kind == "imp":
             self._tick()
-            ante = template.payload.antecedent
-            return (
-                ((label.signed("-"), DRS((), ante.conditions), env),),
-                ((label.signed("+"), template.payload.consequent, env),),
-            )
-        return (((label.signed("-"), DRS((), template.payload.conditions), env),),)
+            return (refuted, ((label.signed("+"), template.payload.consequent, env),))
+        return (refuted,)
 
     def _saturate(self, branch: _Branch, stack: list[_Item], budget: int) -> list[_Branch]:
         """Expand ``stack`` on ``branch``, then instantiate up to ``budget``.
@@ -695,12 +760,13 @@ class _Engine:
             if stack:
                 alternatives = self._step(stack.pop(), branch)
             else:
-                i = next((i for i, count in enumerate(branch.counts) if count < budget), None)
-                if i is None:
+                for i, count in enumerate(branch.counts):
+                    if count < budget:
+                        alternatives = self._instantiate(i, branch)
+                        break
+                else:
                     leaves.append(branch)
                     alternatives = ()
-                else:
-                    alternatives = self._instantiate(i, branch)
             if alternatives is None:
                 continue
             if len(alternatives) == 1:
@@ -857,12 +923,14 @@ class _Engine:
             if closing is not None:
                 self.stats.closures += len(branches)
                 return CLOSED
-            terms = context.terms.copy()
-            for arg in {arg for b in branches for n in b.lits for arg in n.args} - terms:
-                _add_ground(arg, terms)
-            ground = max(1, len(terms))
-            if all(budget >= ground ** len(t.universe) for b in branches for t in b.gammas):
-                return OPEN_SATURATED
+            # More ground terms only make saturation harder, so the branches'
+            # terms are collected only if the context's alone would do.
+            if _saturated(branches, budget, context.terms):
+                terms = context.terms.copy()
+                for arg in {arg for b in branches for n in b.lits for arg in n.args} - terms:
+                    _add_ground(arg, terms)
+                if _saturated(branches, budget, terms):
+                    return OPEN_SATURATED
         return OPEN_BOUNDED
 
 

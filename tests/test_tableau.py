@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ctxdrt import tableau
-from ctxdrt.drs import Atom
+from ctxdrt.drs import DRS, Atom
 from ctxdrt.lcon import Conj, Disj, In, auto_tag_positions, extract
 from ctxdrt.models import AlphaRemaining
 from ctxdrt.projection import BackgroundTheory, InferenceTask, project
@@ -29,6 +29,7 @@ from ctxdrt.tableau import (
     _ClosureExceeded,
     _DepthExceeded,
     _Engine,
+    _GammaTemplate,
     _unify_args,
     close_branch,
     compare_cost,
@@ -365,6 +366,76 @@ def test_a_resumed_branch_expands_its_items_once():
     assert stats.per_rule["-:condition"] == 3
 
 
+def test_saturation_counts_the_ground_terms_a_branch_adds():
+    # the context holds no ground term, so for it alone one instance per node
+    # would be all; the goal adds a and b, and the closure needs q(a) and q(b)
+    # from two instances of the first node, so the task is not saturated
+    # after one round
+    context = "[ | [x | p(x)] => [ | q(x)], [ | q(a), q(b)] => [ | r(a)]]"
+    formula = parse_lcon("in(%s, [ | [ | p(a), p(b)] => [ | r(a)]])" % context)
+    verdict, stats = prove_lcon(formula)
+    assert verdict["t1"] == CLOSED
+    assert stats.per_rule["gamma:imp"] > 3
+
+
+def test_a_branch_drops_a_universal_node_equal_to_one_it_holds():
+    # the refuted disjunction puts both disjuncts on one branch: two boxes
+    # that are equal but not the same object, so the second node is dropped.
+    # Keeping both, the task runs out of nodes (open_bounded, 38 rules).
+    formula = parse_lcon("in([x | q(x), s(a)], [ | [y | q(y), s(y)] or [y | q(y), s(y)]])")
+    verdict, stats = prove_lcon(formula)
+    assert verdict["t1"] == OPEN_SATURATED
+    assert stats.rule_applications == 14
+    assert stats.per_rule["gamma:drs"] == 3
+    # equal means equal label, kind, payload (as sets) and environment
+    box, other = parse_drs("[y | q(y), s(y)]"), parse_drs("[y | q(y)]")
+    branch = _Branch([], (), [])
+    for context, payload in [(1, box), (1, other), (1, parse_drs("[y | s(y), q(y)]")), (2, box)]:
+        branch.add_gamma(_GammaTemplate(Label(context, frozenset({0}), "-"), "drs", payload, {}))
+    assert [(t.label.context, t.payload) for t in branch.gammas] == [(1, box), (1, other), (2, box)]
+    assert branch.counts == [0, 0, 0]
+
+
+@pytest.mark.parametrize("polarity", ["+", "-"])
+def test_a_signed_label_equals_a_fresh_one(polarity):
+    label = Label(3, frozenset({0, 1}), polarity)
+    for sign in "+-":
+        signed = label.signed(sign)
+        fresh = Label(3, frozenset({0, 1}), sign)
+        assert signed == fresh
+        assert hash(signed) == hash(fresh)
+        assert repr(signed) == repr(fresh)
+        assert label.signed(sign) is signed
+        assert signed.signed(polarity) is label
+    with pytest.raises(ValueError):
+        label.signed("*")
+    # the flip outlives the label it was built from: signing back builds an
+    # equal label once, and the two find each other from then on
+    flip = Label(3, frozenset({0, 1}), polarity).signed("-" if polarity == "+" else "+")
+    back = flip.signed(polarity)
+    assert back == label and repr(back) == repr(label)
+    assert flip.signed(polarity) is back and back.signed(flip.polarity) is flip
+
+
+def test_an_instance_body_equals_a_fresh_box_of_its_template():
+    imp = parse_drs("[ | [m | r(m), s(m,m)] => [ | t(m)]]").conditions[0]
+    box = parse_drs("[ | not [y | q(y), p(y,y)]]").conditions[0].body
+    for kind, payload, conditions in [
+        ("imp", imp, imp.antecedent.conditions),
+        ("drs", box, box.conditions),
+    ]:
+        template = _GammaTemplate(Label(1, frozenset({0}), "+"), kind, payload, {})
+        engine = _Engine(Bounds())
+        branch = _Branch([], (), [template])
+        first = engine._instantiate(0, branch)[0][0]
+        second = engine._instantiate(0, branch)[0][0]
+        assert first[1] is second[1]
+        assert first[1] == DRS((), conditions)
+        assert (first[1].universe, first[1].conditions) == ((), conditions)
+        assert first[2] != second[2]  # each instance binds fresh variables
+        assert first[0] == Label(1, frozenset({0}), "-")
+
+
 @pytest.mark.parametrize(
     "context",
     [
@@ -464,6 +535,107 @@ def test_unify_occurs_check():
     assert unify(X, f_of_x) is None
     assert unify(f_of_x, SkolemApp(1, (A,))) == {X: A}
     assert unify(SkolemApp(1, ()), SkolemApp(2, ())) is None
+
+
+def reference_resolve(term, subst):
+    while isinstance(term, FreeVar) and term in subst:
+        term = subst[term]
+    return term
+
+
+def reference_occurs(var, term, subst):
+    term = reference_resolve(term, subst)
+    if term == var:
+        return True
+    return isinstance(term, SkolemApp) and any(reference_occurs(var, a, subst) for a in term.args)
+
+
+def reference_unify(a, b, subst=None):
+    """The copy-always unifier: a fresh dict per call, occurs check on every binding."""
+    out = {} if subst is None else dict(subst)
+    pending = [(a, b)]
+    while pending:
+        s, t = pending.pop()
+        s, t = reference_resolve(s, out), reference_resolve(t, out)
+        if s == t:
+            continue
+        if isinstance(s, FreeVar):
+            if reference_occurs(s, t, out):
+                return None
+            out[s] = t
+        elif isinstance(t, FreeVar):
+            if reference_occurs(t, s, out):
+                return None
+            out[t] = s
+        elif isinstance(s, SkolemApp) and isinstance(t, SkolemApp):
+            if s.fn != t.fn or len(s.args) != len(t.args):
+                return None
+            pending.extend(zip(s.args, t.args))
+        else:
+            return None
+    return out
+
+
+def reference_unify_args(xs, ys, subst):
+    if len(xs) != len(ys):
+        return None
+    for x, y in zip(xs, ys):
+        subst = reference_unify(x, y, subst)
+        if subst is None:
+            return None
+    return subst
+
+
+def random_unify_term(rng, depth=0):
+    """Few variables, so pairs share them; nested Skolem terms, so some
+    bindings fail the occurs check."""
+    roll = rng.random()
+    if roll < 0.2:
+        return Const(rng.choice("ab"))
+    if roll < 0.55 or depth >= 3:
+        return FreeVar(rng.randrange(4))
+    args = tuple(random_unify_term(rng, depth + 1) for _ in range(rng.randrange(3)))
+    return SkolemApp(rng.randrange(2), args)
+
+
+def random_substitution(rng):
+    """A cycle-free substitution, built by unifying random pairs."""
+    subst = {}
+    for _ in range(rng.randrange(3)):
+        found = reference_unify(random_unify_term(rng), random_unify_term(rng), subst)
+        if found is not None:
+            subst = found
+    return subst
+
+
+def test_copy_on_write_unification_matches_the_copying_unifier():
+    rng = random.Random(24)
+    outcomes = Counter()
+    for _ in range(4000):
+        subst = random_substitution(rng)
+        before = dict(subst)
+        arity = rng.randrange(1, 4)
+        xs = tuple(random_unify_term(rng) for _ in range(arity))
+        ys = tuple(random_unify_term(rng) for _ in range(arity))
+        roll = rng.random()
+        if roll < 0.1:  # a variable against a term around it
+            var = FreeVar(rng.randrange(4))
+            xs, ys = (var,) + xs[1:], (SkolemApp(0, (var, Const("a"))),) + ys[1:]
+        elif roll < 0.2:  # equal terms
+            ys = xs
+        want = reference_unify(xs[0], ys[0], subst)
+        assert unify(xs[0], ys[0], subst) == want
+        assert subst == before
+        want_args = reference_unify_args(xs, ys, subst)
+        got_args = _unify_args(xs, ys, subst)
+        assert got_args == want_args
+        assert subst == before
+        if want_args == subst:  # nothing new to bind: the dict itself comes back
+            assert got_args is subst
+        outcomes["none" if want_args is None else "same" if want_args == subst else "extended"] += 1
+        assert unify(xs[0], ys[0]) == reference_unify(xs[0], ys[0])
+    assert unify(X, X, before) is before
+    assert min(outcomes.values()) > 300, outcomes
 
 
 def test_self_entailment_through_one_context():
