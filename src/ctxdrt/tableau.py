@@ -42,6 +42,12 @@ start; expanding a context on the spine is charged to no task, so a
 verdict does not depend on where its task sits in the proof.
 A task never instantiates a universal node with a pure disjunct, one
 whose literals meet no complement anywhere in the task (see ``run_task``).
+The closure search looks for one substitution that closes every branch
+of a round.  Its large searches unify a branch again only when a binding
+made since the branch's last scan reaches a variable of its live pairs;
+any other branch unifies as it did, each option extended by the same new
+bindings, so the search makes the same choices, charges the same steps
+and finds the same substitution (see ``_close_all``).
 
 ``_signed_keys`` reads each goal and non-atomic context condition once,
 before any rule runs, and rejects an alpha or a non-condition on the way,
@@ -167,6 +173,22 @@ def _occurs(var: FreeVar, term: Term, subst: dict) -> bool:
     return False
 
 
+def _reached(terms: list, subst: dict) -> set[FreeVar]:
+    """The unbound variables that ``terms`` reach through ``subst``; the
+    list is used up."""
+    free = set()
+    while terms:
+        term = terms.pop()
+        if type(term) is FreeVar:
+            if term in subst:
+                terms.append(subst[term])
+            else:
+                free.add(term)
+        elif type(term) is SkolemApp:
+            terms.extend(term.args)
+    return free
+
+
 def unify(a: Term, b: Term, subst: Optional[dict] = None) -> Optional[dict]:
     """Most general unifier extending ``subst``, or None; occurs check on.
 
@@ -216,6 +238,20 @@ def _unify_args(xs: tuple[Term, ...], ys: tuple[Term, ...], subst: dict) -> Opti
             return None
         out = nxt
     return out
+
+
+def _unifiers(pairs: list, subst: dict) -> tuple[list, list[dict]]:
+    """The pairs whose arguments unify under ``subst``, and their distinct
+    unifiers, in pair order."""
+    live: list = []
+    options: list[dict] = []
+    for pair in pairs:
+        trial = _unify_args(pair[0].args, pair[1].args, subst)
+        if trial is not None:
+            live.append(pair)
+            if trial not in options:
+                options.append(trial)
+    return live, options
 
 
 # -- labels and literal nodes ---------------------------------------------------
@@ -547,6 +583,12 @@ class _Context(NamedTuple):
 _ROOT = _Context(Label(0, frozenset(), "-"), {}, set(), [], [], {}, set())
 
 
+# A closure-search level reuses the scans of the levels above only when it
+# holds more branches than this.  A smaller search ends within a few levels,
+# too few to repay walking each branch's terms for the reuse test.
+_REUSE_ABOVE = 16
+
+
 class _Engine:
     def __init__(self, bounds: Bounds) -> None:
         self.bounds = bounds
@@ -814,42 +856,81 @@ class _Engine:
     def _close_all(self, branches: list, subst: dict) -> Optional[dict]:
         """Find one substitution closing every branch at once.
 
-        Most-constrained-first: commit the branch with the fewest pairs
-        still unifiable under the running substitution, so conflicts
-        surface early instead of after exploring hopeless prefixes.
+        Most-constrained-first: commit the branch with the fewest distinct
+        options (the unifiers of its pairs) under the running substitution,
+        so conflicts surface early instead of after exploring hopeless
+        prefixes; the scan stops at the first branch with one option.
 
-        Each branch comes as ``(charge, pairs)``: ``charge`` is its full
-        pair count and ``pairs`` the pairs still live.  A pair that fails
-        to unify under a substitution fails under every extension of it,
-        so a branch hands down only the pairs that unified here; the
-        options, and the order they are tried in, are those of the full
-        list.  Looking at a branch still costs ``charge`` closure steps,
-        so the step bound trips exactly where a scan of every pair would.
+        Each branch comes as ``(charge, live, count, scanned, free)``:
+        ``charge`` is its full pair count; ``live`` the pairs that unified
+        under ``scanned``, the substitution of its last scan (None before
+        the first), and ``count`` their distinct options there; ``free``
+        the unbound variables those pairs reach under ``scanned``, or None
+        until a deeper level first needs them.  After a scan that was
+        forced by a binding, ``free`` is updated through the new bindings
+        only, so it may keep variables of pairs that have died; that only
+        makes the test below stricter.  A pair that fails to unify
+        under a substitution fails under every extension of it, so a branch
+        hands down only its live pairs; the options, and the order they are
+        tried in, are those of the full list.  Looking at a branch costs
+        ``charge`` closure steps whether or not it is unified again, so the
+        step bound trips exactly where a scan of every pair would.
+
+        A level's substitution extends its caller's with its new bindings
+        last, so the bindings made since a branch's scan are the keys past
+        the length of ``scanned``.  When none of them binds a variable of
+        ``free``, the branch is not unified again (forward checking,
+        Haralick & Elliott 1980: only the constraints on a variable just
+        assigned are looked at again).  That is exact: every term of the
+        live pairs resolves as it did, so each pair unifies as it did, with
+        the new bindings added.  Each option o becomes o plus the new
+        bindings, a map that cannot merge two options, so the count, the
+        most-constrained choice, the early stop and the order of the
+        options are those of a fresh scan.  A branch scanned higher up and
+        left past an early stop is tested against every binding since its
+        own scan, not only this level's.  The options of a chosen branch
+        that was not unified again are rebuilt here, in the same order.
+        Only a level with more than ``_REUSE_ABOVE`` branches runs the test;
+        a smaller one unifies every branch it looks at again, unless no
+        binding at all was made since its scan.
         """
         if not branches:
             return subst
         narrowed = branches.copy()
-        best_index = -1
+        reuse = len(branches) > _REUSE_ABOVE
+        bound: Optional[list] = None  # the keys of subst, listed at the first branch that needs them
+        best_index = best_count = -1
         best_options: Optional[list[dict]] = None
-        for i, (charge, pairs) in enumerate(branches):
+        for i, entry in enumerate(branches):
+            charge, live, count, scanned, free = entry
             self.closure_steps += charge
             if self.closure_steps > self.bounds.depth_limit:
                 raise _ClosureExceeded
-            options: list[dict] = []
-            live = []
-            for pair in pairs:
-                trial = _unify_args(pair[0].args, pair[1].args, subst)
-                if trial is not None:
-                    live.append(pair)
-                    if trial not in options:
-                        options.append(trial)
-            if not options:
-                return None
-            narrowed[i] = (charge, live)
-            if best_options is None or len(options) < len(best_options):
-                best_index, best_options = i, options
-                if len(best_options) == 1:
+            options: Optional[list[dict]] = None  # stays None for a branch not unified again
+            if scanned is not subst:
+                stale = True  # or the variables of free that a new binding reached
+                if reuse and scanned is not None:
+                    if bound is None:
+                        bound = list(subst)
+                    if free is None:
+                        free = _reached([t for p in live for t in p[0].args + p[1].args], scanned)
+                    stale = free.intersection(bound[len(scanned) :])
+                    if stale:
+                        free = (free - stale) | _reached([subst[v] for v in stale], subst)
+                else:
+                    free = None
+                if stale:
+                    live, options = _unifiers(live, subst)
+                    if not options:
+                        return None
+                    count = len(options)
+                narrowed[i] = (charge, live, count, subst, free)
+            if best_index < 0 or count < best_count:
+                best_index, best_count, best_options = i, count, options
+                if count == 1:
                     break
+        if best_options is None:
+            best_options = _unifiers(narrowed[best_index][1], subst)[1]
         rest = narrowed[:best_index] + narrowed[best_index + 1 :]
         for trial in best_options:
             found = self._close_all(rest, trial)
@@ -915,7 +996,7 @@ class _Engine:
                     pairs = _closure_pairs(context.positives, branch.lits)
                     if not pairs:
                         break
-                    branch_pairs.append((len(pairs), pairs))
+                    branch_pairs.append((len(pairs), pairs, 0, None, None))
                 else:
                     closing = self._close_all(branch_pairs, {})
             except (_DepthExceeded, _ClosureExceeded):

@@ -261,18 +261,29 @@ def reference_close_all(engine, branch_pairs, subst):
     return None
 
 
+def counted_unify(monkeypatch):
+    """Route ``tableau.unify`` through a counter: the list it appends to."""
+    calls = []
+    plain = tableau.unify
+
+    def counting(a, b, subst=None):
+        calls.append(1)
+        return plain(a, b, subst)
+
+    monkeypatch.setattr(tableau, "unify", counting)
+    return calls
+
+
+def unscanned(pairs):
+    """A branch as ``_close_all`` takes it before its first scan."""
+    return (len(pairs), pairs, 0, None, None)
+
+
 def test_pruned_closure_search_matches_full_scan(monkeypatch):
     # pruning pairs that failed higher up must find the same substitution,
     # charge the same closure steps and trip the same step bounds
     rng = random.Random(13)
-    unify_calls = []
-    plain_unify = tableau.unify
-
-    def counting_unify(a, b, subst=None):
-        unify_calls.append(1)
-        return plain_unify(a, b, subst)
-
-    monkeypatch.setattr(tableau, "unify", counting_unify)
+    unify_calls = counted_unify(monkeypatch)
     calls = {"reference": 0, "pruned": 0}
     seen = set()
     for _ in range(300):
@@ -294,7 +305,7 @@ def test_pruned_closure_search_matches_full_scan(monkeypatch):
                     if route == "reference":
                         found = reference_close_all(engine, branch_pairs, {})
                     else:
-                        found = engine._close_all([(len(p), p) for p in branch_pairs], {})
+                        found = engine._close_all([unscanned(p) for p in branch_pairs], {})
                     results[route] = (found, engine.closure_steps)
                 except _ClosureExceeded:
                     results[route] = "exceeded"
@@ -303,6 +314,162 @@ def test_pruned_closure_search_matches_full_scan(monkeypatch):
             seen.add("exceeded" if results["pruned"] == "exceeded" else results["pruned"][0] is None)
     assert seen == {"exceeded", True, False}
     assert calls["pruned"] < calls["reference"]
+
+
+def rescanning_close_all(engine, branches, subst):
+    """Closure search as it was before scans were reused: each branch it
+    looks at is unified again under the running substitution."""
+    if not branches:
+        return subst
+    narrowed = branches.copy()
+    best_index = -1
+    best_options = None
+    for i, (charge, pairs) in enumerate(branches):
+        engine.closure_steps += charge
+        if engine.closure_steps > engine.bounds.depth_limit:
+            raise _ClosureExceeded
+        options = []
+        live = []
+        for pair in pairs:
+            trial = _unify_args(pair[0].args, pair[1].args, subst)
+            if trial is not None:
+                live.append(pair)
+                if trial not in options:
+                    options.append(trial)
+        if not options:
+            return None
+        narrowed[i] = (charge, live)
+        if best_options is None or len(options) < len(best_options):
+            best_index, best_options = i, options
+            if len(best_options) == 1:
+                break
+    rest = narrowed[:best_index] + narrowed[best_index + 1 :]
+    for trial in best_options:
+        found = rescanning_close_all(engine, rest, trial)
+        if found is not None:
+            return found
+    return None
+
+
+def random_search(rng):
+    """8 to 64 branches of 2 to 8 pairs over a shared pool of variables.
+
+    Each branch draws its variables from a few of the pool's, so a binding
+    reaches some branches and not others.  A term is a constant, a variable
+    or a Skolem term over variables, so the search binds variables to
+    variables, in chains, and to Skolem terms with arguments.
+    """
+    pool = [FreeVar(i) for i in range(rng.randrange(6, 40))]
+    number = itertools.count(1)
+    positive, negative = Label(1, frozenset({0}), "+"), Label(1, frozenset({0}), "-")
+    branch_pairs = []
+    for _ in range(rng.randrange(8, 65)):
+        own = rng.sample(pool, 4)
+
+        def term():
+            roll = rng.random()
+            if roll < 0.1:
+                return Const(rng.choice("ab"))
+            if roll < 0.85:
+                return rng.choice(own)
+            return SkolemApp(rng.randrange(2), tuple(rng.choice(own) for _ in range(rng.randrange(1, 3))))
+
+        pairs = []
+        for _ in range(rng.randrange(2, 9)):
+            arity = rng.randrange(1, 3)
+            pos = LitNode(positive, "p", tuple(term() for _ in range(arity)), next(number))
+            neg = LitNode(negative, "p", tuple(term() for _ in range(arity)), next(number))
+            pairs.append((pos, neg))
+        branch_pairs.append(pairs)
+    return branch_pairs
+
+
+def test_closure_search_reuses_a_scan_only_while_no_binding_reaches_it(monkeypatch):
+    # a branch that no binding since its scan reaches is not unified again:
+    # the search must find the substitution a full scan finds, charge the
+    # same steps, trip the step bound at the same point, and never unify
+    # more than the search that unifies each branch it looks at
+    rng = random.Random(29)
+    unify_calls = counted_unify(monkeypatch)
+    calls = Counter()
+    seen = set()
+    for _ in range(40):
+        branch_pairs = random_search(rng)
+        for limit in (300, 3000, 20000):
+            results = {}
+            for route in ("reference", "rescanning", "reusing"):
+                engine = _Engine(Bounds(depth_limit=limit))
+                del unify_calls[:]
+                try:
+                    if route == "reference":
+                        found = reference_close_all(engine, branch_pairs, {})
+                    elif route == "rescanning":
+                        found = rescanning_close_all(engine, [(len(p), p) for p in branch_pairs], {})
+                    else:
+                        found = engine._close_all([unscanned(p) for p in branch_pairs], {})
+                    results[route] = (found, engine.closure_steps)
+                except _ClosureExceeded:
+                    results[route] = "exceeded"
+                calls[route] = len(unify_calls)
+            assert results["reusing"] == results["reference"]
+            assert results["rescanning"] == results["reference"]
+            assert calls["reusing"] <= calls["rescanning"]
+            calls["reused"] += calls["rescanning"] - calls["reusing"]
+            outcome = results["reusing"]
+            seen.add("exceeded" if outcome == "exceeded" else outcome[0] is None)
+    assert seen == {"exceeded", True, False}
+    assert calls["reused"] > 0
+
+
+def test_reused_scans_prove_what_full_scans_prove(monkeypatch):
+    # 300 corpus extractions, each proved with the closure search, with
+    # reference_close_all and with rescanning_close_all in its place: every
+    # task keeps its status and closure steps, and every proof its
+    # statistics.  reference_close_all charges pair by pair, so it stops
+    # counting at the first pair past the bound, where the others charge
+    # the whole branch: past the bound its steps are compared as "over".
+    unify_calls = counted_unify(monkeypatch)
+    plain_run_task = _Engine.run_task
+    tasks = []
+
+    def recording(self, goal, context):
+        status = plain_run_task(self, goal, context)
+        tasks.append((status, self.closure_steps))
+        return status
+
+    routes = {
+        "reusing": _Engine._close_all,
+        "reference": lambda self, branches, subst: reference_close_all(
+            self, [entry[1] for entry in branches], subst
+        ),
+        "rescanning": lambda self, branches, subst: rescanning_close_all(
+            self, [entry[:2] for entry in branches], subst
+        ),
+    }
+    monkeypatch.setattr(_Engine, "run_task", recording)
+    rng = random.Random(48)  # draws 4 open_bounded tasks, and searches of up to 64 branches
+    calls = Counter()
+    for _ in range(300):
+        extraction = extract(corpus_drs(rng))
+        if extraction.formula is None:
+            continue
+        args = extraction.formula, extraction.tag_positions()
+        proofs = {}
+        for route, close_all in routes.items():
+            del tasks[:], unify_calls[:]
+            with mock.patch.object(_Engine, "_close_all", close_all):
+                verdict, stats = prove_lcon(*args)
+            proofs[route] = (verdict, stats.as_json(), tasks.copy())
+            calls[route] += len(unify_calls)
+        assert proofs["rescanning"] == proofs["reusing"]
+        over = Bounds().depth_limit
+        for route in ("reusing", "reference"):
+            verdict, stats, steps = proofs[route]
+            proofs[route] = verdict, stats, [(s, "over" if n > over else n) for s, n in steps]
+        assert proofs["reference"] == proofs["reusing"]
+        calls["bounded"] += sum(status == OPEN_BOUNDED for status, _ in tasks)
+    assert calls["bounded"] > 0
+    assert calls["reusing"] < calls["rescanning"] < calls["reference"]
 
 
 def unpruned():
@@ -328,7 +495,7 @@ def reference_run_task(self, goal, context):
             branch_pairs = [_closure_pairs(context.positives, b.lits) for b in branches]
             closing = None
             if all(branch_pairs):
-                closing = self._close_all([(len(p), p) for p in branch_pairs], {})
+                closing = self._close_all([unscanned(p) for p in branch_pairs], {})
         except (_DepthExceeded, _ClosureExceeded):
             return OPEN_BOUNDED
         if closing is not None:
@@ -854,6 +1021,43 @@ def test_compare_shares_context_expansions(hank, marriage_bg):
     assert report.shared_stats.context_condition_expansions["hank(x)"] == 1
     assert report.naive_stats.context_condition_expansions["hank(x)"] == 5
     assert report.agreement
+
+
+# The slowest corpus discourse at seed 1: two of its three readings run
+# every closure-search step of their task and stay undecided.
+SLOWEST_CORPUS_BOX = (
+    "[a, b | p(b), q(a,a), [d | s(d,d)] => [e | not [ | q(e,a)], alpha:[c | q(c,c), r(c)]],"
+    " [f | s(f,f)] => [g | r(g)]]"
+)
+
+
+def test_the_slowest_corpus_box_keeps_its_bounded_verdicts():
+    # each task's (status, closure steps, rules), shared and per-task; a
+    # change to a bounded verdict, or to where the step bound trips, shows here
+    tasks = []
+    plain_run_task = _Engine.run_task
+
+    def recording(self, goal, context):
+        rules = self.stats.rule_applications
+        status = plain_run_task(self, goal, context)
+        tasks.append((status, self.closure_steps, self.stats.rule_applications - rules))
+        return status
+
+    expected = [
+        (OPEN_SATURATED, 0, 7),
+        (OPEN_BOUNDED, 20002, 169),
+        (OPEN_BOUNDED, 20007, 171),
+    ]
+    box = parse_drs(SLOWEST_CORPUS_BOX)
+    extraction = extract(box)
+    with mock.patch.object(_Engine, "run_task", recording):
+        verdict, stats = prove_lcon(extraction.formula, extraction.tag_positions())
+        assert tasks == expected
+        assert stats.rule_applications == 360
+        del tasks[:]
+        outcome = project(box)
+    assert tasks == expected
+    assert [c.verdict.informative for c in outcome.checks] == ["pass", "unknown", "unknown"]
 
 
 def test_deepening_in_place_saves_rule_applications(hank, marriage_bg):
