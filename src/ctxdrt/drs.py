@@ -58,6 +58,7 @@ __all__ = [
     "scope_chain",
     "chain_referents",
     "chain_context",
+    "chain_conditions",
     "accessible_referents",
     "context_drs",
     "substitute",
@@ -158,6 +159,12 @@ class Atom(_AtomFields):
         return "Atom(predicate=%r, args=%r)" % self
 
 
+def _atom(predicate: str, args: tuple[Referent, ...]) -> Atom:
+    """An atom rebuilt from a checked atom's predicate and as many arguments,
+    without ``Atom``'s checks."""
+    return tuple.__new__(Atom, (predicate, args))
+
+
 @dataclass(frozen=True)
 class Neg:
     body: "DRS"
@@ -197,13 +204,16 @@ class DRS:
     conditions: tuple[Condition, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "universe", tuple(self.universe))
-        object.__setattr__(self, "conditions", tuple(self.conditions))
-        seen: set[Referent] = set()
-        for ref in self.universe:
-            if ref in seen:
-                raise ValueError("referent %r repeated in universe" % ref.name)
-            seen.add(ref)
+        if type(self.universe) is not tuple:
+            object.__setattr__(self, "universe", tuple(self.universe))
+        if type(self.conditions) is not tuple:
+            object.__setattr__(self, "conditions", tuple(self.conditions))
+        if len(set(self.universe)) < len(self.universe):
+            seen: set[Referent] = set()
+            for ref in self.universe:
+                if ref in seen:
+                    raise ValueError("referent %r repeated in universe" % ref.name)
+                seen.add(ref)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DRS):
@@ -220,6 +230,19 @@ class DRS:
 
 
 EMPTY = DRS((), ())
+
+_new = object.__new__
+
+
+def _box(universe: tuple[Referent, ...], conditions: tuple[Condition, ...]) -> DRS:
+    """A box from a universe tuple known to repeat no referent and a
+    condition tuple, without ``DRS``'s checks: for boxes rebuilt from parts
+    of checked boxes."""
+    box = _new(DRS)
+    fields = box.__dict__
+    fields["universe"] = universe
+    fields["conditions"] = conditions
+    return box
 
 # A path addresses a sub-box: each step picks a condition by index and a
 # branch inside it.
@@ -243,17 +266,20 @@ def condition_children(cond: Condition) -> tuple[tuple[str, DRS], ...]:
     sub-boxes, in this order, so ``type(cond)(*boxes)`` rebuilds a
     compound condition from new sub-boxes.
     """
-    if isinstance(cond, Atom):
-        return ()
-    if isinstance(cond, Neg):
-        return ((NEG_BODY, cond.body),)
-    if isinstance(cond, Imp):
-        return ((IMP_ANTECEDENT, cond.antecedent), (IMP_CONSEQUENT, cond.consequent))
-    if isinstance(cond, Or):
-        return ((OR_LEFT, cond.left), (OR_RIGHT, cond.right))
-    if isinstance(cond, Alpha):
-        return ((ALPHA_BODY, cond.body),)
-    raise TypeError("not a condition: %r" % (cond,))
+    children = _CHILDREN.get(type(cond))
+    if children is None:
+        raise TypeError("not a condition: %r" % (cond,))
+    return children(cond)
+
+
+# The children of each kind of condition, looked up by its exact type.
+_CHILDREN = {
+    Atom: lambda cond: (),
+    Neg: lambda cond: ((NEG_BODY, cond.body),),
+    Imp: lambda cond: ((IMP_ANTECEDENT, cond.antecedent), (IMP_CONSEQUENT, cond.consequent)),
+    Or: lambda cond: ((OR_LEFT, cond.left), (OR_RIGHT, cond.right)),
+    Alpha: lambda cond: ((ALPHA_BODY, cond.body),),
+}
 
 
 def _scoped_children(cond: Condition) -> Iterator[tuple[str, DRS, _Sibling]]:
@@ -352,7 +378,7 @@ def merge(k1: DRS, k2: DRS) -> DRS:
     for ref in k2.universe:
         if ref in left:
             raise OverlappingUniverses(ref)
-    out = DRS(k1.universe + k2.universe, tuple(dict.fromkeys(k1.conditions + k2.conditions)))
+    out = _box(k1.universe + k2.universe, tuple(dict.fromkeys(k1.conditions + k2.conditions)))
     r1, r2 = k1.__dict__.get("_report"), k2.__dict__.get("_report")
     if r1 is not None and r2 is not None and r1.pure and r2.pure and r1.bound.isdisjoint(r2.bound):
         free = r1.free.difference(k2.universe) | r2.free.difference(k1.universe)
@@ -385,9 +411,32 @@ def chain_context(chain: list[Scope]) -> DRS:
     context = EMPTY
     for _, box, idx in reversed(chain[:-1]):
         if idx is not None:
-            box = DRS(box.universe, box.conditions[:idx] + box.conditions[idx + 1 :])
+            box = _box(box.universe, box.conditions[:idx] + box.conditions[idx + 1 :])
         context = merge(box, context)
     return context
+
+
+def chain_conditions(chain: list[Scope]) -> set[Condition]:
+    """The conditions of ``chain_context``, as a set, without merging.
+
+    Raises OverlappingUniverses where that merge would, naming the
+    referent it would name.
+    """
+    conditions: set[Condition] = set()
+    inner: tuple[Referent, ...] = ()  # the universes merged so far, outermost first
+    for _, box, idx in reversed(chain[:-1]):
+        if inner and box.universe:
+            outer = set(box.universe)
+            for ref in inner:
+                if ref in outer:
+                    raise OverlappingUniverses(ref)
+        inner = box.universe + inner
+        if idx is None:
+            conditions.update(box.conditions)
+        else:
+            conditions.update(box.conditions[:idx])
+            conditions.update(box.conditions[idx + 1 :])
+    return conditions
 
 
 def accessible_referents(at: DrsPath, root: DRS) -> tuple[Referent, ...]:
@@ -407,8 +456,8 @@ def substitute_condition(
 
     Keys shadowed by an inner universe are left alone inside that box.
     """
-    if isinstance(cond, Atom):
-        return Atom(cond.predicate, tuple([mapping.get(a, a) for a in cond.args]))
+    if type(cond) is Atom:
+        return _atom(cond.predicate, tuple([mapping.get(a, a) for a in cond.args]))
     return type(cond)(
         *[_substitute_box(child, mapping, sib) for _, child, sib in _scoped_children(cond)]
     )
@@ -421,7 +470,7 @@ def _substitute_box(
     live = {k: v for k, v in mapping.items() if k not in shadowed}
     if not live:
         return box
-    return DRS(box.universe, tuple([substitute_condition(c, live) for c in box.conditions]))
+    return _box(box.universe, tuple([substitute_condition(c, live) for c in box.conditions]))
 
 
 def substitute_free(box: DRS, mapping: dict[Referent, Referent]) -> DRS:
@@ -541,14 +590,15 @@ def _rename(
         live = {**live, **{r: renamed[r] for r in binders}}
     conds: list[Condition] = []
     for cond in box.conditions:
-        if isinstance(cond, Atom):
-            conds.append(Atom(cond.predicate, tuple([live.get(a, a) for a in cond.args])))
+        if type(cond) is Atom:
+            conds.append(_atom(cond.predicate, tuple([live.get(a, a) for a in cond.args])))
         else:
             boxes = [
                 _rename(child, renamed, live, sib) for _, child, sib in _scoped_children(cond)
             ]
             conds.append(type(cond)(*boxes))
-    return DRS(tuple([live.get(r, r) for r in box.universe]), tuple(conds))
+    # fresh names are unused in the box, so the renamed universe repeats no referent
+    return _box(tuple([live.get(r, r) for r in box.universe]), tuple(conds))
 
 
 def condition_contains_alpha(cond: Condition) -> bool:
@@ -608,7 +658,7 @@ def _rebuild_at(root: DRS, path: DrsPath, replacement: DRS) -> DRS:
         _rebuild_at(child, rest, replacement) if s == sel else child
         for s, child in condition_children(cond)
     ]
-    return DRS(
+    return _box(
         root.universe,
         root.conditions[:idx] + (type(cond)(*boxes),) + root.conditions[idx + 1 :],
     )
@@ -620,7 +670,7 @@ def delete_alpha(root: DRS, alpha_path: DrsPath) -> DRS:
         raise InvalidPath("path does not address an alpha condition")
     parent_path, parent, idx = scope_chain(alpha_path, root)[-2]
     conds = parent.conditions[:idx] + parent.conditions[idx + 1 :]
-    return _rebuild_at(root, parent_path, DRS(parent.universe, conds))
+    return _rebuild_at(root, parent_path, _box(parent.universe, conds))
 
 
 def extend_drs_at(root: DRS, path: DrsPath, extra: DRS) -> DRS:

@@ -7,15 +7,16 @@ entail g, so material shared between several entailment questions is
 stated exactly once.
 
 ``extract`` turns a box containing anaphoric material into one such
-formula in one walk over the accommodation sites of its alphas.  A site
-that adds context material (``projection.site_contents``) opens a nesting
+formula in one walk over the accommodation sites of its alphas.  Each
+alpha's scope chain is walked once (``projection._AlphaWalk``), and its
+site contents and its readings are both read off that walk.  A site that
+adds context material (``projection.site_contents``) opens a nesting
 level, shared by every alpha that passes it; a site that adds nothing
-shares the level of the site before it.  Each reading that
-``projection.candidate_readings`` admits at a site becomes a disjunct at
-its level.  The finished formula is tagged by ``auto_tag_positions``, the
-numbering the prover uses, so prover verdicts map back to readings.  An
-alpha with nothing to accommodate adds no check, as in
-``projection.project``.
+shares the level of the site before it.  Each reading that ``projection.candidate_readings``
+admits at a site becomes a disjunct at its level.  The finished formula
+is tagged by ``auto_tag_positions``, the numbering the prover uses, so
+prover verdicts map back to readings.  An alpha with nothing to
+accommodate adds no check, as in ``projection.project``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .projection import (
     BackgroundTheory,
     ProjectionError,
     Reading,
+    _walk_alpha,
     candidate_readings,
     eligible_alpha_paths,
     require_pure,
@@ -211,9 +213,10 @@ def extract(root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND) -> Extraction:
             )
     top = _Layer(EMPTY)
     for alpha_path in paths:
-        readings = candidate_readings(root, alpha_path)[0]
+        walk = _walk_alpha(root, alpha_path)
+        readings = candidate_readings(root, alpha_path, walk)[0]
         layer = top
-        for site_path, content in site_contents(root, alpha_path, bg):
+        for site_path, content in site_contents(root, alpha_path, bg, walk):
             if not content.is_empty():
                 layer = layer.child(site_path, content)
             at_site = [r for r in readings if r.site_path == site_path]

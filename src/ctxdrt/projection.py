@@ -8,23 +8,41 @@ material) and local consistency (the result must be satisfiable).  As with
 resolution (``resolve_alpha`` enumerates, ``apply_resolution`` applies), a
 reading only says where and what to accommodate: ``candidate_readings``
 enumerates them and ``accommodate`` builds the boxes they yield.
+
+Everything asked about one alpha of one box is read off one record, an
+``_AlphaWalk``, built from a single ``scope_chain`` walk: the body split
+into inner simple anaphors and core conditions, the referents the alpha
+sees (what its presupposed referents may be bound to), and the
+accommodation sites with their kinds.
+``resolve_alpha``, ``accommodation_sites``, ``candidate_readings``,
+``site_contents`` and ``site_premises`` are views of it: each builds the
+record when called alone, and ``project``, ``lcon.extract`` and
+``tableau.compare_cost`` build it once per alpha and pass it to every
+view.  A view reads the box-wide facts it needs itself: resolution the
+context's condition set, the readings the box's free referents, the
+site contents its presupposed referents.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .drs import (
     ALPHA_BODY,
     DRS,
+    Atom,
+    Condition,
     DrsPath,
     Referent,
     Scope,
-    alpha_condition_paths,
-    chain_context,
+    _box,
+    chain_conditions,
     chain_referents,
+    condition_children,
     condition_contains_alpha,
     condition_mentions,
     delete_alpha,
@@ -125,8 +143,9 @@ class Reading:
     resolution: Resolution
     accommodated: DRS
 
-    @property
+    @cached_property
     def ref(self) -> str:
+        """The reading's name in checks and trails, computed once."""
         return "%s@%s;%s" % (self.site_kind, path_str(self.site_path), self.resolution.describe())
 
 
@@ -193,13 +212,6 @@ def _all_referents(box: DRS) -> frozenset[Referent]:
     return report.free | report.bound
 
 
-def _alpha_chain(alpha_path: DrsPath, root: DRS) -> list[Scope]:
-    """The scope chain of an alpha body: its sites, then the body itself."""
-    if not alpha_path or alpha_path[-1][1] != ALPHA_BODY:
-        raise NotAnAlpha("path %s does not end at an alpha body" % path_str(alpha_path))
-    return scope_chain(alpha_path, root)
-
-
 def _split_body(body: DRS) -> tuple[list[Referent], list]:
     """Inner simple-anaphor referents and the remaining core conditions."""
     anaphors: list[Referent] = []
@@ -212,13 +224,41 @@ def _split_body(body: DRS) -> tuple[list[Referent], list]:
     return anaphors, core
 
 
-def _sites(chain: list[Scope]) -> list[tuple[str, Scope]]:
-    """The accommodation sites of an alpha's scope chain, with their kinds.
+class _AlphaWalk(NamedTuple):
+    """One alpha of one box, as a single walk down its scope chain sees it."""
 
-    A lone site is global: ``zip`` stops at the one site.
-    """
+    root: DRS
+    path: DrsPath
+    chain: list[Scope]  # the sites, then the alpha body
+    anaphors: list[Referent]  # the body's inner simple anaphors
+    core: list[Condition]  # the body's other conditions
+    pool: tuple[Referent, ...]  # what the presupposed referents may be bound to
+    sites: list[tuple[str, Scope]]  # the accommodation sites, outermost first
+
+    @property
+    def body(self) -> DRS:
+        return self.chain[-1].box
+
+
+def _walk_alpha(root: DRS, alpha_path: DrsPath) -> _AlphaWalk:
+    """Walk the scope chain of the alpha body at ``alpha_path``, once."""
+    if not alpha_path or alpha_path[-1][1] != ALPHA_BODY:
+        raise NotAnAlpha("path %s does not end at an alpha body" % path_str(alpha_path))
+    chain = scope_chain(alpha_path, root)
+    anaphors, core = _split_body(chain[-1].box)
+    # a lone site is global: zip stops at the one site
     kinds = [GLOBAL] + [INTERMEDIATE] * (len(chain) - 3) + [LOCAL]
-    return list(zip(kinds, chain[:-1]))
+    sites = list(zip(kinds, chain[:-1]))
+    return _AlphaWalk(root, alpha_path, chain, anaphors, core, chain_referents(chain), sites)
+
+
+def _walk_of(root: DRS, alpha_path: DrsPath, walk: Optional[_AlphaWalk]) -> _AlphaWalk:
+    """The given walk, which must be of this alpha of this box, or a new one."""
+    if walk is None:
+        return _walk_alpha(root, alpha_path)
+    if walk.root is not root or walk.path != alpha_path:
+        raise ValueError("the walk is of another alpha or box")
+    return walk
 
 
 def accommodation_sites(alpha_path: DrsPath, root: DRS) -> list[tuple[str, DrsPath]]:
@@ -228,26 +268,27 @@ def accommodation_sites(alpha_path: DrsPath, root: DRS) -> list[tuple[str, DrsPa
     alpha body itself.  The outermost is the global site, the alpha's own
     box the local one, and any box between them an intermediate one.
     """
-    return [(kind, site.path) for kind, site in _sites(_alpha_chain(alpha_path, root))]
+    return [(kind, site.path) for kind, site in _walk_alpha(root, alpha_path).sites]
 
 
-def resolve_alpha(alpha_path: DrsPath, root: DRS) -> list[Resolution]:
+def resolve_alpha(
+    alpha_path: DrsPath, root: DRS, walk: Optional[_AlphaWalk] = None
+) -> list[Resolution]:
     """All bindings making the substituted body part of the context.
 
     The presupposed referents (the body universe plus inner simple
     anaphors) are bound to accessible referents; a binding succeeds when
-    every substituted condition already occurs in the context box.
+    every substituted condition already occurs in the context box.  The
+    context is read as the set of its conditions (``chain_conditions``),
+    not merged into a box.
     """
-    chain = _alpha_chain(alpha_path, root)
-    body = chain[-1].box
-    anaphors, core = _split_body(body)
-    ctx_conditions = set(chain_context(chain).conditions)
-    pool = chain_referents(chain)
-    to_bind = list(body.universe) + anaphors
+    walk = _walk_of(root, alpha_path, walk)
+    context = chain_conditions(walk.chain)
+    to_bind = list(walk.body.universe) + walk.anaphors
     out: list[Resolution] = []
-    for combo in itertools.product(pool, repeat=len(to_bind)):
+    for combo in itertools.product(walk.pool, repeat=len(to_bind)):
         theta = dict(zip(to_bind, combo))
-        if all(substitute_condition(c, theta) in ctx_conditions for c in core):
+        if all(substitute_condition(c, theta) in context for c in walk.core):
             out.append(Resolution(tuple(zip(to_bind, combo))))
     return out
 
@@ -268,7 +309,7 @@ def accommodate(root: DRS, readings: list[Reading]) -> list[DRS]:
 
 
 def candidate_readings(
-    root: DRS, alpha_path: DrsPath
+    root: DRS, alpha_path: DrsPath, walk: Optional[_AlphaWalk] = None
 ) -> tuple[list[Reading], list[BlockedReading]]:
     """Accommodation candidates split into admitted and free-variable-blocked.
 
@@ -283,27 +324,30 @@ def candidate_readings(
     alpha removes occurrences, and the site's universe only grows), so the
     constraint is checked on the accommodated box against the referents
     bound at the site: the universes of every site up to and including it,
-    scoped as ``validate`` scopes them.
+    scoped as ``validate`` scopes them.  A binding's accommodated box does
+    not depend on the site, so it is built and validated once and every
+    site's reading of that binding shares it.
     """
-    chain = _alpha_chain(alpha_path, root)
-    body = chain[-1].box
-    anaphors, core = _split_body(body)
-    if not core:
+    walk = _walk_of(root, alpha_path, walk)
+    if not walk.core:
         return [], []
-    pool = chain_referents(chain)
     root_free = validate(root).free
+    bindings = []
+    for combo in itertools.product(walk.pool, repeat=len(walk.anaphors)):
+        theta = dict(zip(walk.anaphors, combo))
+        accommodated = _box(
+            walk.body.universe, tuple([substitute_condition(c, theta) for c in walk.core])
+        )
+        free = validate(accommodated).free - root_free
+        bindings.append((Resolution(tuple(zip(walk.anaphors, combo))), accommodated, free, combo))
     admitted: list[Reading] = []
     blocked: list[BlockedReading] = []
     site_refs: set[Referent] = set()
-    for kind, (site_path, site_box, _) in _sites(chain):
-        site_refs |= set(site_box.universe)
-        for combo in itertools.product(pool, repeat=len(anaphors)):
-            theta = dict(zip(anaphors, combo))
-            conditions = tuple([substitute_condition(c, theta) for c in core])
-            accommodated = DRS(body.universe, conditions)
-            new_free = validate(accommodated).free - site_refs - root_free
+    for kind, (site_path, site_box, _) in walk.sites:
+        site_refs.update(site_box.universe)
+        for resolution, accommodated, free, combo in bindings:
+            new_free = free - site_refs
             outside = tuple(sorted(set(combo) - site_refs))
-            resolution = Resolution(tuple(zip(anaphors, combo)))
             fields = (kind, site_path, alpha_path, resolution, accommodated)
             if new_free or outside:
                 blocked.append(BlockedReading(*fields, tuple(sorted(new_free)), outside))
@@ -315,7 +359,7 @@ def candidate_readings(
 def _task_content(box: DRS, presupposed: frozenset[Referent]) -> DRS:
     """The box's assertable content: conditions that neither contain an
     anaphoric sub-box nor mention a still-unresolved presupposed referent."""
-    return DRS(
+    return _box(
         box.universe,
         tuple(
             [
@@ -328,14 +372,18 @@ def _task_content(box: DRS, presupposed: frozenset[Referent]) -> DRS:
 
 
 def site_contents(
-    root: DRS, alpha_path: DrsPath, bg: BackgroundTheory = EMPTY_BACKGROUND
+    root: DRS,
+    alpha_path: DrsPath,
+    bg: BackgroundTheory = EMPTY_BACKGROUND,
+    walk: Optional[_AlphaWalk] = None,
 ) -> list[tuple[DrsPath, DRS]]:
     """What each of the ``accommodation_sites`` of one alpha adds to its
     context, outermost first: the root adds the background theory and its
     own assertable content, every other site its box's assertable content."""
+    walk = _walk_of(root, alpha_path, walk)
     presupposed = presupposed_referents(root)
     contents: list[tuple[DrsPath, DRS]] = []
-    for _, (site_path, site_box, _) in _sites(_alpha_chain(alpha_path, root)):
+    for _, (site_path, site_box, _) in walk.sites:
         content = _task_content(site_box, presupposed)
         if site_path == ():
             content = merge(bg.merged_for(root), content)
@@ -344,7 +392,10 @@ def site_contents(
 
 
 def site_premises(
-    root: DRS, alpha_path: DrsPath, bg: BackgroundTheory = EMPTY_BACKGROUND
+    root: DRS,
+    alpha_path: DrsPath,
+    bg: BackgroundTheory = EMPTY_BACKGROUND,
+    walk: Optional[_AlphaWalk] = None,
 ) -> dict[DrsPath, DRS]:
     """The task premise of every accommodation site of one alpha.
 
@@ -357,7 +408,7 @@ def site_premises(
     of a premise with a validated box, carries the report its merge
     derives instead of being walked.
     """
-    contents = site_contents(root, alpha_path, bg)
+    contents = site_contents(root, alpha_path, bg, walk)
     for _, content in contents:
         validate(content)
     premises = itertools.accumulate([content for _, content in contents], merge)
@@ -480,13 +531,102 @@ def eligible_alpha_paths(box: DRS) -> list[DrsPath]:
     inside presupposed material, is processed individually.
     """
     out: list[DrsPath] = []
-    for p in alpha_condition_paths(box):
-        if len(p) >= 2 and p[-2][1] == ALPHA_BODY:
-            parent = sub_drs_at(p[:-1], box)
-            if is_simple_anaphor(parent.conditions[p[-1][0]]):
+    _eligible_paths(box, (), False, out)
+    return out
+
+
+def _eligible_paths(box: DRS, prefix: DrsPath, in_alpha: bool, out: list[DrsPath]) -> None:
+    """Add the eligible alpha paths inside ``box``, at ``prefix``, depth-first
+    as ``alpha_condition_paths`` lists them; ``in_alpha`` when ``box`` is an
+    alpha body."""
+    for i, cond in enumerate(box.conditions):
+        if type(cond) is Atom:
+            continue
+        for sel, child in condition_children(cond):
+            path = prefix + ((i, sel),)
+            is_alpha = sel == ALPHA_BODY
+            if is_alpha and not (in_alpha and is_simple_anaphor(cond)):
+                out.append(path)
+            _eligible_paths(child, path, is_alpha, out)
+
+
+def _paths_after_deletion(
+    walk: _AlphaWalk, paths: list[DrsPath], refilled: bool = False
+) -> list[DrsPath]:
+    """``eligible_alpha_paths`` of the walked box once its alpha is deleted,
+    from ``paths``, those of the walked box.
+
+    The alpha and everything in it go, and the later conditions of its box
+    move up one place.  If that box is itself an alpha body left with one
+    referent and no condition, it becomes a simple anaphor, which rides
+    along with its host when it sits directly inside another alpha body;
+    it is ``refilled`` when accommodation merges into it.
+    """
+    target = walk.path
+    host, idx = target[:-1], target[-1][0]
+    depth = len(host)
+    out: list[DrsPath] = []
+    for p in paths:
+        if len(p) > depth and p[:depth] == host:
+            i = p[depth][0]
+            if i == idx:
                 continue
+            if i > idx:
+                p = p[:depth] + ((i - 1, p[depth][1]),) + p[depth + 1 :]
+        out.append(p)
+    emptied = walk.chain[-2].box
+    if (
+        not refilled
+        and depth >= 2
+        and host[-1][1] == host[-2][1] == ALPHA_BODY
+        and len(emptied.universe) == 1
+        and len(emptied.conditions) == 1
+    ):
+        out.remove(host)
+    return out
+
+
+def _paths_after_accommodation(
+    walk: _AlphaWalk, paths: list[DrsPath], pruned: DRS, site_path: DrsPath
+) -> list[DrsPath]:
+    """``eligible_alpha_paths`` of the box accommodating the walked alpha at
+    ``site_path`` yields, from ``paths``, those of the walked box.
+
+    ``pruned`` is the walked box with the alpha deleted.  Merging into the
+    site keeps only the first of equal conditions (``merge``), so a site
+    that holds equal conditions renumbers the paths through it, and drops
+    those through a condition equal to an earlier one.  The accommodated
+    conditions come last and hold no alpha.
+    """
+    paths = _paths_after_deletion(walk, paths, refilled=site_path == walk.path[:-1])
+    depth = len(site_path)
+    if not any(len(p) > depth and p[:depth] == site_path for p in paths):
+        return paths
+    conditions = sub_drs_at(site_path, pruned).conditions
+    first: dict[Condition, int] = {}
+    moved: list[Optional[int]] = []  # each condition's index after the merge, None if dropped
+    for cond in conditions:
+        if cond in first:
+            moved.append(None)
+        else:
+            moved.append(first.setdefault(cond, len(first)))
+    out: list[DrsPath] = []
+    for p in paths:
+        if len(p) > depth and p[:depth] == site_path:
+            i, sel = p[depth]
+            if moved[i] is None:
+                continue
+            p = p[:depth] + ((moved[i], sel),) + p[depth + 1 :]
         out.append(p)
     return out
+
+
+class _Pending(NamedTuple):
+    """A box still to project, how it was reached, and its alphas."""
+
+    box: DRS
+    trail: tuple[ProjectionStep, ...]
+    alpha_paths: list[DrsPath]  # eligible_alpha_paths(box), carried from its parent
 
 
 def project(
@@ -500,40 +640,53 @@ def project(
     Resolution is preferred: a resolvable alpha is deleted and its
     referents renamed, without generating accommodation readings.  An
     unresolvable alpha is accommodated every admissible way; readings
-    failing informativity or consistency are dropped.  The site premises
-    are built once per accommodated alpha and shared by every reading at
-    a site, so each is validated once.  Each reading is checked by
-    ``check_reading`` under ``bounds`` and ``model_bound``.  All surviving
-    alpha-free boxes are returned with their decision trails.
+    failing informativity or consistency are dropped.  Each alpha is
+    walked once (``_AlphaWalk``), and its resolutions, readings and site
+    premises are read off that walk.  The site premises are built once per
+    accommodated alpha and shared by every reading at a site, so each is
+    validated once.  Each reading is checked by ``check_reading`` under
+    ``bounds`` and ``model_bound``.  Only the input is searched for alphas:
+    every box a resolution or an accommodation yields carries its alpha
+    paths over from its parent's.  All surviving alpha-free boxes are
+    returned with their decision trails.
     """
     require_pure(root, "input")
     checks: list[CheckRecord] = []
     blocked_all: list[BlockedReading] = []
     survivors: list[ProjectionResult] = []
-    pending: list[tuple[DRS, tuple[ProjectionStep, ...]]] = [(root, ())]
+    pending = deque([_Pending(root, (), eligible_alpha_paths(root))])
     while pending:
-        box, trail = pending.pop(0)
-        paths = eligible_alpha_paths(box)
+        box, trail, paths = pending.popleft()
         if not paths:
             survivors.append(ProjectionResult(box, trail))
             continue
         target = max(paths, key=len)  # innermost first; DFS order breaks ties
-        resolutions = resolve_alpha(target, box)
+        walk = _walk_alpha(box, target)
+        resolutions = resolve_alpha(target, box, walk)
         if resolutions:
+            rest = _paths_after_deletion(walk, paths)
             for res in resolutions:
                 step = ProjectionStep(target, "resolved", res.describe())
-                pending.append((apply_resolution(box, target, res), trail + (step,)))
+                pending.append(_Pending(apply_resolution(box, target, res), trail + (step,), rest))
             continue
-        readings, blocked = candidate_readings(box, target)
+        readings, blocked = candidate_readings(box, target, walk)
         blocked_all.extend(blocked)
-        premises = site_premises(box, target, bg) if readings else {}
-        for reading, result in zip(readings, accommodate(box, readings)):
+        if not readings:
+            continue
+        premises = site_premises(box, target, bg, walk)
+        pruned = delete_alpha(box, target)
+        carried: dict[DrsPath, list[DrsPath]] = {}
+        for reading in readings:
+            result = extend_drs_at(pruned, reading.site_path, reading.accommodated)
             tasks = _reading_tasks(reading, premises[reading.site_path])
             verdict = check_reading(tasks, bounds, model_bound)
             checks.append(CheckRecord(reading, verdict, result))
             if verdict.admitted:
+                site = reading.site_path
+                if site not in carried:
+                    carried[site] = _paths_after_accommodation(walk, paths, pruned, site)
                 step = ProjectionStep(target, "accommodated", reading.ref)
-                pending.append((result, trail + (step,)))
+                pending.append(_Pending(result, trail + (step,), carried[site]))
     if not survivors:
         raise NoAdmissibleReading(tuple(checks))
     return ProjectOutcome(tuple(survivors), tuple(checks), tuple(blocked_all))

@@ -79,6 +79,7 @@ from .projection import (
     EMPTY_BACKGROUND,
     BackgroundTheory,
     InferenceTask,
+    _walk_alpha,
     candidate_readings,
     eligible_alpha_paths,
     site_premises,
@@ -1101,8 +1102,9 @@ def compare_cost(
     naive_stats = ProofStats()
     naive_verdicts: list[tuple[str, str]] = []
     for alpha_path in eligible_alpha_paths(root):
-        readings = candidate_readings(root, alpha_path)[0]
-        premises = site_premises(root, alpha_path, bg) if readings else {}
+        walk = _walk_alpha(root, alpha_path)
+        readings = candidate_readings(root, alpha_path, walk)[0]
+        premises = site_premises(root, alpha_path, bg, walk) if readings else {}
         for reading in readings:
             informativity = InferenceTask(
                 "informativity", premises[reading.site_path], reading.accommodated, reading.ref

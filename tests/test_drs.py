@@ -20,6 +20,7 @@ from ctxdrt.drs import (
     _validation_report,
     accessible_referents,
     alpha_condition_paths,
+    condition_children,
     context_drs,
     delete_alpha,
     enumerate_sub_drss,
@@ -30,6 +31,7 @@ from ctxdrt.drs import (
     sub_drs_at,
     substitute,
     substitute_condition,
+    substitute_free,
     validate,
 )
 from ctxdrt.text import parse_drs, print_condition, print_drs
@@ -413,3 +415,59 @@ def test_a_report_a_merge_carries_is_the_report_of_the_merged_box():
             carried_count += 1
             unbound_by_other += bool(reports[0].free & set(k2.universe))
     assert carried_count > 300 and unbound_by_other > 40
+
+
+def _parts(box: DRS):
+    """Every box and every atom inside ``box``, itself first."""
+    yield box
+    for cond in box.conditions:
+        if isinstance(cond, Atom):
+            yield cond
+        for _, child in condition_children(cond):
+            yield from _parts(child)
+
+
+def test_rebuilt_atoms_and_boxes_are_what_the_checked_constructors_build():
+    # substitution and renaming rebuild atoms and boxes from checked parts
+    # without checking them again; each must equal, hash and print as the
+    # atom or box the public constructor builds from the same fields
+    rng = random.Random(18)
+    rebuilt_atoms = 0
+    for _ in range(500):
+        box = _random_box(rng, 2)
+        mapping = {r: rng.choice(_NAMES) for r in rng.sample(_NAMES, 2)}
+        rebuilt = [substitute_free(box, mapping), rename_apart(box, ["x", "y"])]
+        for cond in box.conditions:
+            new = substitute_condition(cond, mapping)
+            rebuilt.append(new if isinstance(new, Atom) else DRS((), (new,)))
+        for part in rebuilt:
+            for made in _parts(part) if isinstance(part, DRS) else [part]:
+                if isinstance(made, Atom):
+                    checked = Atom(made.predicate, made.args)
+                    rebuilt_atoms += 1
+                else:
+                    checked = DRS(made.universe, made.conditions)
+                    assert made.universe == checked.universe
+                    assert made.conditions == checked.conditions
+                assert type(made) is type(checked)
+                assert made == checked and hash(made) == hash(checked)
+                assert repr(made) == repr(checked)
+    assert rebuilt_atoms > 2000
+
+
+def test_constructors_keep_their_checks_and_messages():
+    for bad in ("", "X", "1a", "a-b"):
+        with pytest.raises(ValueError, match=r"^bad referent name: %r$" % bad):
+            Referent(bad)
+    with pytest.raises(ValueError, match=r"^bad predicate name: 'P'$"):
+        Atom("P", refs("x"))
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="^atoms need at least one argument$"):
+            Atom("p", empty)
+    # the message names the first referent met a second time
+    with pytest.raises(ValueError, match="^referent 'y' repeated in universe$"):
+        DRS(refs("x", "y", "z", "y", "x"), ())
+    with pytest.raises(ValueError, match="^referent 'x' repeated in universe$"):
+        DRS(iter(refs("x", "y", "x", "y")), ())
+    box = DRS(list(refs("x", "y")), [Atom("p", refs("x"))])
+    assert type(box.universe) is tuple and type(box.conditions) is tuple

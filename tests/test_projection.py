@@ -6,23 +6,28 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from ctxdrt import drs, projection
+from ctxdrt import drs, lcon, projection
 from ctxdrt.drs import (
     DRS,
     EMPTY,
     Atom,
     DrsError,
     Neg,
+    OverlappingUniverses,
     Referent,
     accessible_referents,
     alpha_condition_paths,
+    chain_context,
+    chain_referents,
     condition_children,
     context_drs,
     delete_alpha,
     enumerate_sub_drss,
     extend_drs_at,
+    is_simple_anaphor,
     merge,
     merge_all,
+    path_str,
     presupposed_referents,
     scope_chain,
     substitute_condition,
@@ -31,8 +36,12 @@ from ctxdrt.drs import (
 from ctxdrt.lcon import extract
 from ctxdrt.projection import (
     BackgroundTheory,
+    BlockedReading,
     NoAdmissibleReading,
     NotAnAlpha,
+    Reading,
+    ReadingVerdict,
+    Resolution,
     _split_body,
     _task_content,
     accommodate,
@@ -43,6 +52,7 @@ from ctxdrt.projection import (
     eligible_alpha_paths,
     project,
     resolve_alpha,
+    site_contents,
     site_premises,
 )
 from ctxdrt.tableau import compare_cost, prove_lcon
@@ -439,8 +449,9 @@ def test_large_boxes_are_validated_once(monkeypatch, marriage_bg):
 
 
 @pytest.mark.parametrize("source", [HANK, FAMILY_M_40], ids=["hank", "family_m_40"])
-def test_project_walks_ten_boxes_however_wide_the_context(monkeypatch, marriage_bg, source):
-    # the input, the 6 accommodated boxes of the 3 sites and the 3 site
+def test_project_walks_six_boxes_however_wide_the_context(monkeypatch, marriage_bg, source):
+    # the input, the accommodated boxes of the 2 bindings of the inner
+    # anaphor (each shared by the readings of the 3 sites) and the 3 site
     # contents; the root's premise is its content, and no other premise and
     # no reading's consistency premise is walked, so the root's facts are
     # walked twice: in the input and in the root's content
@@ -462,7 +473,7 @@ def test_project_walks_ten_boxes_however_wide_the_context(monkeypatch, marriage_
     monkeypatch.setattr(drs, "_validation_report", counting)
     monkeypatch.setattr(projection, "site_premises", recording)
     project(box, marriage_bg)
-    assert len(walked) == 10
+    assert len(walked) == 6
     assert len(premises) == 3
     assert not any(premise is b for premise in premises[1:] for b in walked)
     assert sum(Atom("hank", (Referent("x"),)) in b.conditions for b in walked) == 2
@@ -601,3 +612,317 @@ def test_every_survivor_is_the_result_of_an_admitted_check(hank, marriage_bg):
         admitted = [c.result for c in outcome.checks if c.verdict.admitted]
         assert outcome.survivors
         assert all(any(s.drs is r for r in admitted) for s in outcome.survivors)
+
+
+# -- one walk per alpha: the views of ``_AlphaWalk`` against the parent walks -------------
+#
+# The enumerators as they stood before one walk per alpha served them all,
+# kept as references: each builds its own scope chain, resolution merges
+# the chain into a context box, and every box re-searches for its alphas.
+
+
+def reference_alpha_chain(alpha_path, root):
+    if not alpha_path or alpha_path[-1][1] != "alpha":
+        raise NotAnAlpha("path does not end at an alpha body")
+    return scope_chain(alpha_path, root)
+
+
+def reference_sites(chain):
+    kinds = ["global"] + ["intermediate"] * (len(chain) - 3) + ["local"]
+    return list(zip(kinds, chain[:-1]))
+
+
+def reference_eligible_alpha_paths(box):
+    out = []
+    for p in alpha_condition_paths(box):
+        if len(p) >= 2 and p[-2][1] == "alpha":
+            parent = reference_box_at(p[:-1], box)
+            if is_simple_anaphor(parent.conditions[p[-1][0]]):
+                continue
+        out.append(p)
+    return out
+
+
+def reference_resolve_alpha(alpha_path, root):
+    chain = reference_alpha_chain(alpha_path, root)
+    body = chain[-1].box
+    anaphors, core = _split_body(body)
+    ctx_conditions = set(chain_context(chain).conditions)
+    pool = chain_referents(chain)
+    to_bind = list(body.universe) + anaphors
+    out = []
+    for combo in itertools.product(pool, repeat=len(to_bind)):
+        theta = dict(zip(to_bind, combo))
+        if all(substitute_condition(c, theta) in ctx_conditions for c in core):
+            out.append(Resolution(tuple(zip(to_bind, combo))))
+    return out
+
+
+def reference_candidate_readings(root, alpha_path):
+    chain = reference_alpha_chain(alpha_path, root)
+    body = chain[-1].box
+    anaphors, core = _split_body(body)
+    if not core:
+        return [], []
+    pool = chain_referents(chain)
+    root_free = validate(root).free
+    admitted, blocked = [], []
+    site_refs = set()
+    for kind, (site_path, site_box, _) in reference_sites(chain):
+        site_refs |= set(site_box.universe)
+        for combo in itertools.product(pool, repeat=len(anaphors)):
+            theta = dict(zip(anaphors, combo))
+            conditions = tuple([substitute_condition(c, theta) for c in core])
+            accommodated = DRS(body.universe, conditions)
+            new_free = validate(accommodated).free - site_refs - root_free
+            outside = tuple(sorted(set(combo) - site_refs))
+            resolution = Resolution(tuple(zip(anaphors, combo)))
+            fields = (kind, site_path, alpha_path, resolution, accommodated)
+            if new_free or outside:
+                blocked.append(BlockedReading(*fields, tuple(sorted(new_free)), outside))
+            else:
+                admitted.append(Reading(*fields))
+    return admitted, blocked
+
+
+def reference_site_contents(root, alpha_path, bg):
+    presupposed = presupposed_referents(root)
+    contents = []
+    for _, (site_path, site_box, _) in reference_sites(reference_alpha_chain(alpha_path, root)):
+        content = _task_content(site_box, presupposed)
+        if site_path == ():
+            content = merge(bg.merged_for(root), content)
+        contents.append((site_path, content))
+    return contents
+
+
+def reference_site_premises(root, alpha_path, bg):
+    contents = reference_site_contents(root, alpha_path, bg)
+    premises = itertools.accumulate([content for _, content in contents], merge)
+    return dict(zip([site_path for site_path, _ in contents], premises))
+
+
+def in_order(boxes):
+    """Boxes as their stored universes and conditions, which equality ignores."""
+    return [(b.universe, b.conditions) for b in boxes]
+
+
+def view_results(root, path, bg, views):
+    resolve, readings, contents, premises = views
+    readings_out = [
+        (group, in_order(r.accommodated for r in group)) for group in readings(root, path)
+    ]
+    site_contents_out = outcome(contents, root, path, bg)
+    if isinstance(site_contents_out, list):
+        site_contents_out = [(site, in_order([c])) for site, c in site_contents_out]
+    premises_out = outcome(premises, root, path, bg)
+    if isinstance(premises_out, dict):
+        premises_out = [(site, in_order([p])) for site, p in premises_out.items()]
+    return outcome(resolve, path, root), readings_out, site_contents_out, premises_out
+
+
+REFERENCE_VIEWS = (
+    reference_resolve_alpha,
+    reference_candidate_readings,
+    reference_site_contents,
+    reference_site_premises,
+)
+
+
+def shared_walk_views(root, path):
+    """The views, all reading one walk of the alpha, as ``project`` calls them."""
+    walk = projection._walk_alpha(root, path)
+    return (
+        lambda p, r: resolve_alpha(p, r, walk),
+        lambda r, p: candidate_readings(r, p, walk),
+        lambda r, p, bg: site_contents(r, p, bg, walk),
+        lambda r, p, bg: site_premises(r, p, bg, walk),
+    )
+
+
+def assert_views_match_reference(root, bg):
+    for path in alpha_condition_paths(root):
+        want = view_results(root, path, bg, REFERENCE_VIEWS)
+        alone = (resolve_alpha, candidate_readings, site_contents, site_premises)
+        assert view_results(root, path, bg, alone) == want
+        assert view_results(root, path, bg, shared_walk_views(root, path)) == want
+
+
+def projected_boxes(root, bg=BackgroundTheory(), admit_all=False):
+    """Every box ``project`` queues on ``root``, with the alpha paths it
+    carries to it; ``admit_all`` passes every reading check unproved."""
+    queued = []
+    make = projection._Pending
+
+    def pending(box, trail, alpha_paths):
+        queued.append((box, alpha_paths))
+        return make(box, trail, alpha_paths)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projection, "_Pending", pending)
+        if admit_all:
+            passed = ReadingVerdict("pass", "pass")
+            patch.setattr(projection, "check_reading", lambda *args: passed)
+        try:
+            project(root, bg)
+        except NoAdmissibleReading:
+            pass
+    return queued
+
+
+def assert_carried_paths_match_a_fresh_search(root, bg=BackgroundTheory(), admit_all=False):
+    queued = projected_boxes(root, bg, admit_all)
+    assert queued[0][0] is root
+    for box, alpha_paths in queued:
+        assert alpha_paths == reference_eligible_alpha_paths(box)
+    return queued
+
+
+def family_texts():
+    rng = random.Random(5)
+    texts = []
+    for m in (0, 3, 40):  # family M: hank with m more root facts, shuffled
+        conds = ["hank(x)", "married(x)"] + ["f%d(x)" % i for i in range(m)]
+        rng.shuffle(conds)
+        texts.append("[x | %s, %s]" % (", ".join(conds), possessive(0)))
+    for k in range(1, 5):  # family K: hank is married, then k possessive sentences
+        sentences = ", ".join(possessive(t) for t in range(k))
+        texts.append("[x | hank(x), married(x), %s]" % sentences)
+    return texts
+
+
+# accommodating at the root drops the repeated p(x), so the first alpha moves up
+DROPPED_REPEAT = "[x | p(x), p(x), alpha:[y | q(y)], [ | r(x)] => [ | alpha:[z | s(z)]]]"
+
+
+def test_carried_paths_follow_a_merge_that_drops_a_repeated_condition():
+    box = parse_drs(DROPPED_REPEAT)
+    assert_carried_paths_match_a_fresh_search(box)
+    outcome_ = project(box)
+    survivors = [
+        (print_drs(s.drs), [(path_str(t.alpha_path), t.action, t.detail) for t in s.trail])
+        for s in outcome_.survivors
+    ]
+    # as recorded before the paths were carried
+    assert survivors == [
+        (
+            "[x, z, y | p(x), [ | r(x)] => [ | ], s(z), q(y)]",
+            [
+                ("3.cons/0.alpha", "accommodated", "global@-;none"),
+                ("1.alpha", "accommodated", "global@-;none"),
+            ],
+        ),
+        (
+            "[x, y | p(x), [z | r(x), s(z)] => [ | ], q(y)]",
+            [
+                ("3.cons/0.alpha", "accommodated", "intermediate@3.ante;none"),
+                ("2.alpha", "accommodated", "global@-;none"),
+            ],
+        ),
+        (
+            "[x, y | p(x), [ | r(x)] => [z | s(z)], q(y)]",
+            [
+                ("3.cons/0.alpha", "accommodated", "local@3.cons;none"),
+                ("2.alpha", "accommodated", "global@-;none"),
+            ],
+        ),
+    ]
+    assert len(outcome_.checks) == 6
+
+
+def test_carried_paths_and_views_match_the_references_on_corpus_and_families(marriage_bg):
+    rng = random.Random(CORPUS_SEED)
+    queued = []
+    for _ in range(500):  # the acceptance corpus
+        queued += assert_carried_paths_match_a_fresh_search(corpus_drs(rng))
+    for box, _ in queued:
+        assert_views_match_reference(box, BackgroundTheory())
+    for text in family_texts():
+        for box, _ in assert_carried_paths_match_a_fresh_search(parse_drs(text), marriage_bg):
+            assert_views_match_reference(box, marriage_bg)
+    assert len(queued) > 1000
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(drs_boxes, nested_alpha_boxes))
+# an alpha body emptied down to one referent rides along with its host
+@example(parse_drs("[ | alpha:[u | p(u), alpha:[v | alpha:[w | q(w)]]]]"))
+@example(parse_drs("[x | alpha:[u | alpha:[v | q(v), q(v)], alpha:[w | q(w)], q(x)]]"))
+# accommodating at the root drops the second of two equal negations, and its alpha
+@example(
+    parse_drs(
+        "[x | [ | p(x)] => [ | alpha:[y | r(y)]],"
+        " not [ | alpha:[ | q(x)]], not [ | alpha:[ | q(x)]]]"
+    )
+)
+def test_carried_paths_and_views_match_the_references_on_generated_boxes(box):
+    assert_views_match_reference(box, BackgroundTheory())
+    assume(validate(box).pure)
+    for queued, _ in assert_carried_paths_match_a_fresh_search(box, admit_all=True):
+        assert_views_match_reference(queued, BackgroundTheory())
+
+
+def test_resolution_reads_the_context_without_merging_it_yet_raises_as_the_merge_did():
+    # the consequent introduces x again: merging the chain into a context box fails
+    box = parse_drs("[x | p(x), [ | q(x)] => [x | alpha:[y | r(y)]]]")
+    (path,) = eligible_alpha_paths(box)
+    for resolve in (resolve_alpha, reference_resolve_alpha):
+        with pytest.raises(OverlappingUniverses, match="referent 'x' is introduced by both"):
+            resolve(path, box)
+
+
+def test_a_walk_serves_only_its_own_alpha(hank):
+    (path,) = eligible_alpha_paths(hank)
+    walk = projection._walk_alpha(hank, path)
+    other = parse_drs(HANK)
+    with pytest.raises(ValueError, match="another alpha"):
+        candidate_readings(other, path, walk)
+    with pytest.raises(ValueError, match="another alpha"):
+        resolve_alpha(path[:-1] + ((0, "alpha"),), hank, walk)
+
+
+def count_walks(run):
+    """Calls of the chain and box walks while ``run`` runs, by where they are made."""
+    calls = Counter()
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls["%s.%s" % (module.__name__.rsplit(".", 1)[-1], name)] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in (
+            (projection, "scope_chain"),
+            (drs, "enumerate_sub_drss"),
+            (projection, "eligible_alpha_paths"),
+            (lcon, "eligible_alpha_paths"),
+            (projection, "resolve_alpha"),
+        ):
+            patch.setattr(module, name, counted(module, name))
+        run()
+    return dict(calls)
+
+
+FAMILY_K_3 = "[x | hank(x), married(x), %s]" % ", ".join(possessive(t) for t in range(3))
+
+
+@pytest.mark.parametrize(
+    "source, processed, alphas", [(HANK, 1, 1), (FAMILY_K_3, 7, 3)], ids=["hank", "family_k_3"]
+)
+def test_one_chain_per_alpha_and_one_search_for_alphas(marriage_bg, source, processed, alphas):
+    # project builds one alpha chain per (box, alpha) it processes, one
+    # resolve_alpha call each, and searches only its input for alphas
+    box = parse_drs(source)
+    calls = count_walks(lambda: project(box, marriage_bg))
+    assert calls == {
+        "projection.scope_chain": processed,
+        "projection.eligible_alpha_paths": 1,
+        "projection.resolve_alpha": processed,
+    }
+    # extract builds one chain per alpha
+    calls = count_walks(lambda: extract(box, marriage_bg))
+    assert calls == {"projection.scope_chain": alphas, "lcon.eligible_alpha_paths": 1}
