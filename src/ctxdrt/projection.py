@@ -415,12 +415,12 @@ def site_premises(
     return dict(zip([site_path for site_path, _ in contents], premises))
 
 
-def _reading_tasks(reading: Reading, premise: DRS) -> tuple[InferenceTask, InferenceTask]:
-    informativity = InferenceTask("informativity", premise, reading.accommodated, reading.ref)
-    consistency = InferenceTask(
-        "consistency", merge(premise, reading.accommodated), None, reading.ref
-    )
-    return informativity, consistency
+def _informativity_task(reading: Reading, premise: DRS) -> InferenceTask:
+    return InferenceTask("informativity", premise, reading.accommodated, reading.ref)
+
+
+def _consistency_task(reading: Reading, premise: DRS) -> InferenceTask:
+    return InferenceTask("consistency", merge(premise, reading.accommodated), None, reading.ref)
 
 
 def build_tasks(
@@ -432,10 +432,11 @@ def build_tasks(
     Informativity asks whether that premise already entails the
     accommodated material; consistency asks whether premise plus
     accommodated material is satisfiable.  ``project`` builds the site
-    premises once per alpha instead of once per reading.
+    premises once per alpha instead of once per reading, and a
+    consistency task only for the readings it searches.
     """
-    premises = site_premises(root, reading.alpha_path, bg)
-    return _reading_tasks(reading, premises[reading.site_path])
+    premise = site_premises(root, reading.alpha_path, bg)[reading.site_path]
+    return _informativity_task(reading, premise), _consistency_task(reading, premise)
 
 
 @dataclass(frozen=True)
@@ -452,34 +453,74 @@ class ReadingVerdict:
         return "unknown" in (self.informative, self.consistent)
 
 
+def _informative(task: InferenceTask, bounds: Optional["Bounds"]) -> str:
+    """``check_reading``'s informativity verdict."""
+    from . import tableau  # tableau imports this module
+
+    status, _ = tableau.naive_prove(task, tableau.DEFAULT_BOUNDS if bounds is None else bounds)
+    return {"closed": "fail", "open_saturated": "pass", "open_bounded": "unknown"}[status]
+
+
+def _consistent(task: InferenceTask, model_bound: int) -> str:
+    """``check_reading``'s consistency verdict."""
+    from . import models
+
+    try:
+        status = models.model_check(task.premise, None, max_domain=model_bound).status
+    except models.ResourceLimit:
+        status = "unknown"
+    return {"satisfiable": "pass", "refuted": "fail", "unknown": "unknown"}[status]
+
+
 def check_reading(
     tasks: tuple[InferenceTask, InferenceTask],
     bounds: Optional["Bounds"] = None,
     model_bound: int = 3,
 ) -> ReadingVerdict:
-    """Decide a reading: tableau for entailment, model search for consistency.
+    """Decide one reading on its own: tableau for entailment, model search
+    for consistency.
 
     The informativity task goes to ``tableau.naive_prove`` under ``bounds``
     (default ``tableau.DEFAULT_BOUNDS``); a closed task means the
     accommodation is redundant and the reading fails.  A consistency search
     that hits the model checker's resource ceiling leaves the reading
-    undecided.
+    undecided.  ``project`` gives every reading the verdict this gives it,
+    but searches once per binding rather than once per reading (see
+    ``project``).
     """
-    from . import models, tableau  # tableau imports this module
-
     informativity, consistency = tasks
-    status, _ = tableau.naive_prove(
-        informativity, tableau.DEFAULT_BOUNDS if bounds is None else bounds
+    return ReadingVerdict(
+        _informative(informativity, bounds), _consistent(consistency, model_bound)
     )
-    informative = {"closed": "fail", "open_saturated": "pass", "open_bounded": "unknown"}[
-        status
+
+
+def _check_readings(
+    readings: list[Reading],
+    premises: dict[DrsPath, DRS],
+    bounds: Optional["Bounds"],
+    model_bound: int,
+) -> list[ReadingVerdict]:
+    """The verdicts of one alpha's readings, in their order, with one
+    consistency search per binding (see ``project``).
+
+    ``candidate_readings`` lists the readings site by site, outermost
+    first, so a binding's readings in reverse are its sites innermost first.
+    """
+    consistent = ["pass"] * len(readings)
+    by_binding: dict[Resolution, list[int]] = {}
+    for i, reading in enumerate(readings):
+        by_binding.setdefault(reading.resolution, []).append(i)
+    for indices in by_binding.values():
+        for i in reversed(indices):  # innermost site first
+            reading = readings[i]
+            task = _consistency_task(reading, premises[reading.site_path])
+            consistent[i] = _consistent(task, model_bound)
+            if consistent[i] == "pass":
+                break  # and so is the question at every site further out
+    return [
+        ReadingVerdict(_informative(_informativity_task(r, premises[r.site_path]), bounds), c)
+        for r, c in zip(readings, consistent)
     ]
-    try:
-        mc_status = models.model_check(consistency.premise, None, max_domain=model_bound).status
-    except models.ResourceLimit:
-        mc_status = "unknown"
-    consistent = {"satisfiable": "pass", "refuted": "fail", "unknown": "unknown"}[mc_status]
-    return ReadingVerdict(informative, consistent)
 
 
 @dataclass(frozen=True)
@@ -644,11 +685,31 @@ def project(
     walked once (``_AlphaWalk``), and its resolutions, readings and site
     premises are read off that walk.  The site premises are built once per
     accommodated alpha and shared by every reading at a site, so each is
-    validated once.  Each reading is checked by ``check_reading`` under
-    ``bounds`` and ``model_bound``.  Only the input is searched for alphas:
-    every box a resolution or an accommodation yields carries its alpha
-    paths over from its parent's.  All surviving alpha-free boxes are
-    returned with their decision trails.
+    validated once.  Only the input is searched for alphas: every box a
+    resolution or an accommodation yields carries its alpha paths over
+    from its parent's.  All surviving alpha-free boxes are returned with
+    their decision trails.
+
+    Each reading gets the verdict ``check_reading`` gives it on its own
+    tasks under ``bounds`` and ``model_bound``.  Informativity is one
+    ``tableau.naive_prove`` per reading, in reading order.  Consistency is
+    one ``models.model_check`` per binding of the inner anaphors, not per
+    reading: a binding's readings are searched from its innermost site
+    outward until a search says ``satisfiable``, and every reading of that
+    binding at a site further out passes unsearched.  A ``refuted`` or
+    ``unknown`` search decides only its own reading.  This is exact.  An
+    outer site's premise is a sub-box of an inner site's (``site_premises``
+    merges each site's content onto the premise of the site outside it),
+    and both questions merge the same accommodated box, so the outer
+    question's referents and conditions are among the inner one's.  A
+    model of the inner question, found at some domain size, restricts to a
+    model of the outer one on the same domain, and ``model_check`` decides
+    each size exactly, smallest first; the outer question's predicates are
+    among the inner one's, so its ground-atom ceiling cannot trip at a
+    size the inner search passed.  So ``model_check`` would itself answer
+    ``satisfiable`` on the outer question.  Inner means later in the order
+    of the sites, not a longer path: an antecedent and its consequent have
+    paths of equal length, and the consequent sees the antecedent.
     """
     require_pure(root, "input")
     checks: list[CheckRecord] = []
@@ -676,10 +737,9 @@ def project(
         premises = site_premises(box, target, bg, walk)
         pruned = delete_alpha(box, target)
         carried: dict[DrsPath, list[DrsPath]] = {}
-        for reading in readings:
+        verdicts = _check_readings(readings, premises, bounds, model_bound)
+        for reading, verdict in zip(readings, verdicts):
             result = extend_drs_at(pruned, reading.site_path, reading.accommodated)
-            tasks = _reading_tasks(reading, premises[reading.site_path])
-            verdict = check_reading(tasks, bounds, model_bound)
             checks.append(CheckRecord(reading, verdict, result))
             if verdict.admitted:
                 site = reading.site_path

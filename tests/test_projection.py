@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from ctxdrt import drs, lcon, projection
+from ctxdrt import drs, lcon, models, projection, tableau
 from ctxdrt.drs import (
     DRS,
     EMPTY,
@@ -748,9 +748,14 @@ def assert_views_match_reference(root, bg):
         assert view_results(root, path, bg, shared_walk_views(root, path)) == want
 
 
+def never_called(*args, **kwargs):
+    raise AssertionError("a reading was proved or searched under admit_all")
+
+
 def projected_boxes(root, bg=BackgroundTheory(), admit_all=False):
     """Every box ``project`` queues on ``root``, with the alpha paths it
-    carries to it; ``admit_all`` passes every reading check unproved."""
+    carries to it; ``admit_all`` passes every reading check unproved, and
+    fails on any proof or model search."""
     queued = []
     make = projection._Pending
 
@@ -762,7 +767,9 @@ def projected_boxes(root, bg=BackgroundTheory(), admit_all=False):
         patch.setattr(projection, "_Pending", pending)
         if admit_all:
             passed = ReadingVerdict("pass", "pass")
-            patch.setattr(projection, "check_reading", lambda *args: passed)
+            patch.setattr(projection, "_check_readings", lambda rs, *args: [passed] * len(rs))
+            patch.setattr(tableau, "naive_prove", never_called)
+            patch.setattr(models, "model_check", never_called)
         try:
             project(root, bg)
         except NoAdmissibleReading:
@@ -881,8 +888,18 @@ def test_a_walk_serves_only_its_own_alpha(hank):
         resolve_alpha(path[:-1] + ((0, "alpha"),), hank, walk)
 
 
-def count_walks(run):
-    """Calls of the chain and box walks while ``run`` runs, by where they are made."""
+WALKS = (
+    (projection, "scope_chain"),
+    (drs, "enumerate_sub_drss"),
+    (projection, "eligible_alpha_paths"),
+    (lcon, "eligible_alpha_paths"),
+    (projection, "resolve_alpha"),
+)
+
+
+def count_calls(run, targets=WALKS):
+    """Calls of the ``targets`` while ``run`` runs, by where they are made;
+    by default the chain and box walks."""
     calls = Counter()
 
     def counted(module, name):
@@ -895,13 +912,7 @@ def count_walks(run):
         return wrapper
 
     with pytest.MonkeyPatch.context() as patch:
-        for module, name in (
-            (projection, "scope_chain"),
-            (drs, "enumerate_sub_drss"),
-            (projection, "eligible_alpha_paths"),
-            (lcon, "eligible_alpha_paths"),
-            (projection, "resolve_alpha"),
-        ):
+        for module, name in targets:
             patch.setattr(module, name, counted(module, name))
         run()
     return dict(calls)
@@ -917,12 +928,89 @@ def test_one_chain_per_alpha_and_one_search_for_alphas(marriage_bg, source, proc
     # project builds one alpha chain per (box, alpha) it processes, one
     # resolve_alpha call each, and searches only its input for alphas
     box = parse_drs(source)
-    calls = count_walks(lambda: project(box, marriage_bg))
+    calls = count_calls(lambda: project(box, marriage_bg))
     assert calls == {
         "projection.scope_chain": processed,
         "projection.eligible_alpha_paths": 1,
         "projection.resolve_alpha": processed,
     }
     # extract builds one chain per alpha
-    calls = count_walks(lambda: extract(box, marriage_bg))
+    calls = count_calls(lambda: extract(box, marriage_bg))
     assert calls == {"projection.scope_chain": alphas, "lcon.eligible_alpha_paths": 1}
+
+
+# -- one model search per binding ---------------------------------------------------------
+
+
+def checks_with_their_boxes(root, bg):
+    """``project``'s checks on ``root``, each with the box its reading was read off."""
+    boxes = {}
+    enumerate_readings = projection.candidate_readings
+
+    def recorded(box, alpha_path, walk=None):
+        admitted, blocked = enumerate_readings(box, alpha_path, walk)
+        boxes.update((id(reading), box) for reading in admitted)
+        return admitted, blocked
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projection, "candidate_readings", recorded)
+        try:
+            checks = project(root, bg).checks
+        except NoAdmissibleReading as exc:
+            checks = exc.checks
+    return [(check, boxes[id(check.reading)]) for check in checks]
+
+
+def assert_verdicts_match_the_per_reading_search(root, bg=BackgroundTheory()):
+    """Every check's verdict is ``check_reading``'s on its reading's own tasks."""
+    for check, box in checks_with_their_boxes(root, bg):
+        per_reading = check_reading(build_tasks(check.reading, box, bg))
+        assert check.verdict == per_reading, check.reading.ref
+
+
+# The consequent denies the empty box, so only the local reading is
+# inconsistent; the antecedent's path is as long as the consequent's.
+LOCAL_REFUTED = "[ | [ | ] => [ | alpha:[a | s(a,a)], not [ | ]]]"
+
+
+def test_one_search_per_binding_decides_as_the_per_reading_search(marriage_bg):
+    rng = random.Random(CORPUS_SEED)
+    for _ in range(500):  # the acceptance corpus
+        assert_verdicts_match_the_per_reading_search(corpus_drs(rng))
+    for text in family_texts():
+        assert_verdicts_match_the_per_reading_search(parse_drs(text), marriage_bg)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nested_alpha_boxes)
+@example(parse_drs(LOCAL_REFUTED))
+def test_one_search_per_binding_decides_as_the_per_reading_search_on_generated_boxes(box):
+    assume(validate(box).pure)
+    assert_verdicts_match_the_per_reading_search(box)
+
+
+PROOFS = ((models, "model_check"), (tableau, "naive_prove"))
+
+
+def test_a_refuted_inner_site_leaves_each_outer_site_to_its_own_search():
+    box = parse_drs(LOCAL_REFUTED)
+    outcomes = []
+    calls = count_calls(lambda: outcomes.append(project(box)), PROOFS)
+    checks = [(c.reading.site_kind, c.verdict.consistent) for c in outcomes[0].checks]
+    assert checks == [("global", "pass"), ("intermediate", "pass"), ("local", "fail")]
+    # local refuted, then intermediate satisfiable, which decides global too
+    assert calls == {"models.model_check": 2, "tableau.naive_prove": 3}
+
+
+FAMILY_K_4 = "[x | hank(x), married(x), %s]" % ", ".join(possessive(t) for t in range(4))
+
+
+@pytest.mark.parametrize(
+    "source, searches, proofs", [(HANK, 2, 5), (FAMILY_K_4, 30, 75)], ids=["hank", "family_k_4"]
+)
+def test_one_model_search_per_binding_and_one_proof_per_reading(
+    marriage_bg, source, searches, proofs
+):
+    box = parse_drs(source)
+    calls = count_calls(lambda: project(box, marriage_bg), PROOFS)
+    assert calls == {"models.model_check": searches, "tableau.naive_prove": proofs}

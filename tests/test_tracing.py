@@ -38,6 +38,8 @@ def test_tracer_enters_every_spanned_function_and_uninstalls():
     assert set(names) <= set(tracer.times())
     # the five reading checks of hank, and the rule counts its golden compare output pins
     assert tracer.counts["tableau.naive_prove"] == 5
+    # one consistency search per binding: both bindings are satisfiable at the local site
+    assert tracer.counts["models.model_check"] == 2
     assert tracer.counts["tableau.naive_rules"] == 151
     assert tracer.counts["tableau.shared_rules"] == 76
     # the closure search's unification work on hank, as the benchmark counts it
