@@ -54,7 +54,6 @@ from .drs import (
     presupposed_referents,
     rename_apart,
     scope_chain,
-    sub_drs_at,
     substitute_condition,
     substitute_free,
     validate,
@@ -591,85 +590,6 @@ def _eligible_paths(box: DRS, prefix: DrsPath, in_alpha: bool, out: list[DrsPath
             _eligible_paths(child, path, is_alpha, out)
 
 
-def _paths_after_deletion(
-    walk: _AlphaWalk, paths: list[DrsPath], refilled: bool = False
-) -> list[DrsPath]:
-    """``eligible_alpha_paths`` of the walked box once its alpha is deleted,
-    from ``paths``, those of the walked box.
-
-    The alpha and everything in it go, and the later conditions of its box
-    move up one place.  If that box is itself an alpha body left with one
-    referent and no condition, it becomes a simple anaphor, which rides
-    along with its host when it sits directly inside another alpha body;
-    it is ``refilled`` when accommodation merges into it.
-    """
-    target = walk.path
-    host, idx = target[:-1], target[-1][0]
-    depth = len(host)
-    out: list[DrsPath] = []
-    for p in paths:
-        if len(p) > depth and p[:depth] == host:
-            i = p[depth][0]
-            if i == idx:
-                continue
-            if i > idx:
-                p = p[:depth] + ((i - 1, p[depth][1]),) + p[depth + 1 :]
-        out.append(p)
-    emptied = walk.chain[-2].box
-    if (
-        not refilled
-        and depth >= 2
-        and host[-1][1] == host[-2][1] == ALPHA_BODY
-        and len(emptied.universe) == 1
-        and len(emptied.conditions) == 1
-    ):
-        out.remove(host)
-    return out
-
-
-def _paths_after_accommodation(
-    walk: _AlphaWalk, paths: list[DrsPath], pruned: DRS, site_path: DrsPath
-) -> list[DrsPath]:
-    """``eligible_alpha_paths`` of the box accommodating the walked alpha at
-    ``site_path`` yields, from ``paths``, those of the walked box.
-
-    ``pruned`` is the walked box with the alpha deleted.  Merging into the
-    site keeps only the first of equal conditions (``merge``), so a site
-    that holds equal conditions renumbers the paths through it, and drops
-    those through a condition equal to an earlier one.  The accommodated
-    conditions come last and hold no alpha.
-    """
-    paths = _paths_after_deletion(walk, paths, refilled=site_path == walk.path[:-1])
-    depth = len(site_path)
-    if not any(len(p) > depth and p[:depth] == site_path for p in paths):
-        return paths
-    conditions = sub_drs_at(site_path, pruned).conditions
-    first: dict[Condition, int] = {}
-    moved: list[Optional[int]] = []  # each condition's index after the merge, None if dropped
-    for cond in conditions:
-        if cond in first:
-            moved.append(None)
-        else:
-            moved.append(first.setdefault(cond, len(first)))
-    out: list[DrsPath] = []
-    for p in paths:
-        if len(p) > depth and p[:depth] == site_path:
-            i, sel = p[depth]
-            if moved[i] is None:
-                continue
-            p = p[:depth] + ((moved[i], sel),) + p[depth + 1 :]
-        out.append(p)
-    return out
-
-
-class _Pending(NamedTuple):
-    """A box still to project, how it was reached, and its alphas."""
-
-    box: DRS
-    trail: tuple[ProjectionStep, ...]
-    alpha_paths: list[DrsPath]  # eligible_alpha_paths(box), carried from its parent
-
-
 def project(
     root: DRS,
     bg: BackgroundTheory = EMPTY_BACKGROUND,
@@ -685,10 +605,10 @@ def project(
     walked once (``_AlphaWalk``), and its resolutions, readings and site
     premises are read off that walk.  The site premises are built once per
     accommodated alpha and shared by every reading at a site, so each is
-    validated once.  Only the input is searched for alphas: every box a
-    resolution or an accommodation yields carries its alpha paths over
-    from its parent's.  All surviving alpha-free boxes are returned with
-    their decision trails.
+    validated once.  Every box taken from the queue is searched for its
+    alphas once (``eligible_alpha_paths``, one walk), and ``accommodate``
+    builds the boxes an alpha's readings yield.  All surviving alpha-free
+    boxes are returned with their decision trails.
 
     Each reading gets the verdict ``check_reading`` gives it on its own
     tasks under ``bounds`` and ``model_bound``.  Informativity is one
@@ -715,9 +635,10 @@ def project(
     checks: list[CheckRecord] = []
     blocked_all: list[BlockedReading] = []
     survivors: list[ProjectionResult] = []
-    pending = deque([_Pending(root, (), eligible_alpha_paths(root))])
+    pending: deque[tuple[DRS, tuple[ProjectionStep, ...]]] = deque([(root, ())])
     while pending:
-        box, trail, paths = pending.popleft()
+        box, trail = pending.popleft()
+        paths = eligible_alpha_paths(box)
         if not paths:
             survivors.append(ProjectionResult(box, trail))
             continue
@@ -725,28 +646,21 @@ def project(
         walk = _walk_alpha(box, target)
         resolutions = resolve_alpha(target, box, walk)
         if resolutions:
-            rest = _paths_after_deletion(walk, paths)
             for res in resolutions:
                 step = ProjectionStep(target, "resolved", res.describe())
-                pending.append(_Pending(apply_resolution(box, target, res), trail + (step,), rest))
+                pending.append((apply_resolution(box, target, res), trail + (step,)))
             continue
         readings, blocked = candidate_readings(box, target, walk)
         blocked_all.extend(blocked)
         if not readings:
             continue
         premises = site_premises(box, target, bg, walk)
-        pruned = delete_alpha(box, target)
-        carried: dict[DrsPath, list[DrsPath]] = {}
         verdicts = _check_readings(readings, premises, bounds, model_bound)
-        for reading, verdict in zip(readings, verdicts):
-            result = extend_drs_at(pruned, reading.site_path, reading.accommodated)
+        for reading, verdict, result in zip(readings, verdicts, accommodate(box, readings)):
             checks.append(CheckRecord(reading, verdict, result))
             if verdict.admitted:
-                site = reading.site_path
-                if site not in carried:
-                    carried[site] = _paths_after_accommodation(walk, paths, pruned, site)
                 step = ProjectionStep(target, "accommodated", reading.ref)
-                pending.append(_Pending(result, trail + (step,), carried[site]))
+                pending.append((result, trail + (step,)))
     if not survivors:
         raise NoAdmissibleReading(tuple(checks))
     return ProjectOutcome(tuple(survivors), tuple(checks), tuple(blocked_all))

@@ -170,19 +170,33 @@ alpha_free_boxes = _drs_strategy(alphas=False)
 def _nested_alpha_strategy() -> st.SearchStrategy[DRS]:
     """Boxes with one alpha nested under implications, negations and
     disjunctions, and assertable content beside it at every level, so the
-    alpha has several accommodation sites that each add premise content."""
-    universe = st.lists(_referent, max_size=2, unique_by=lambda r: r.name).map(tuple)
-    atoms = st.lists(_atom, min_size=1, max_size=2)
+    alpha has several accommodation sites that each add premise content.
+
+    A level may also deny an atom or the empty box, so some consistency
+    questions are refuted.  The model search decides a refuted question
+    only after trying one assignment per orbit of all its referents at
+    every domain size, so the referents are drawn from eight names: the
+    boxes' universes then overlap (the tests assume purity) and their
+    atoms mention the referents the universes bind.
+    """
+    referent = st.builds(Referent, st.sampled_from("abcdefgh"))
+    atom = st.builds(Atom, _ident, st.lists(referent, min_size=1, max_size=3).map(tuple))
+    universe = st.lists(referent, max_size=2, unique_by=lambda r: r.name).map(tuple)
+    atoms = st.lists(atom, min_size=1, max_size=2)
     plain = st.builds(DRS, universe, atoms.map(tuple))
+    denial = st.one_of(
+        st.builds(lambda a: Neg(DRS((), (a,))), atom), st.just(Neg(DRS((), ())))
+    )
+    level = st.builds(list.__add__, atoms, st.lists(denial, max_size=1))
 
     def beside(housing):
-        # the housing condition at a random place among the level's atoms
+        # the housing condition at a random place among the level's conditions
         return st.builds(
             lambda u, xs, h, i: DRS(u, tuple(xs[:i] + [h] + xs[i:])),
             universe,
-            atoms,
+            level,
             housing,
-            st.integers(0, 2),
+            st.integers(0, 3),
         )
 
     return st.recursive(

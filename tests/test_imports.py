@@ -1,4 +1,5 @@
-"""Import hygiene: every module of the package uses each name it imports.
+"""Import hygiene: every module of the package uses each name it imports,
+and defines each name its ``__all__`` exports.
 
 No linter is a dependency of the project, so this walks the sources with
 ``ast``.  ``__init__.py`` is left out: it imports names to re-export them.
@@ -56,3 +57,35 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_a_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """The names in ``source``'s ``__all__`` that no top-level statement binds."""
+    bound: set[str] = set()
+    exported: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if names == {"__all__"}:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_undefined_exports_are_found():
+    source = (
+        "from .drs import DRS\nimport os.path\n__all__ = ['DRS', 'os', 'f', 'C', 'X', 'Y', 'gone']\n"
+        "def f(): ...\nclass C: ...\nX, Y = 1, 2\n"
+        "def g():\n    gone = 1\n"
+    )
+    assert undefined_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_a_module_defines_every_name_it_exports(path):
+    assert undefined_exports(path.read_text(encoding="utf-8")) == []

@@ -753,36 +753,46 @@ def never_called(*args, **kwargs):
 
 
 def projected_boxes(root, bg=BackgroundTheory(), admit_all=False):
-    """Every box ``project`` queues on ``root``, with the alpha paths it
-    carries to it; ``admit_all`` passes every reading check unproved, and
-    fails on any proof or model search."""
-    queued = []
-    make = projection._Pending
+    """Every box ``project`` takes from its queue on ``root``, in order, with
+    the alpha paths ``eligible_alpha_paths`` finds in it; ``admit_all``
+    passes every reading check unproved, and fails on any proof or model
+    search.  Each box is searched exactly once: the input, then every box
+    a resolution or an admitted reading queued."""
+    searched, resolved = [], []
+    search, resolve = projection.eligible_alpha_paths, projection.apply_resolution
 
-    def pending(box, trail, alpha_paths):
-        queued.append((box, alpha_paths))
-        return make(box, trail, alpha_paths)
+    def recorded_search(box):
+        paths = search(box)
+        searched.append((box, paths))
+        return paths
+
+    def recorded_resolution(*args):
+        resolved.append(resolve(*args))
+        return resolved[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(projection, "_Pending", pending)
+        patch.setattr(projection, "eligible_alpha_paths", recorded_search)
+        patch.setattr(projection, "apply_resolution", recorded_resolution)
         if admit_all:
             passed = ReadingVerdict("pass", "pass")
             patch.setattr(projection, "_check_readings", lambda rs, *args: [passed] * len(rs))
             patch.setattr(tableau, "naive_prove", never_called)
             patch.setattr(models, "model_check", never_called)
         try:
-            project(root, bg)
-        except NoAdmissibleReading:
-            pass
-    return queued
+            checks = project(root, bg).checks
+        except NoAdmissibleReading as exc:
+            checks = exc.checks
+    assert searched[0][0] is root
+    queued = resolved + [c.result for c in checks if c.verdict.admitted]
+    assert Counter(id(box) for box, _ in searched[1:]) == Counter(map(id, queued))
+    return searched
 
 
-def assert_carried_paths_match_a_fresh_search(root, bg=BackgroundTheory(), admit_all=False):
-    queued = projected_boxes(root, bg, admit_all)
-    assert queued[0][0] is root
-    for box, alpha_paths in queued:
+def assert_searched_paths_match_the_reference(root, bg=BackgroundTheory(), admit_all=False):
+    searched = projected_boxes(root, bg, admit_all)
+    for box, alpha_paths in searched:
         assert alpha_paths == reference_eligible_alpha_paths(box)
-    return queued
+    return searched
 
 
 def family_texts():
@@ -802,15 +812,14 @@ def family_texts():
 DROPPED_REPEAT = "[x | p(x), p(x), alpha:[y | q(y)], [ | r(x)] => [ | alpha:[z | s(z)]]]"
 
 
-def test_carried_paths_follow_a_merge_that_drops_a_repeated_condition():
+def test_a_merge_that_drops_a_repeated_condition_keeps_every_alpha():
     box = parse_drs(DROPPED_REPEAT)
-    assert_carried_paths_match_a_fresh_search(box)
+    assert_searched_paths_match_the_reference(box)
     outcome_ = project(box)
     survivors = [
         (print_drs(s.drs), [(path_str(t.alpha_path), t.action, t.detail) for t in s.trail])
         for s in outcome_.survivors
     ]
-    # as recorded before the paths were carried
     assert survivors == [
         (
             "[x, z, y | p(x), [ | r(x)] => [ | ], s(z), q(y)]",
@@ -837,15 +846,15 @@ def test_carried_paths_follow_a_merge_that_drops_a_repeated_condition():
     assert len(outcome_.checks) == 6
 
 
-def test_carried_paths_and_views_match_the_references_on_corpus_and_families(marriage_bg):
+def test_searched_paths_and_views_match_the_references_on_corpus_and_families(marriage_bg):
     rng = random.Random(CORPUS_SEED)
     queued = []
     for _ in range(500):  # the acceptance corpus
-        queued += assert_carried_paths_match_a_fresh_search(corpus_drs(rng))
+        queued += assert_searched_paths_match_the_reference(corpus_drs(rng))
     for box, _ in queued:
         assert_views_match_reference(box, BackgroundTheory())
     for text in family_texts():
-        for box, _ in assert_carried_paths_match_a_fresh_search(parse_drs(text), marriage_bg):
+        for box, _ in assert_searched_paths_match_the_reference(parse_drs(text), marriage_bg):
             assert_views_match_reference(box, marriage_bg)
     assert len(queued) > 1000
 
@@ -862,10 +871,10 @@ def test_carried_paths_and_views_match_the_references_on_corpus_and_families(mar
         " not [ | alpha:[ | q(x)]], not [ | alpha:[ | q(x)]]]"
     )
 )
-def test_carried_paths_and_views_match_the_references_on_generated_boxes(box):
+def test_searched_paths_and_views_match_the_references_on_generated_boxes(box):
     assert_views_match_reference(box, BackgroundTheory())
     assume(validate(box).pure)
-    for queued, _ in assert_carried_paths_match_a_fresh_search(box, admit_all=True):
+    for queued, _ in assert_searched_paths_match_the_reference(box, admit_all=True):
         assert_views_match_reference(queued, BackgroundTheory())
 
 
@@ -922,16 +931,21 @@ FAMILY_K_3 = "[x | hank(x), married(x), %s]" % ", ".join(possessive(t) for t in 
 
 
 @pytest.mark.parametrize(
-    "source, processed, alphas", [(HANK, 1, 1), (FAMILY_K_3, 7, 3)], ids=["hank", "family_k_3"]
+    "source, processed, searched, alphas",
+    [(HANK, 1, 3, 1), (FAMILY_K_3, 7, 15, 3)],
+    ids=["hank", "family_k_3"],
 )
-def test_one_chain_per_alpha_and_one_search_for_alphas(marriage_bg, source, processed, alphas):
+def test_one_chain_per_alpha_and_one_search_for_alphas(
+    marriage_bg, source, processed, searched, alphas
+):
     # project builds one alpha chain per (box, alpha) it processes, one
-    # resolve_alpha call each, and searches only its input for alphas
+    # resolve_alpha call each, and searches each box it queues for alphas
+    # once: the processed boxes and the alpha-free survivors
     box = parse_drs(source)
     calls = count_calls(lambda: project(box, marriage_bg))
     assert calls == {
         "projection.scope_chain": processed,
-        "projection.eligible_alpha_paths": 1,
+        "projection.eligible_alpha_paths": searched,
         "projection.resolve_alpha": processed,
     }
     # extract builds one chain per alpha
