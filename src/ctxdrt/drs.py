@@ -160,8 +160,9 @@ class Atom(_AtomFields):
 
 
 def _atom(predicate: str, args: tuple[Referent, ...]) -> Atom:
-    """An atom rebuilt from a checked atom's predicate and as many arguments,
-    without ``Atom``'s checks."""
+    """An atom without ``Atom``'s checks, from a predicate and a non-empty
+    argument tuple known to pass them: a checked atom's, or identifiers the
+    parser's tokenizer has matched."""
     return tuple.__new__(Atom, (predicate, args))
 
 
@@ -640,6 +641,8 @@ def _presupposed(box: DRS, inside_alpha: bool, out: set[Referent]) -> None:
     if inside_alpha:
         out.update(box.universe)
     for cond in box.conditions:
+        if type(cond) is Atom:  # no sub-box, so no alpha
+            continue
         for sel, child in condition_children(cond):
             _presupposed(child, inside_alpha or sel == ALPHA_BODY, out)
 

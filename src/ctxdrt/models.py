@@ -18,8 +18,9 @@ true everywhere (or false everywhere, if it occurs only negated), and
 its atoms are translated as that constant.  Every name is bound by a
 quantifier, so any permutation of the domain maps a model to a model;
 the outermost existentials therefore take only one assignment per orbit,
-the least-number assignments of Zhang & Zhang (1995), while inner
-quantifiers range over the whole domain.  The ground formula is kept
+the least-number assignments of Zhang & Zhang (1995), grounded and
+searched one at a time until one has a model, while inner quantifiers
+range over the whole domain.  The ground formula is kept
 flat, so a clash is found wherever along a chain of conjunctions its two
 literals sit.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .drs import DRS, Alpha, Atom, Condition, Imp, Neg, Or, validate
 
@@ -188,17 +189,25 @@ def _shape(box: DRS, sign: int, under: bool, acc: dict) -> tuple[bool, int]:
     return nested, witnesses
 
 
-def _canonical(count: int, size: int) -> list[tuple[int, ...]]:
-    """One assignment of ``count`` variables to ``range(size)`` per orbit of its permutations.
+def _canonical(count: int, size: int) -> Iterator[tuple[int, ...]]:
+    """One assignment of ``count`` variables to ``range(size)`` per orbit of
+    its permutations, in lexicographic order, each made when it is asked for.
 
     The first variable takes 0 and each later one at most one more than
     the largest value so far: 41 assignments for 5 variables at size 3,
     where the product has 243.
     """
-    rows: list[tuple[int, ...]] = [()]
-    for _ in range(count):
-        rows = [row + (v,) for row in rows for v in range(min(size, max(row, default=-1) + 2))]
-    return rows
+    row = [0] * count
+    while True:
+        yield tuple(row)
+        # the last place that can still grow, with the places after it reset to 0
+        i = count - 1
+        while i > 0 and row[i] >= min(size - 1, max(row[:i]) + 1):
+            i -= 1
+        if i <= 0:
+            return
+        row[i] += 1
+        row[i + 1 :] = [0] * (count - i - 1)
 
 
 # Ground formulas: ("lit", key, positive) | ("and", tuple) | ("or", tuple)
@@ -343,7 +352,9 @@ def _combined_box(premise: DRS, conclusion: Optional[DRS]) -> DRS:
     return DRS(tuple(sorted(free)) + premise.universe, conditions)
 
 
-# the most ground atoms a domain may give before the search stops with ResourceLimit
+# the most ground atoms a domain may give, and the most assignments of the
+# outermost referents grounded at one domain size, before the search stops
+# with ResourceLimit
 ATOM_CEILING = 4096
 
 
@@ -363,11 +374,13 @@ def model_check(
     follow.  Pure predicates (one polarity, the negated conclusion's
     flipped) are fixed before translation: exact, as the formula is
     monotone in each.  The rest is grounded under the least-number
-    assignments of the outermost existentials: exact, as the formula names
-    no individual, so assignments that differ by a permutation of the
-    domain are satisfiable alike.  The fragment test reads the whole
-    quantifier structure, which fixing a predicate leaves in place, and
-    the atom ceiling counts every predicate, fixed or not.
+    assignments of the outermost existentials, one at a time, and the
+    search stops at the first that has a model: exact, as the formula
+    names no individual, so assignments that differ by a permutation of
+    the domain are satisfiable alike.  The fragment test reads the whole
+    quantifier structure, which fixing a predicate leaves in place; the
+    atom ceiling counts every predicate, fixed or not, and also bounds
+    the assignments grounded at one domain size.
     """
     box = _combined_box(premise, conclusion)
     signs: dict[tuple[str, int], int] = {}
@@ -375,26 +388,25 @@ def model_check(
     fixed = {key: bits == 1 for key, bits in signs.items() if bits != 3}
     formula = _box_to_fol(box, fixed)
     for size in range(1, max_domain + 1):
-        atoms = sum(size**arity for _, arity in signs)
+        # a list, not a generator resumed once per predicate
+        atoms = sum([size**arity for _, arity in signs])
         if atoms > ATOM_CEILING:
             raise ResourceLimit(
                 "%d ground atoms at domain size %d exceeds ceiling %d"
                 % (atoms, size, ATOM_CEILING)
             )
         domain = range(size)
-        grounded = (
-            "or",
-            tuple(
-                [
-                    _ground(formula.body, dict(zip(formula.variables, row)), domain, True)
-                    for row in _canonical(len(formula.variables), size)
-                ]
-            ),
-        )
-        if _sat(grounded, {}) is not None:
-            return ModelCheckResult(
-                "refuted" if conclusion is not None else "satisfiable", size
-            )
+        for rows, row in enumerate(_canonical(len(formula.variables), size), 1):
+            if rows > ATOM_CEILING:
+                raise ResourceLimit(
+                    "more than %d assignments of %d outermost referents at domain size %d"
+                    % (ATOM_CEILING, len(formula.variables), size)
+                )
+            grounded = _ground(formula.body, dict(zip(formula.variables, row)), domain, True)
+            if _sat(grounded, {}) is not None:
+                return ModelCheckResult(
+                    "refuted" if conclusion is not None else "satisfiable", size
+                )
     if not nested and max_domain >= max(1, witnesses):
         return ModelCheckResult("entailed" if conclusion is not None else "refuted")
     return ModelCheckResult("unknown")

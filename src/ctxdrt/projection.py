@@ -357,17 +357,16 @@ def candidate_readings(
 
 def _task_content(box: DRS, presupposed: frozenset[Referent]) -> DRS:
     """The box's assertable content: conditions that neither contain an
-    anaphoric sub-box nor mention a still-unresolved presupposed referent."""
-    return _box(
-        box.universe,
-        tuple(
-            [
-                c
-                for c in box.conditions
-                if not condition_contains_alpha(c) and not condition_mentions(c, presupposed)
-            ]
-        ),
-    )
+    anaphoric sub-box nor mention a still-unresolved presupposed referent.
+    An atom contains no sub-box, so only its arguments are read."""
+    conds = []
+    for c in box.conditions:
+        if type(c) is Atom:
+            if presupposed.isdisjoint(c.args):
+                conds.append(c)
+        elif not condition_contains_alpha(c) and not condition_mentions(c, presupposed):
+            conds.append(c)
+    return _box(box.universe, tuple(conds))
 
 
 def site_contents(

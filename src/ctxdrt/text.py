@@ -14,6 +14,12 @@ separates tokens; ``#`` starts a line comment):
     lterm := lfac ('&' lfac)*
     lfac  := drs | 'in' '(' drs ',' lcon ')' | '(' lcon ')'
 
+Parsing takes the token texts from one regular-expression scan, a
+``findall`` that gives them as plain strings, and the parser compares
+them.  An atom, the bulk of a wide context, is built directly, as its
+tokens already pass ``Atom``'s checks.  Token offsets are computed only
+when a ``ParseError`` needs a span.
+
 Printing is canonical and deterministic; ``parse(print(x)) == x`` holds for
 both languages.
 """
@@ -23,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .drs import DRS, Alpha, Atom, Condition, Imp, Neg, Or, Referent
+from .drs import DRS, Alpha, Atom, Condition, Imp, Neg, Or, Referent, _atom
 from .lcon import Conj, Disj, DrsLit, Formula, In
 
 __all__ = [
@@ -61,24 +67,43 @@ class ParseError(Exception):
 
 # A token is its own text: a punctuation mark, a keyword or an identifier;
 # whitespace and comments are skipped, and any other character is an error.
-_TOKEN = re.compile(r"(=>|[\[\]()|,:&]|[a-z][a-zA-Z0-9_]*)|[ \t\r\n]+|#[^\n]*|(.)", re.S)
+_TOKEN_TEXT = r"=>|[\[\]()|,:&]|[a-z][a-zA-Z0-9_]*"
+_TOKEN = re.compile(r"(%s)|[ \t\r\n]+|#[^\n]*|(.)" % _TOKEN_TEXT, re.S)
+_TOKENS_ONLY = re.compile(_TOKEN_TEXT)
+_COMMENT = re.compile(r"#[^\n]*")
 _PUNCT = frozenset({"[", "]", "(", ")", "|", ",", ":", "&", "=>"})
 _NOT_IDENT = _PUNCT | KEYWORDS | {""}
 
 
-def _tokenize(text: str) -> tuple[list[str], list[int]]:
-    """The token texts and their start offsets, ending with ``""`` at ``len(text)``.
+def _tokenize(text: str) -> list[str]:
+    """The token texts, ending with ``""`` for the end of input.
 
-    One compiled pattern walks the text.  Whitespace is exactly space, tab,
-    carriage return and line feed (not the rest of Python's ``\\s``), and a
-    ``#`` comment runs to the end of its line.
+    One ``findall`` of the token alternatives of ``_TOKEN`` returns the
+    texts as plain strings, which the collector does not track (a match
+    tuple per token, as a pattern with groups gives, doubled the young
+    collections of a wide parse).  Comments are cut out first, if there
+    are any; each ends a line, so a line feed or the end of input still
+    follows where one stood.  The text is well formed exactly when its
+    tokens and whitespace, which is exactly space, tab, carriage return
+    and line feed (not the rest of Python's ``\\s``), make up all of it;
+    else ``_starts`` raises at the first unexpected character.  Offsets
+    are left to ``_starts``, which only an error needs.
     """
-    toks: list[str] = []
+    plain = _COMMENT.sub("", text) if "#" in text else text
+    toks = _TOKENS_ONLY.findall(plain)
+    if len("".join(toks)) + sum(map(plain.count, " \t\r\n")) != len(plain):
+        _starts(text)  # raises at the first unexpected character
+    toks.append("")
+    return toks
+
+
+def _starts(text: str) -> list[int]:
+    """The start offset of every token of ``_tokenize(text)``, the end of
+    input last; raises the ``ParseError`` of an unexpected character."""
     starts: list[int] = []
     for m in _TOKEN.finditer(text):
         group = m.lastindex
         if group == 1:
-            toks.append(m.group())
             starts.append(m.start())
         elif group:
             i = m.start()
@@ -87,9 +112,8 @@ def _tokenize(text: str) -> tuple[list[str], list[int]]:
                 SourceSpan(i, i + 1),
                 frozenset({"identifier", "punctuation"}),
             )
-    toks.append("")
     starts.append(len(text))
-    return toks, starts
+    return starts
 
 
 class _Parser:
@@ -97,15 +121,18 @@ class _Parser:
 
     A token's kind follows from its text (see ``_tokenize``), so the
     parser compares strings; each distinct name becomes one ``Referent``.
+    An atom is built without ``Atom``'s checks, which its tokens already
+    pass.
     """
 
     def __init__(self, text: str) -> None:
-        self.toks, self.starts = _tokenize(text)
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
         self.refs: dict[str, Referent] = {}
 
     def span(self) -> SourceSpan:
-        start = self.starts[self.pos]
+        start = _starts(self.text)[self.pos]
         return SourceSpan(start, start + len(self.toks[self.pos]))
 
     def fail(self, expected: set[str]) -> "ParseError":
@@ -121,15 +148,11 @@ class _Parser:
             raise self.fail({value})
         self.pos += 1
 
-    def ident(self) -> str:
-        tok = self.toks[self.pos]
-        if tok in _NOT_IDENT:
+    def referent(self) -> Referent:
+        name = self.toks[self.pos]
+        if name in _NOT_IDENT:
             raise self.fail({"identifier"})
         self.pos += 1
-        return tok
-
-    def referent(self) -> Referent:
-        name = self.ident()
         ref = self.refs.get(name)
         if ref is None:
             ref = self.refs[name] = Referent(name)
@@ -156,10 +179,11 @@ class _Parser:
         self.expect("|")
         conds: list[Condition] = []
         if toks[self.pos] != "]":
-            conds.append(self.condition())
-            while toks[self.pos] == ",":
+            while True:
+                conds.append(self.atom() if toks[self.pos] not in _NOT_IDENT else self.condition())
+                if toks[self.pos] != ",":
+                    break
                 self.pos += 1
-                conds.append(self.condition())
         self.expect("]")
         try:
             return DRS(tuple(refs), tuple(conds))
@@ -185,19 +209,38 @@ class _Parser:
                 self.pos += 1
                 return Or(left, self.box())
             raise self.fail({"=>", "or"})
-        if tok not in _NOT_IDENT:
-            return self.atom()
         raise self.fail({"identifier", "not", "alpha", "["})
 
     def atom(self) -> Atom:
-        pred = self.ident()
-        self.expect("(")
-        args = [self.referent()]
-        while self.toks[self.pos] == ",":
-            self.pos += 1
-            args.append(self.referent())
-        self.expect(")")
-        return Atom(pred, tuple(args))
+        """ident '(' ident (',' ident)* ')', built without ``Atom``'s checks:
+        the tokenizer has matched every identifier."""
+        toks = self.toks
+        names = self.refs
+        pos = self.pos
+        pred = toks[pos]
+        if toks[pos + 1] != "(":
+            self.pos = pos + 1
+            raise self.fail({"("})
+        args = []
+        pos += 2
+        while True:
+            name = toks[pos]
+            if name in _NOT_IDENT:
+                self.pos = pos
+                raise self.fail({"identifier"})
+            ref = names.get(name)
+            if ref is None:
+                ref = names[name] = Referent(name)
+            args.append(ref)
+            sep = toks[pos + 1]
+            pos += 2
+            if sep != ",":
+                break
+        if sep != ")":
+            self.pos = pos - 1
+            raise self.fail({")"})
+        self.pos = pos
+        return _atom(pred, tuple(args))
 
     # -- context formulas ---------------------------------------------------
 

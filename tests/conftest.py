@@ -22,13 +22,19 @@ HANK = (
 
 MARRIAGE_POSTULATE = "[ | [m | married(m)] => [w | wife(w), of(w,m)]]"
 
-# Family M at m = 40: hank with 40 extra root facts (the marriage postulate
-# is its background).
-FAMILY_M_40 = (
-    "[x | hank(x), married(x), %s,"
-    " [y | man(y)] => [ | likes(y,u), alpha:[u | wife(u), of(u,v), alpha:[v | ]]]]"
-    % ", ".join("f%d(x)" % i for i in range(40))
-)
+
+# Family M: hank with m extra root facts (the marriage postulate is its
+# background).
+def family_m(m: int) -> str:
+    return (
+        "[x | hank(x), married(x),%s"
+        " [y | man(y)] => [ | likes(y,u), alpha:[u | wife(u), of(u,v), alpha:[v | ]]]]"
+        % "".join(" f%d(x)," % i for i in range(m))
+    )
+
+
+FAMILY_M_40 = family_m(40)
+
 
 # Alphas with nothing to accommodate: no conditions, or only a simple
 # anaphor.  ``readings`` resolves them, so they add no accommodation check.

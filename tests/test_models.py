@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,7 +31,7 @@ from ctxdrt.projection import (
 )
 from ctxdrt.text import parse_drs
 
-from conftest import MARRIAGE_POSTULATE
+from conftest import MARRIAGE_POSTULATE, family_m
 from gen import alpha_free_boxes, corpus_drs
 
 
@@ -139,6 +140,52 @@ def test_resource_limit_is_signalled():
         model_check(box, None, max_domain=3)
 
 
+def _count_searches(monkeypatch) -> list:
+    """Records one entry per ``models._sat`` call: one per grounded assignment."""
+    calls = []
+    sat = models._sat
+
+    def counting(g, assignment):
+        calls.append(1)
+        return sat(g, assignment)
+
+    monkeypatch.setattr(models, "_sat", counting)
+    return calls
+
+
+def test_many_outermost_referents_stop_at_the_ceiling(monkeypatch):
+    # refuted at every size: at size 2 the 20 referents have 2**19
+    # least-number assignments, at size 3 about 5.8 * 10**8, which the search
+    # built in full before it grounded any, until memory ran out
+    names = ["a%d" % i for i in range(20)]
+    box = parse_drs(
+        "[%s | p(a0), not [ | p(a0)], %s]"
+        % (", ".join(names), ", ".join("q(%s)" % n for n in names))
+    )
+    searches = _count_searches(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(
+        ResourceLimit,
+        match="more than %d assignments of 20 outermost referents at domain size 2"
+        % models.ATOM_CEILING,
+    ):
+        model_check(box, None, max_domain=3)
+    assert len(searches) == 1 + models.ATOM_CEILING  # size 1, then size 2 up to the ceiling
+    # about 0.05 s on a 2-vCPU x86 machine; the generous bound only catches
+    # a grounding of every assignment, which ran out of memory
+    assert time.perf_counter() - start < 10.0
+
+
+def test_the_search_stops_at_the_first_assignment_with_a_model(monkeypatch):
+    # no model at size 1; at size 2 the second least-number assignment, the
+    # first to set a19 apart, has one, though 2**19 assignments are left
+    names = ["a%d" % i for i in range(20)]
+    box = parse_drs("[%s | p(a0), not [ | p(a19)]]" % ", ".join(names))
+    searches = _count_searches(monkeypatch)
+    assert model_check(box, None, max_domain=3) == ModelCheckResult("satisfiable", 2)
+    assert len(searches) == 1 + 2
+
+
 FACTS = ", ".join("f%d(x)" % i for i in range(300))
 FACT_BOX = "[x | hank(x), married(x), %s, [m | married(m)] => [w | wife(w), of(w,m)]]" % FACTS
 
@@ -232,10 +279,11 @@ def test_sat_finds_a_clash_along_an_and_chain(monkeypatch):
 
 
 def test_canonical_assignments_are_one_per_orbit():
-    assert len(models._canonical(5, 3)) == 41  # the product has 3**5 = 243
-    assert models._canonical(5, 1) == [(0, 0, 0, 0, 0)]
-    assert models._canonical(0, 3) == [()]
-    assert models._canonical(3, 3) == [
+    assert len(list(models._canonical(5, 3))) == 41  # the product has 3**5 = 243
+    assert list(models._canonical(5, 1)) == [(0, 0, 0, 0, 0)]
+    assert list(models._canonical(0, 3)) == [()]
+    assert list(models._canonical(1500, 1)) == [(0,) * 1500]  # wider than the recursion limit
+    assert list(models._canonical(3, 3)) == [
         (0, 0, 0),
         (0, 0, 1),
         (0, 1, 0),
@@ -532,11 +580,7 @@ def test_model_check_matches_reference_on_the_corpus():
 @pytest.mark.parametrize("m", [0, 40, 320])
 def test_model_check_matches_reference_on_family_m(m):
     # hank, the marriage postulate and m extra root facts
-    root = parse_drs(
-        "[x | hank(x), married(x), %s"
-        " [y | man(y)] => [ | likes(y,u), alpha:[u | wife(u), of(u,v), alpha:[v | ]]]]"
-        % "".join("f%d(x), " % i for i in range(m))
-    )
+    root = parse_drs(family_m(m))
     tasks = _tasks(root, BackgroundTheory((parse_drs(MARRIAGE_POSTULATE),)))
     assert len(tasks) == 10
     for premise, conclusion in tasks:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -58,7 +59,7 @@ from ctxdrt.projection import (
 from ctxdrt.tableau import compare_cost, prove_lcon
 from ctxdrt.text import parse_drs, print_drs
 
-from conftest import FAMILY_M_40, HANK
+from conftest import FAMILY_M_40, HANK, family_m
 from gen import corpus_drs, drs_boxes, nested_alpha_boxes
 
 CORPUS_SEED = 20260808
@@ -446,6 +447,31 @@ def test_large_boxes_are_validated_once(monkeypatch, marriage_bg):
     # compare_cost proves only informativity: the input and the premise of
     # each of the 3 sites, and no consistency premise
     assert 0 < len(misses) <= 4
+
+
+def _python_calls(source: str, bg) -> int:
+    """The Python-level calls that ``parse_drs`` and ``project`` make on ``source``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        project(parse_drs(source), bg)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_context_fact_costs_at_most_three_python_calls(marriage_bg):
+    # parse, accommodation sites, consistency search: the readings route
+    # calls two functions per root fact, the parser's atom routine and
+    # drs._atom; it called 18 before its passes over facts became loops
+    extra = _python_calls(family_m(300), marriage_bg) - _python_calls(family_m(0), marriage_bg)
+    assert extra <= 3 * 300
 
 
 @pytest.mark.parametrize("source", [HANK, FAMILY_M_40], ids=["hank", "family_m_40"])

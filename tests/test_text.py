@@ -414,6 +414,61 @@ def test_parser_agrees_with_the_reference_on_every_one_character_edit():
         _agree(text)
 
 
+# atoms that start like a well-formed one: every error the parser's atom
+# routine raises, which builds atoms without ``Atom``'s checks
+_MALFORMED_ATOMS = (
+    "p(",
+    "p(x",
+    "p(x,",
+    "p(x,)",
+    "p()",
+    "p(x y)",
+    "p(x,,y)",
+    "p(x))",
+    "p(not)",
+    "p(alpha)",
+    "p(X)",
+)
+_ATOM_CONTEXTS = (
+    "%s",
+    "[x | %s]",
+    "[x | %s, q(x)]",
+    "[x | q(x), %s]",
+    "[x | q(x), %s, r(x)]",
+    "[ | not [ | %s]]",
+    "[ | %s] & [ | q(x)]",
+    "in([x | q(x)], [ | %s])",
+)
+
+
+def test_parser_agrees_with_the_reference_on_malformed_atoms():
+    for atom in _MALFORMED_ATOMS:
+        for context in _ATOM_CONTEXTS:
+            text = context % atom
+            _agree(text)
+            with pytest.raises(ParseError):
+                parse_drs(text)
+
+
+def test_well_formed_input_computes_no_offsets(monkeypatch):
+    import ctxdrt.text
+
+    def offsets(text):
+        raise AssertionError("offsets computed for %r" % text)
+
+    monkeypatch.setattr(ctxdrt.text, "_starts", offsets)
+    boxes = [HANK, MARRIAGE_POSTULATE, EVERY_MAN, "[x|p(x)] # note\r\n", "#\n[ | ]#"]
+    for batch in (workloads.wide_context_batch(1, 24), workloads.chain_batch(1)):
+        boxes += list(batch.background) + [d.text for d in batch.discourses]
+    for text in boxes:
+        parse_drs(text)
+        parse_lcon(text)
+    parse_lcon(HANK_FORMULA)
+    # the patch is live: an error needs a span
+    with pytest.raises(AssertionError, match="offsets computed"):
+        parse_drs("[x | p(x y)]")
+
+
 def test_whitespace_is_exactly_space_tab_carriage_return_and_line_feed():
     assert print_drs(parse_drs(" \t\r\n[x|\r\np(x)]\n")) == "[x | p(x)]"
     for ch in "\f\v\u00a0":
