@@ -10,9 +10,14 @@ Scope: a sub-box sees the universes of every box around it, and an
 implication's consequent also sees its antecedent.  ``_scoped_children``
 is the one place that states this; substitution, validation, renaming and
 ``scope_chain`` all walk through it.  ``scope_chain`` lists the boxes one
-position sees, outermost first; the accessible referents and the context
-box of a position are read off that chain, as are the accommodation sites
-of an alpha in ``projection``.
+position sees, outermost first, and is the one path walker: it checks
+every step of a path, and ``sub_drs_at``, ``delete_alpha`` and
+``extend_drs_at`` read the sub-box, or rebuild the box bottom-up, along
+the chain it returns.  The accessible referents of a position are read off
+that chain, as are the accommodation sites of an alpha in ``projection``;
+its context box (``chain_context``) and that box's condition set
+(``chain_conditions``) are two views of one fold of the chain,
+``_chain_fold``, which collects universes and conditions and merges no box.
 
 Boxes compare equal up to the order of their universe and condition lists
 (both are set-like); the stored order is still meaningful because printing
@@ -21,6 +26,7 @@ and merging preserve it.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -401,43 +407,40 @@ def chain_referents(chain: list[Scope]) -> tuple[Referent, ...]:
     return tuple(dict.fromkeys([ref for universe in universes for ref in universe]))
 
 
-def chain_context(chain: list[Scope]) -> DRS:
-    """The merge of everything a scope chain's position sees.
+def _chain_fold(chain: list[Scope]) -> tuple[tuple[Referent, ...], list[tuple[Condition, ...]]]:
+    """The universe and the conditions, one tuple per box, of everything a
+    scope chain's position sees, outermost first; no box is merged.
 
     A box on the path adds all but the condition the path leaves it by, an
-    antecedent adds all of itself, and the position's own box adds nothing,
-    so the context of the root is empty.  Merging innermost first, as the
-    nesting does, decides which referent an impure box's overlap names.
+    antecedent adds all of itself, and the position's own box adds nothing.
+    Raises OverlappingUniverses where merging the boxes innermost first, as
+    the nesting does, would fail, naming the referent that merge names.
     """
-    context = EMPTY
+    # the universes and conditions folded so far, outermost first
+    universe: tuple[Referent, ...] = ()
+    parts: list[tuple[Condition, ...]] = []
     for _, box, idx in reversed(chain[:-1]):
-        if idx is not None:
-            box = _box(box.universe, box.conditions[:idx] + box.conditions[idx + 1 :])
-        context = merge(box, context)
-    return context
+        if universe and box.universe:
+            outer = set(box.universe)
+            for ref in universe:
+                if ref in outer:
+                    raise OverlappingUniverses(ref)
+        universe = box.universe + universe
+        conds = box.conditions
+        parts.insert(0, conds if idx is None else conds[:idx] + conds[idx + 1 :])
+    return universe, parts
+
+
+def chain_context(chain: list[Scope]) -> DRS:
+    """The merge of everything a scope chain's position sees, read off
+    ``_chain_fold``, so the context of the root is empty."""
+    universe, parts = _chain_fold(chain)
+    return _box(universe, tuple(dict.fromkeys(itertools.chain(*parts))))
 
 
 def chain_conditions(chain: list[Scope]) -> set[Condition]:
-    """The conditions of ``chain_context``, as a set, without merging.
-
-    Raises OverlappingUniverses where that merge would, naming the
-    referent it would name.
-    """
-    conditions: set[Condition] = set()
-    inner: tuple[Referent, ...] = ()  # the universes merged so far, outermost first
-    for _, box, idx in reversed(chain[:-1]):
-        if inner and box.universe:
-            outer = set(box.universe)
-            for ref in inner:
-                if ref in outer:
-                    raise OverlappingUniverses(ref)
-        inner = box.universe + inner
-        if idx is None:
-            conditions.update(box.conditions)
-        else:
-            conditions.update(box.conditions[:idx])
-            conditions.update(box.conditions[idx + 1 :])
-    return conditions
+    """The conditions of ``chain_context``, as a set, read off ``_chain_fold``."""
+    return set().union(*_chain_fold(chain)[1])
 
 
 def accessible_referents(at: DrsPath, root: DRS) -> tuple[Referent, ...]:
@@ -652,34 +655,32 @@ def alpha_condition_paths(root: DRS) -> list[DrsPath]:
     return [p for p in enumerate_sub_drss(root) if p and p[-1][1] == ALPHA_BODY]
 
 
-def _rebuild_at(root: DRS, path: DrsPath, replacement: DRS) -> DRS:
-    if not path:
-        return replacement
-    (idx, sel), rest = path[0], path[1:]
-    cond = root.conditions[idx]
-    boxes = [
-        _rebuild_at(child, rest, replacement) if s == sel else child
-        for s, child in condition_children(cond)
-    ]
-    return _box(
-        root.universe,
-        root.conditions[:idx] + (type(cond)(*boxes),) + root.conditions[idx + 1 :],
-    )
+def _rebuild(chain: list[Scope], at: DrsPath, box: DRS) -> DRS:
+    """The root with ``box`` in place of the sub-box that ``chain``, a prefix
+    of the scope chain of ``at``, leads to: each box the path leaves is
+    rebuilt around its new sub-box, innermost first."""
+    for path, host, idx in reversed(chain):
+        if idx is not None:
+            cond, sel = host.conditions[idx], at[len(path)][1]
+            cond = type(cond)(*[box if s == sel else sub for s, sub in condition_children(cond)])
+            box = _box(host.universe, host.conditions[:idx] + (cond,) + host.conditions[idx + 1 :])
+    return box
 
 
 def delete_alpha(root: DRS, alpha_path: DrsPath) -> DRS:
     """Remove the alpha condition a path addresses."""
     if not alpha_path or alpha_path[-1][1] != ALPHA_BODY:
         raise InvalidPath("path does not address an alpha condition")
-    parent_path, parent, idx = scope_chain(alpha_path, root)[-2]
-    conds = parent.conditions[:idx] + parent.conditions[idx + 1 :]
-    return _rebuild_at(root, parent_path, _box(parent.universe, conds))
+    chain = scope_chain(alpha_path, root)
+    _, parent, idx = chain[-2]
+    pruned = _box(parent.universe, parent.conditions[:idx] + parent.conditions[idx + 1 :])
+    return _rebuild(chain[:-2], alpha_path, pruned)
 
 
 def extend_drs_at(root: DRS, path: DrsPath, extra: DRS) -> DRS:
     """Merge ``extra`` into the sub-box a path addresses."""
-    target = sub_drs_at(path, root)
-    return _rebuild_at(root, path, merge(target, extra))
+    chain = scope_chain(path, root)
+    return _rebuild(chain, path, merge(chain[-1].box, extra))
 
 
 def path_str(path: DrsPath) -> str:

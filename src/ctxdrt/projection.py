@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
+from . import models
 from .drs import (
     ALPHA_BODY,
     DRS,
@@ -417,10 +418,6 @@ def _informativity_task(reading: Reading, premise: DRS) -> InferenceTask:
     return InferenceTask("informativity", premise, reading.accommodated, reading.ref)
 
 
-def _consistency_task(reading: Reading, premise: DRS) -> InferenceTask:
-    return InferenceTask("consistency", merge(premise, reading.accommodated), None, reading.ref)
-
-
 def build_tasks(
     reading: Reading, root: DRS, bg: BackgroundTheory = EMPTY_BACKGROUND
 ) -> tuple[InferenceTask, InferenceTask]:
@@ -430,11 +427,13 @@ def build_tasks(
     Informativity asks whether that premise already entails the
     accommodated material; consistency asks whether premise plus
     accommodated material is satisfiable.  ``project`` builds the site
-    premises once per alpha instead of once per reading, and a
-    consistency task only for the readings it searches.
+    premises once per alpha instead of once per reading, and merges a
+    consistency box only for the readings it searches.
     """
     premise = site_premises(root, reading.alpha_path, bg)[reading.site_path]
-    return _informativity_task(reading, premise), _consistency_task(reading, premise)
+    merged = merge(premise, reading.accommodated)
+    consistency = InferenceTask("consistency", merged, None, reading.ref)
+    return _informativity_task(reading, premise), consistency
 
 
 @dataclass(frozen=True)
@@ -459,12 +458,10 @@ def _informative(task: InferenceTask, bounds: Optional["Bounds"]) -> str:
     return {"closed": "fail", "open_saturated": "pass", "open_bounded": "unknown"}[status]
 
 
-def _consistent(task: InferenceTask, model_bound: int) -> str:
-    """``check_reading``'s consistency verdict."""
-    from . import models
-
+def _consistent(box: DRS, model_bound: int) -> str:
+    """``check_reading``'s consistency verdict on the merged box it searches."""
     try:
-        status = models.model_check(task.premise, None, max_domain=model_bound).status
+        status = models.model_check(box, None, max_domain=model_bound).status
     except models.ResourceLimit:
         status = "unknown"
     return {"satisfiable": "pass", "refuted": "fail", "unknown": "unknown"}[status]
@@ -488,7 +485,7 @@ def check_reading(
     """
     informativity, consistency = tasks
     return ReadingVerdict(
-        _informative(informativity, bounds), _consistent(consistency, model_bound)
+        _informative(informativity, bounds), _consistent(consistency.premise, model_bound)
     )
 
 
@@ -511,8 +508,8 @@ def _check_readings(
     for indices in by_binding.values():
         for i in reversed(indices):  # innermost site first
             reading = readings[i]
-            task = _consistency_task(reading, premises[reading.site_path])
-            consistent[i] = _consistent(task, model_bound)
+            box = merge(premises[reading.site_path], reading.accommodated)
+            consistent[i] = _consistent(box, model_bound)
             if consistent[i] == "pass":
                 break  # and so is the question at every site further out
     return [

@@ -79,6 +79,7 @@ from .projection import (
     EMPTY_BACKGROUND,
     BackgroundTheory,
     InferenceTask,
+    _informativity_task,
     _walk_alpha,
     candidate_readings,
     eligible_alpha_paths,
@@ -1106,10 +1107,8 @@ def compare_cost(
         readings = candidate_readings(root, alpha_path, walk)[0]
         premises = site_premises(root, alpha_path, bg, walk) if readings else {}
         for reading in readings:
-            informativity = InferenceTask(
-                "informativity", premises[reading.site_path], reading.accommodated, reading.ref
-            )
-            status, stats = naive_prove(informativity, bounds)
+            task = _informativity_task(reading, premises[reading.site_path])
+            status, stats = naive_prove(task, bounds)
             naive_stats.absorb(stats)
             naive_verdicts.append((reading.ref, status))
 

@@ -3,7 +3,9 @@ import string
 from dataclasses import make_dataclass
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from ctxdrt import drs
 from ctxdrt.drs import (
     ALPHA_BODY,
     DRS,
@@ -36,7 +38,7 @@ from ctxdrt.drs import (
 )
 from ctxdrt.text import parse_drs, print_condition, print_drs
 
-from gen import corpus_drs
+from gen import corpus_drs, nested_alpha_boxes
 
 
 def refs(*names):
@@ -307,6 +309,92 @@ def test_alpha_edits_through_disjunctions_and_alpha_bodies():
     )
     for edited in (delete_alpha(box, w_path), grown):
         assert edited.conditions[:3] == box.conditions[:3]
+
+
+def reference_rebuild(root, path, replacement):
+    """``root`` with the sub-box at ``path`` replaced, by recursion down the path."""
+    if not path:
+        return replacement
+    (idx, sel), rest = path[0], path[1:]
+    cond = root.conditions[idx]
+    boxes = [
+        reference_rebuild(child, rest, replacement) if s == sel else child
+        for s, child in condition_children(cond)
+    ]
+    conditions = root.conditions[:idx] + (type(cond)(*boxes),) + root.conditions[idx + 1 :]
+    return DRS(root.universe, conditions)
+
+
+def assert_edits_match_reference(root):
+    for path in enumerate_sub_drss(root):
+        extra = DRS(refs("zz"), (Atom("k", refs("zz")),))
+        want = reference_rebuild(root, path, merge(sub_drs_at(path, root), extra))
+        got = extend_drs_at(root, path, extra)
+        assert (got.universe, got.conditions) == (want.universe, want.conditions)
+    for path in alpha_condition_paths(root):
+        parent, idx = sub_drs_at(path[:-1], root), path[-1][0]
+        pruned = DRS(parent.universe, parent.conditions[:idx] + parent.conditions[idx + 1 :])
+        want = reference_rebuild(root, path[:-1], pruned)
+        got = delete_alpha(root, path)
+        assert (got.universe, got.conditions) == (want.universe, want.conditions)
+
+
+def test_edits_rebuild_as_a_recursion_down_the_path_does():
+    assert_edits_match_reference(parse_drs(ALL_KINDS))
+    rng = random.Random(31)
+    for _ in range(300):
+        assert_edits_match_reference(corpus_drs(rng))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nested_alpha_boxes)
+def test_edits_rebuild_as_a_recursion_down_the_path_does_on_generated_boxes(box):
+    assert_edits_match_reference(box)
+
+
+# (path, the InvalidPath message) for paths of HANK that ``scope_chain`` rejects;
+# each ends at an alpha body, so ``delete_alpha`` also walks them
+BAD_ALPHA_PATHS = (
+    ((7, (1, "alpha")), "malformed step 7"),
+    (((2,), (1, "alpha")), r"malformed step \(2,\)"),
+    (((9, "cons"), (1, "alpha")), "condition index 9 out of range"),
+    ((("2", "cons"), (1, "alpha")), "condition index '2' out of range"),
+    (((2, "cons"), (5, "alpha")), "condition index 5 out of range"),
+    (((2, "neg"), (1, "alpha")), "selector 'neg' does not apply to Imp"),
+    (((2, "cons"), (0, "alpha")), "selector 'alpha' does not apply to Atom"),
+)
+
+
+@pytest.mark.parametrize("path, message", BAD_ALPHA_PATHS)
+def test_edits_reject_bad_paths_as_scope_chain_does(hank, path, message):
+    extra = parse_drs("[z | thing(z)]")
+    for edit in (lambda: delete_alpha(hank, path), lambda: extend_drs_at(hank, path, extra)):
+        with pytest.raises(InvalidPath, match=message):
+            edit()
+    with pytest.raises(InvalidPath, match=message):
+        sub_drs_at(path, hank)
+
+
+@pytest.mark.parametrize("path", [(), ((2, "cons"),), ((2, "ante"),), ((2, "cons"), (1, "neg"))])
+def test_delete_alpha_rejects_a_path_not_ending_at_an_alpha_body(hank, path):
+    with pytest.raises(InvalidPath, match="does not address an alpha condition"):
+        delete_alpha(hank, path)
+
+
+def test_each_edit_walks_its_path_once(monkeypatch, hank):
+    calls = []
+    walk = drs.scope_chain
+
+    def counted(*args):
+        calls.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(drs, "scope_chain", counted)
+    alpha = ((2, "cons"), (1, "alpha"))
+    delete_alpha(hank, alpha)
+    assert calls == [alpha]
+    extend_drs_at(hank, alpha, parse_drs("[z | thing(z)]"))
+    assert calls == [alpha, alpha]
 
 
 def test_referents_are_tuples_with_the_dataclass_repr_hash_and_order():

@@ -18,7 +18,6 @@ from ctxdrt.drs import (
     Referent,
     accessible_referents,
     alpha_condition_paths,
-    chain_context,
     chain_referents,
     condition_children,
     context_drs,
@@ -673,7 +672,7 @@ def reference_resolve_alpha(alpha_path, root):
     chain = reference_alpha_chain(alpha_path, root)
     body = chain[-1].box
     anaphors, core = _split_body(body)
-    ctx_conditions = set(chain_context(chain).conditions)
+    ctx_conditions = set(reference_context_drs(alpha_path, root).conditions)
     pool = chain_referents(chain)
     to_bind = list(body.universe) + anaphors
     out = []
@@ -908,7 +907,7 @@ def test_resolution_reads_the_context_without_merging_it_yet_raises_as_the_merge
     # the consequent introduces x again: merging the chain into a context box fails
     box = parse_drs("[x | p(x), [ | q(x)] => [x | alpha:[y | r(y)]]]")
     (path,) = eligible_alpha_paths(box)
-    for resolve in (resolve_alpha, reference_resolve_alpha):
+    for resolve in (resolve_alpha, reference_resolve_alpha, context_drs):
         with pytest.raises(OverlappingUniverses, match="referent 'x' is introduced by both"):
             resolve(path, box)
 

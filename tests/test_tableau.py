@@ -11,7 +11,14 @@ from ctxdrt import tableau
 from ctxdrt.drs import DRS, Atom
 from ctxdrt.lcon import Conj, Disj, In, auto_tag_positions, extract
 from ctxdrt.models import AlphaRemaining
-from ctxdrt.projection import BackgroundTheory, InferenceTask, project
+from ctxdrt.projection import (
+    BackgroundTheory,
+    InferenceTask,
+    build_tasks,
+    candidate_readings,
+    eligible_alpha_paths,
+    project,
+)
 from ctxdrt.tableau import (
     CLOSED,
     OPEN_BOUNDED,
@@ -1148,6 +1155,24 @@ def test_family_k_readings_are_all_decided(k, marriage_bg):
     assert not any(check.verdict.unknown for check in outcome.checks)
 
 
+def per_task_verdicts(root, bg):
+    """Each reading's verdict on its own informativity task, from ``build_tasks``."""
+    return tuple(
+        (reading.ref, naive_prove(build_tasks(reading, root, bg)[0])[0])
+        for path in eligible_alpha_paths(root)
+        for reading in candidate_readings(root, path)[0]
+    )
+
+
+def test_the_per_task_route_asks_each_reading_its_own_task(marriage_bg):
+    rng = random.Random(59)
+    roots = [(corpus_drs(rng), BackgroundTheory()) for _ in range(300)]
+    roots += [(family_m(m, random.Random(m)), marriage_bg) for m in (0, 40)]
+    roots += [(family_k(k, random.Random(k)), marriage_bg) for k in (1, 2, 3)]
+    for root, bg in roots:
+        assert compare_cost(root, bg).naive_verdicts == per_task_verdicts(root, bg)
+
+
 def test_compare_ratio_is_one_without_shared_context():
     report = compare_cost(parse_drs("[ | alpha:[u | rain(u)]]"))
     assert report.overall_ratio == 1.0
@@ -1209,7 +1234,6 @@ def test_closing_survives_premise_growth():
         for ref, status in report.naive_verdicts:
             if status != CLOSED:
                 continue
-            from ctxdrt.projection import build_tasks, candidate_readings, eligible_alpha_paths
             from ctxdrt.drs import merge, validate
             for path in eligible_alpha_paths(root):
                 for reading in candidate_readings(root, path)[0]:
