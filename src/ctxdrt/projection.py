@@ -458,13 +458,51 @@ def _informative(task: InferenceTask, bounds: Optional["Bounds"]) -> str:
     return {"closed": "fail", "open_saturated": "pass", "open_bounded": "unknown"}[status]
 
 
-def _consistent(box: DRS, model_bound: int) -> str:
-    """``check_reading``'s consistency verdict on the merged box it searches."""
+_CONSISTENT = {
+    "satisfiable": "pass",
+    "refuted": "fail",
+    "open_saturated": "pass",
+    "closed": "fail",
+    "open_bounded": "unknown",
+}
+
+
+def _consistency(box: DRS, model_bound: int, bounds: Optional["Bounds"]) -> str:
+    """The status behind ``check_reading``'s consistency verdict on the
+    merged box it searches: the model search's, unless it is unknown.
+
+    Then a tableau refutes "the box entails ``[z | f(z)]``", with f a
+    predicate the box does not use and z a fresh referent: a closed
+    refutation makes the box inconsistent, an ``open_saturated`` one
+    consistent.  The goal is a pure node, so no task instantiates it.
+    ``tableau.prove_lcon`` runs it under ``bounds`` as a task of its own:
+    the benchmark's gate counts ``tableau.naive_prove`` calls against the
+    informativity checks.
+    """
     try:
         status = models.model_check(box, None, max_domain=model_bound).status
     except models.ResourceLimit:
         status = "unknown"
-    return {"satisfiable": "pass", "refuted": "fail", "unknown": "unknown"}[status]
+    if status != "unknown":
+        return status
+    from . import lcon, tableau  # both import this module
+
+    used = set()
+    stack = list(box.conditions)
+    while stack:
+        cond = stack.pop()
+        if type(cond) is Atom:
+            used.add(cond.predicate)
+        else:
+            stack.extend(c for _, child in condition_children(cond) for c in child.conditions)
+    predicate = next(name for name in ("f%d" % i for i in itertools.count()) if name not in used)
+    taken = _all_referents(box)
+    referent = next(r for r in (Referent("z%d" % i) for i in itertools.count()) if r not in taken)
+    goal = lcon.DrsLit(DRS((referent,), (Atom(predicate, (referent,)),)))
+    verdict, _ = tableau.prove_lcon(
+        lcon.In(box, goal), None, tableau.DEFAULT_BOUNDS if bounds is None else bounds
+    )
+    return verdict.statuses[0][1]
 
 
 def check_reading(
@@ -478,14 +516,17 @@ def check_reading(
     The informativity task goes to ``tableau.naive_prove`` under ``bounds``
     (default ``tableau.DEFAULT_BOUNDS``); a closed task means the
     accommodation is redundant and the reading fails.  A consistency search
-    that hits the model checker's resource ceiling leaves the reading
-    undecided.  ``project`` gives every reading the verdict this gives it,
+    that is inconclusive or hits the model checker's resource ceiling goes
+    to a tableau refutation under ``bounds`` (see ``_consistency``), and
+    only a refutation that runs out of them leaves the reading undecided.
+    ``project`` gives every reading the verdict this gives it,
     but searches once per binding rather than once per reading (see
     ``project``).
     """
     informativity, consistency = tasks
     return ReadingVerdict(
-        _informative(informativity, bounds), _consistent(consistency.premise, model_bound)
+        _informative(informativity, bounds),
+        _CONSISTENT[_consistency(consistency.premise, model_bound, bounds)],
     )
 
 
@@ -509,8 +550,9 @@ def _check_readings(
         for i in reversed(indices):  # innermost site first
             reading = readings[i]
             box = merge(premises[reading.site_path], reading.accommodated)
-            consistent[i] = _consistent(box, model_bound)
-            if consistent[i] == "pass":
+            status = _consistency(box, model_bound, bounds)
+            consistent[i] = _CONSISTENT[status]
+            if status == "satisfiable":
                 break  # and so is the question at every site further out
     return [
         ReadingVerdict(_informative(_informativity_task(r, premises[r.site_path]), bounds), c)
@@ -613,7 +655,10 @@ def project(
     reading: a binding's readings are searched from its innermost site
     outward until a search says ``satisfiable``, and every reading of that
     binding at a site further out passes unsearched.  A ``refuted`` or
-    ``unknown`` search decides only its own reading.  This is exact.  An
+    ``unknown`` search decides only its own reading, and so does the
+    tableau refutation that follows an ``unknown`` one, whatever it finds:
+    an outer question's refutation is not known to saturate within the
+    bounds when an inner one's does.  This is exact.  An
     outer site's premise is a sub-box of an inner site's (``site_premises``
     merges each site's content onto the premise of the site outside it),
     and both questions merge the same accommodated box, so the outer

@@ -20,6 +20,23 @@ previous round by one more instance per universal node, instead of
 rebuilding the task's tree from its first node (the incremental deepening
 of leanTAP, Beckert & Posegga 1995).
 
+A task whose round fails is saturated, and "open_saturated", once every
+universal node has one instance per combination of known ground terms
+over its universe.  A variable counts only the terms of its sort (sort
+inference, Claessen & Sorensson 2003): the union-find of ``_sorts`` over
+referents and argument positions, joined by the atoms of the task's own
+context chain and goal, where a Skolem term is of its referent's sort.
+Every sort without a Skolem function that leads back into it has finitely
+many ground terms (Korovin 2013), so such a task saturates within a few
+rounds, where counting every term for every variable kept some deepening
+until a bound ran out; a sort that takes in its own Skolem terms still
+ends "open_bounded".  A task joins its sorts only once the count over
+all terms has failed (see ``run_task``), and then reads each universal
+node's and waiting condition's atoms off its payload, where they are kept,
+and only the index lists that may join two sorts, which each level notes
+as it indexes its literals: a fact that can join no two sorts costs a
+task nothing.
+
 ``_Engine.refute`` walks the formula spine.  The statuses live on the
 engine, and ``prove_lcon`` pairs them with the task tags, so a proof is
 one engine object and no closure refers back to it once the call returns.
@@ -371,6 +388,82 @@ def _saturated(branches: list, budget: int, terms: set[Term]) -> bool:
     return all(budget >= ground ** len(t.universe) for b in branches for t in b.gammas)
 
 
+# -- sorts -----------------------------------------------------------------------
+#
+# A sort is a class of the union-find over referents and argument positions
+# (predicate, arity, position) that joins each argument of an atom to its
+# position (Claessen & Sorensson 2003).  A referent is its own node, and so
+# is the constant of a free referent, which equals it; a Skolem term is of
+# its referent's sort.  ``sorts`` maps each node that is not a root to its
+# parent.
+
+
+def _find(sorts: dict, node: object) -> object:
+    while node in sorts:
+        node = sorts[node]
+    return node
+
+
+def _sorts(links: list) -> dict:
+    """The sorts in which the two nodes of every pair in ``links`` are one."""
+    sorts: dict = {}
+    for a, b in links:
+        while a in sorts:  # _find, inlined
+            a = sorts[a]
+        while b in sorts:
+            b = sorts[b]
+        if a != b:
+            sorts[a] = b
+    return sorts
+
+
+def _sort_links(payload: Union[DRS, Neg, Imp, Or]) -> tuple:
+    """The (referent, position) pair of every argument of every atom in
+    ``payload``; kept on the payload, which is immutable, as
+    ``_complements`` is."""
+    found = payload.__dict__.get("_sort_links")
+    if found is not None:
+        return found
+    links = []
+    stack = [payload]
+    while stack:
+        cond = stack.pop()
+        if type(cond) is Atom:
+            key = (cond.predicate, len(cond.args))
+            links.extend([(ref, key + (i,)) for i, ref in enumerate(cond.args)])
+        elif type(cond) is DRS:
+            stack.extend(cond.conditions)
+        elif type(cond) is Neg:
+            stack.append(cond.body)
+        elif type(cond) is Imp:
+            stack += (cond.antecedent, cond.consequent)
+        elif type(cond) is Or:
+            stack += (cond.left, cond.right)
+    found = tuple(links)
+    object.__setattr__(payload, "_sort_links", found)
+    return found
+
+
+def _sorted_saturated(
+    branches: list, budget: int, terms: set[Term], sorts: dict, skolems: list[Referent]
+) -> bool:
+    """Whether every universal node of ``branches`` has ``budget`` instances
+    for each combination, over its universe, of the ``terms`` of each
+    referent's sort."""
+    counts: dict = {}
+    for term in terms:
+        root = _find(sorts, skolems[term.fn - 1] if type(term) is SkolemApp else term)
+        counts[root] = counts.get(root, 0) + 1
+    for branch in branches:
+        for template in branch.gammas:
+            need = 1
+            for ref in template.universe:
+                need *= counts.get(_find(sorts, ref), 1)
+            if need > budget:
+                return False
+    return True
+
+
 # -- statistics -----------------------------------------------------------------
 
 
@@ -568,9 +661,11 @@ class _Context(NamedTuple):
     them by predicate and arity, each list in node order, so a task finds
     its closure partners in the context without scanning it; ``terms`` are
     their arguments.  ``signs`` holds the (predicate, arity, sign) of every
-    literal the universal nodes and waiting conditions can add.  Built
-    once by ``expand_context``; nothing writes to it afterwards, so the
-    levels below share it as it is.
+    literal the universal nodes and waiting conditions can add, and
+    ``twice`` the keys of the index lists that hold two literals or more,
+    which may join two sorts (see ``_Engine._task_sorts``).  Built once by
+    ``expand_context``; nothing writes to it afterwards, so the levels
+    below share it as it is.
     """
 
     label: Label  # the "-" label of the tasks at this level
@@ -580,9 +675,10 @@ class _Context(NamedTuple):
     deferred: list[_Item]
     env: dict[Referent, Term]
     signs: set[tuple[str, int, str]]
+    twice: frozenset[tuple[str, int]]
 
 
-_ROOT = _Context(Label(0, frozenset(), "-"), {}, set(), [], [], {}, set())
+_ROOT = _Context(Label(0, frozenset(), "-"), {}, set(), [], [], {}, set(), frozenset())
 
 
 # A closure-search level reuses the scans of the levels above only when it
@@ -600,8 +696,8 @@ class _Engine:
         self.node_limit = bounds.depth_limit  # run_task sets it per task
         self.closure_steps = 0
         self.signature: tuple = ({}, set())  # (positives, signs) of the running task
+        self.skolems: list[Referent] = []  # skolems[fn - 1]: the referent fn stands for
         self._var = 0
-        self._skolem = 0
         self._context = 0
 
     # Fresh symbol supplies are owned by the proof attempt, so re-running
@@ -610,9 +706,9 @@ class _Engine:
         self._var += 1
         return FreeVar(self._var)
 
-    def fresh_skolem(self, scope: tuple[FreeVar, ...]) -> SkolemApp:
-        self._skolem += 1
-        return SkolemApp(self._skolem, tuple(scope))
+    def fresh_skolem(self, ref: Referent, scope: tuple[FreeVar, ...]) -> SkolemApp:
+        self.skolems.append(ref)
+        return SkolemApp(len(self.skolems), tuple(scope))
 
     def fresh_context(self) -> int:
         self._context += 1
@@ -635,7 +731,8 @@ class _Engine:
         and arity; any other, once ``_signed_keys`` has added its keys to
         ``signs``, a universal node if an implication, else a condition
         waiting for each task.  The box's conditions are counted at once.
-        This box's index lists then follow the parent's, key by key.
+        This box's index lists then follow the parent's, key by key, and a
+        key whose list comes to hold a second literal joins ``twice``.
         """
         above = outer.label
         label = Label(self.fresh_context(), above.accessible | {above.context}, "+")
@@ -645,12 +742,13 @@ class _Engine:
         if box.universe:
             per_rule["+:universe"] = per_rule.get("+:universe", 0) + 1
             for ref in box.universe:
-                env[ref] = self.fresh_skolem(())
+                env[ref] = self.fresh_skolem(ref, ())
         if box.conditions:
             per_rule["+:condition"] = per_rule.get("+:condition", 0) + len(box.conditions)
         positives: dict[tuple[str, int], list[LitNode]] = {}  # this box's own, at first
         terms, gammas, deferred = outer.terms.copy(), outer.gammas.copy(), outer.deferred.copy()
         signs = outer.signs.copy()
+        twice: list = []  # keys whose index lists come to hold two literals here
         nodes = self.nodes
         arg_terms: dict[tuple, tuple] = {}  # argument tuples met in this box, as terms
         new_tuple = tuple.__new__  # a LitNode from its fields, past its Python-level __new__
@@ -670,6 +768,7 @@ class _Engine:
                     positives[key] = [lit]
                 else:
                     side.append(lit)
+                    twice.append(key)
             else:
                 _signed_keys(cond, "+", signs)
                 if isinstance(cond, Imp):
@@ -682,8 +781,18 @@ class _Engine:
             for key, side in own.items():
                 if key in positives:
                     side = positives[key] + side
+                    twice.append(key)
                 positives[key] = side
-        return _Context(label.signed("-"), positives, terms, gammas, deferred, env, signs)
+        return _Context(
+            label.signed("-"),
+            positives,
+            terms,
+            gammas,
+            deferred,
+            env,
+            signs,
+            outer.twice.union(twice) if twice else outer.twice,
+        )
 
     # -- per-task expansion -------------------------------------------------------
 
@@ -751,7 +860,7 @@ class _Engine:
         if universe:
             env = env.copy()
             for ref in universe:
-                env[ref] = self.fresh_skolem(scope)
+                env[ref] = self.fresh_skolem(ref, scope)
         return env
 
     def _useless(self, template: _GammaTemplate) -> bool:
@@ -959,6 +1068,29 @@ class _Engine:
         first branch starts from the goal and the waiting conditions; a
         resumed branch has expanded all its items, so it gets an empty stack.
 
+        When that count fails at a budget of 1 or more, it is taken per sort
+        (``_sorted_saturated``): a node needs one instance per combination,
+        over its universe, of the known ground terms of each referent's sort.
+        The sorts are joined once per task (``_task_sorts``).  This is sound in
+        two steps.  First, an open saturated branch gives a sorted Herbrand
+        model.  Every atom of the chain and the goal joins each argument to its
+        position, so every literal is well sorted, and a literal pairs only
+        with one of its own predicate and arity, so a closing substitution
+        sends each variable to a term of the variable's sort.  A node's
+        instances over the known terms of their sorts are then all the
+        instances a closure could use, as they are all the instances over every
+        known term when there is one sort; so the open branch, its literals
+        true and every other atom false, is a model of the task in which each
+        sort ranges over its known ground terms (a sort with none gets one
+        fresh element).  Second, an equality-free sorted model inflates to an
+        unsorted one: take the union of the sorts' domains, map each element to
+        itself in its own sort and to a fixed element of every other, and read
+        each predicate and Skolem function through that map; every formula
+        holds as its sorted version does, as without equality no formula tells
+        an element from its image.  The sorts come from the task's own chain
+        and goal, never from the formula around it, so its verdict does not
+        depend on where it sits.
+
         No universal node that a pure disjunct satisfies is instantiated
         (the pure-literal rule of Davis & Putnam 1960, as SETHEO's purity
         reduction applies it to tableau nodes).  The task's signature is
@@ -981,6 +1113,7 @@ class _Engine:
         _signed_keys(goal, "-", signs)
         self.signature = (context.positives, signs)
         gammas = [t for t in context.gammas if not self._useless(t)]
+        sorts: Optional[dict] = None  # joined at their first use
         branches = [_Branch([], (), gammas)]
         stack: list[_Item] = [(context.label, goal, context.env), *reversed(context.deferred)]
         for budget in range(self.bounds.gamma_limit + 1):
@@ -1007,14 +1140,63 @@ class _Engine:
                 self.stats.closures += len(branches)
                 return CLOSED
             # More ground terms only make saturation harder, so the branches'
-            # terms are collected only if the context's alone would do.
+            # terms are collected only once the context's alone would do; and
+            # the sorts, which count fewer terms per variable, are joined only
+            # once the count over every term has failed.
+            terms = None
             if _saturated(branches, budget, context.terms):
-                terms = context.terms.copy()
-                for arg in {arg for b in branches for n in b.lits for arg in n.args} - terms:
-                    _add_ground(arg, terms)
+                terms = self._ground_terms(branches, context)
                 if _saturated(branches, budget, terms):
                     return OPEN_SATURATED
+            if not budget:
+                continue
+            if sorts is None:
+                sorts = self._task_sorts(goal, context, signs)
+            if terms is None:
+                if not _sorted_saturated(branches, budget, context.terms, sorts, self.skolems):
+                    continue
+                terms = self._ground_terms(branches, context)
+            if _sorted_saturated(branches, budget, terms, sorts, self.skolems):
+                return OPEN_SATURATED
         return OPEN_BOUNDED
+
+    @staticmethod
+    def _ground_terms(branches: list, context: _Context) -> set[Term]:
+        """The context's ground terms and those of the branches' literals."""
+        terms = context.terms.copy()
+        for arg in {arg for b in branches for n in b.lits for arg in n.args} - terms:
+            _add_ground(arg, terms)
+        return terms
+
+    def _task_sorts(self, goal: DRS, context: _Context, signs: set) -> dict:
+        """The sorts of the task that refutes ``goal`` at ``context``.
+
+        They join the atoms of the goal and of the chain's universal nodes
+        and waiting conditions, each payload's read once (``_sort_links``),
+        and the literals of each index list that may join two sorts: one
+        that holds two literals, or whose key ``signs``, the task's
+        signature, holds.  Any other list holds one literal of a predicate
+        nothing else mentions, and joins each of its arguments only to a
+        position nothing else has.
+        """
+        links = list(_sort_links(goal))
+        for template in context.gammas:
+            links += _sort_links(template.payload)
+        for _, payload, _ in context.deferred:
+            links += _sort_links(payload)
+        keys = {(pred, arity) for pred, arity, _ in signs}
+        keys.update(context.twice)
+        positives, skolems = context.positives, self.skolems
+        for key in keys:
+            if key in positives:
+                # context literals are ground: a constant is its own node,
+                # and a Skolem term is of its referent's sort
+                links += [
+                    (skolems[arg.fn - 1] if type(arg) is SkolemApp else arg, key + (i,))
+                    for lit in positives[key]
+                    for i, arg in enumerate(lit.args)
+                ]
+        return _sorts(links)
 
 
 # -- public proving interface ---------------------------------------------------------

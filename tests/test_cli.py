@@ -124,18 +124,22 @@ def test_readings_exit_3_on_unknown(hank_file, bg_file):
 
 def test_readings_exit_3_on_model_resource_ceiling(tmp_path, bg_file):
     # a 13-place predicate makes the consistency search exceed its ground
-    # atom ceiling: that verdict is undecided, not an input error
+    # atom ceiling, and the tableau refutation that follows it runs out of
+    # its bounds on a universal over seven ground terms of one sort: that
+    # verdict is undecided, not an input error
     path = tmp_path / "wide.drs"
     path.write_text(
-        HANK.replace("[x |", "[x, z |", 1).replace(
-            "married(x),", "married(x), p(x), not [ | p(z)], r(%s)," % ",".join("x" * 13), 1
-        ),
+        "[a, b, c, d, e, f | p(a), p(b), p(c), p(d), p(e), p(f), [x | p(x)] => [ | q(x)],"
+        " alpha:[u | r(%s), not [ | q(u)]]]" % ",".join("u" * 13),
         encoding="utf-8",
     )
     code, stdout, stderr = run(RunConfig("readings", (str(path),), background=bg_file))
     assert code == 3
     assert not stderr
     assert stdout == "no admissible reading\n"
+    config = RunConfig("readings", (str(path),), background=bg_file, json_output=True)
+    (check,) = json.loads(run(config)[1])["checked"]
+    assert (check["informativity"], check["consistency"]) == ("pass", "unknown")
 
 
 def test_flat_box_with_many_splits_exits_3(tmp_path):

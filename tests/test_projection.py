@@ -448,8 +448,8 @@ def test_large_boxes_are_validated_once(monkeypatch, marriage_bg):
     assert 0 < len(misses) <= 4
 
 
-def _python_calls(source: str, bg) -> int:
-    """The Python-level calls that ``parse_drs`` and ``project`` make on ``source``."""
+def _calls_during(run) -> int:
+    """The Python-level calls made while ``run`` runs."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -459,10 +459,26 @@ def _python_calls(source: str, bg) -> int:
 
     sys.setprofile(profile)
     try:
-        project(parse_drs(source), bg)
+        run()
     finally:
         sys.setprofile(None)
     return calls
+
+
+def _python_calls(source: str, bg) -> int:
+    """The Python-level calls that ``parse_drs`` and ``project`` make on ``source``."""
+    return _calls_during(lambda: project(parse_drs(source), bg))
+
+
+def _shared_python_calls(source: str, bg) -> int:
+    """The Python-level calls that ``extract`` and ``prove_lcon`` make on ``source``."""
+    box = parse_drs(source)
+
+    def shared():
+        extraction = extract(box, bg)
+        prove_lcon(extraction.formula, extraction.tag_positions())
+
+    return _calls_during(shared)
 
 
 def test_a_context_fact_costs_at_most_three_python_calls(marriage_bg):
@@ -471,6 +487,14 @@ def test_a_context_fact_costs_at_most_three_python_calls(marriage_bg):
     # drs._atom; it called 18 before its passes over facts became loops
     extra = _python_calls(family_m(300), marriage_bg) - _python_calls(family_m(0), marriage_bg)
     assert extra <= 3 * 300
+
+
+def test_a_context_fact_costs_the_shared_route_at_most_one_python_call(marriage_bg):
+    # extract and prove_lcon make about as many calls at m = 300 as at m = 0:
+    # each level indexes its facts in its loop over them, and its sorts
+    # visit no index list of one literal whose key no condition mentions
+    calls = [_shared_python_calls(family_m(m), marriage_bg) for m in (0, 300)]
+    assert calls[1] - calls[0] <= 300
 
 
 @pytest.mark.parametrize("source", [HANK, FAMILY_M_40], ids=["hank", "family_m_40"])
@@ -1039,6 +1063,41 @@ def test_a_refuted_inner_site_leaves_each_outer_site_to_its_own_search():
     assert checks == [("global", "pass"), ("intermediate", "pass"), ("local", "fail")]
     # local refuted, then intermediate satisfiable, which decides global too
     assert calls == {"models.model_check": 2, "tableau.naive_prove": 3}
+
+
+# A 13-place predicate puts the model search past its ground-atom ceiling
+# at domain size 2, and the accommodated material needs two individuals or
+# has no model.
+WIDE_ATOM = "r(%s)" % ",".join("a" * 13)
+
+
+@pytest.mark.parametrize(
+    "source, consistent",
+    [
+        ("[a | p(a), %s, alpha:[u | q(u), not [ | p(a)]]]" % WIDE_ATOM, "fail"),
+        ("[a | p(a), %s, alpha:[u | q(u), not [ | p(u)]]]" % WIDE_ATOM, "pass"),
+    ],
+)
+def test_an_unknown_model_search_goes_to_a_tableau_refutation(source, consistent):
+    # a closed refutation makes the box inconsistent and a saturated one
+    # consistent; it is one prove_lcon call of its own, never a naive_prove
+    box = parse_drs(source)
+    checks = []
+
+    def run():
+        try:
+            checks.extend(project(box).checks)
+        except NoAdmissibleReading as exc:
+            checks.extend(exc.checks)
+
+    calls = count_calls(run, PROOFS + ((tableau, "prove_lcon"),))
+    assert [c.verdict for c in checks] == [ReadingVerdict("pass", consistent)]
+    assert calls == {
+        "models.model_check": 1,
+        "tableau.naive_prove": 1,
+        "tableau.prove_lcon": 2,  # the naive_prove's and the refutation's
+    }
+    assert_verdicts_match_the_per_reading_search(box)
 
 
 FAMILY_K_4 = "[x | hank(x), married(x), %s]" % ", ".join(possessive(t) for t in range(4))

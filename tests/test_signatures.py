@@ -36,7 +36,7 @@ from ctxdrt.tableau import compare_cost  # noqa: E402
 from ctxdrt.text import print_drs, print_lcon  # noqa: E402
 
 CORPUS_PREFIX = 300
-PINNED = "30d2300e92fd7976868644cb0bd031f12717a74976d1e1d86155d95e1b519bb4"
+PINNED = "afb843b84852f5ff79678f05b6f1754a99bba0bf0d00f8c33db1940bc5b5a66b"
 
 
 def batches():

@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ctxdrt import tableau
-from ctxdrt.drs import DRS, Atom
-from ctxdrt.lcon import Conj, Disj, In, auto_tag_positions, extract
-from ctxdrt.models import AlphaRemaining
+from ctxdrt.drs import DRS, Atom, Imp, Neg, Referent, merge_all
+from ctxdrt.lcon import Conj, Disj, In, auto_tag_positions, extract, formula_at
+from ctxdrt.models import AlphaRemaining, ResourceLimit, model_check
 from ctxdrt.projection import (
     BackgroundTheory,
     InferenceTask,
@@ -45,7 +45,7 @@ from ctxdrt.tableau import (
     prove_lcon,
     unify,
 )
-from ctxdrt.text import parse_drs, parse_lcon, print_condition
+from ctxdrt.text import parse_drs, parse_lcon, print_condition, print_lcon
 
 from conftest import CONTENTLESS, FAMILY_M_40, HANK
 from gen import alpha_free_boxes, alpha_free_lcon_formulas, corpus_drs
@@ -207,6 +207,7 @@ def snapshot(context):
         context.deferred.copy(),
         context.env.copy(),
         context.signs.copy(),
+        context.twice,
     )
 
 
@@ -429,7 +430,9 @@ def test_closure_search_reuses_a_scan_only_while_no_binding_reaches_it(monkeypat
 
 
 def test_reused_scans_prove_what_full_scans_prove(monkeypatch):
-    # 300 corpus extractions, each proved with the closure search, with
+    # 300 corpus extractions and three boxes with a sort that has no bound
+    # (the corpus's own bounded tasks are decided within their sorts), each
+    # proved with the closure search, with
     # reference_close_all and with rescanning_close_all in its place: every
     # task keeps its status and closure steps, and every proof its
     # statistics.  reference_close_all charges pair by pair, so it stops
@@ -454,10 +457,11 @@ def test_reused_scans_prove_what_full_scans_prove(monkeypatch):
         ),
     }
     monkeypatch.setattr(_Engine, "run_task", recording)
-    rng = random.Random(48)  # draws 4 open_bounded tasks, and searches of up to 64 branches
+    rng = random.Random(48)  # draws searches of up to 64 branches
+    boxes = [corpus_drs(rng) for _ in range(300)] + [parse_drs(s) for s in UNBOUNDED_SORT_BOXES]
     calls = Counter()
-    for _ in range(300):
-        extraction = extract(corpus_drs(rng))
+    for box in boxes:
+        extraction = extract(box)
         if extraction.formula is None:
             continue
         args = extraction.formula, extraction.tag_positions()
@@ -1030,17 +1034,62 @@ def test_compare_shares_context_expansions(hank, marriage_bg):
     assert report.agreement
 
 
-# The slowest corpus discourse at seed 1: two of its three readings run
-# every closure-search step of their task and stay undecided.
+# The slowest corpus discourse at seed 1.  Counting every ground term for
+# every variable, two of its three readings ran every closure-search step
+# of their task and stayed undecided; e's Skolem terms are not of f's sort.
 SLOWEST_CORPUS_BOX = (
     "[a, b | p(b), q(a,a), [d | s(d,d)] => [e | not [ | q(e,a)], alpha:[c | q(c,c), r(c)]],"
     " [f | s(f,f)] => [g | r(g)]]"
 )
+# The same with q for s: the universal's own Skolem term e(d) is of d's
+# sort, through q's first position, so that sort has no bound.
+CYCLIC_SORT_BOX = (
+    "[a, b | p(b), q(a,a), [d | q(d,d)] => [e | not [ | q(e,a)], alpha:[c | q(c,c), r(c)]],"
+    " [f | q(f,f)] => [g | r(g)]]"
+)
+# Boxes with 4 open_bounded tasks, each of which runs every closure-search
+# step: a universal whose sort takes in its own Skolem terms, through q's or
+# s's positions, has infinitely many instances to try.
+UNBOUNDED_SORT_BOXES = (
+    CYCLIC_SORT_BOX,
+    SLOWEST_CORPUS_BOX[:-1] + ", [h | s(h,h)] => [i | s(h,i)]]",
+    "[a | p(a), [ | s(a,a)] => [c | not [ | s(c,c)], alpha:[b | p(b), r(b)]],"
+    " [d | s(d,d)] => [e | r(e)], [g | s(g,g)] => [h | s(g,h)]]",
+)
+# The three corpus boxes besides the slowest whose informativity was
+# undecided before the count took sorts into account.
+NEWLY_DECIDED_BOXES = (
+    SLOWEST_CORPUS_BOX,
+    "[a, b | [e | p(b)] => [ | not [ | s(e,a)], alpha:[c | p(c), r(c), alpha:[d | ]]],"
+    " [f | p(f)] => [g | r(g)]]",
+    "[a, b | q(b,a), q(b,b), [e | p(e)] => [f | s(a,a), alpha:[c | p(d), r(d), alpha:[d | ]]],"
+    " [g | s(g,g)] => [h | r(h)]]",
+    "[a, b | s(a,b), p(b), [e | ] => [f | r(e), alpha:[c | r(c), s(c,d), alpha:[d | ]]],"
+    " [g | p(g)] => [h | p(h)]]",
+)
 
 
-def test_the_slowest_corpus_box_keeps_its_bounded_verdicts():
+@pytest.mark.parametrize(
+    "source, expected, rules, informative",
+    [
+        (
+            SLOWEST_CORPUS_BOX,
+            [(OPEN_SATURATED, 0, 3), (OPEN_SATURATED, 9, 9), (OPEN_SATURATED, 2721, 43)],
+            68,
+            ["pass", "pass", "pass"],
+        ),
+        (
+            CYCLIC_SORT_BOX,
+            [(OPEN_SATURATED, 9, 9), (OPEN_BOUNDED, 20004, 41), (OPEN_BOUNDED, 20008, 43)],
+            106,
+            ["pass", "unknown", "unknown"],
+        ),
+    ],
+    ids=["slowest", "cyclic_sort"],
+)
+def test_the_slowest_corpus_box_is_decided_within_its_sorts(source, expected, rules, informative):
     # each task's (status, closure steps, rules), shared and per-task; a
-    # change to a bounded verdict, or to where the step bound trips, shows here
+    # change to a verdict, or to where the step bound trips, shows here
     tasks = []
     plain_run_task = _Engine.run_task
 
@@ -1050,21 +1099,152 @@ def test_the_slowest_corpus_box_keeps_its_bounded_verdicts():
         tasks.append((status, self.closure_steps, self.stats.rule_applications - rules))
         return status
 
-    expected = [
-        (OPEN_SATURATED, 0, 7),
-        (OPEN_BOUNDED, 20002, 169),
-        (OPEN_BOUNDED, 20007, 171),
-    ]
-    box = parse_drs(SLOWEST_CORPUS_BOX)
+    box = parse_drs(source)
     extraction = extract(box)
     with mock.patch.object(_Engine, "run_task", recording):
         verdict, stats = prove_lcon(extraction.formula, extraction.tag_positions())
         assert tasks == expected
-        assert stats.rule_applications == 360
+        assert stats.rule_applications == rules
         del tasks[:]
         outcome = project(box)
     assert tasks == expected
-    assert [c.verdict.informative for c in outcome.checks] == ["pass", "unknown", "unknown"]
+    assert [c.verdict.informative for c in outcome.checks] == informative
+
+
+def chain_boxes(formula, position):
+    """The context boxes above the box literal at ``position``, outermost first."""
+    boxes = []
+    for i in position:
+        if isinstance(formula, In):
+            boxes.append(formula.context)
+            formula = formula.body
+        else:
+            formula = formula.items[i]
+    return boxes
+
+
+def reference_sorts(boxes):
+    """The classes of referents that the atoms of ``boxes`` join, each atom
+    read wherever it sits, by one union-find built from nothing."""
+    parent = {}
+
+    def find(node):
+        while parent.get(node, node) != node:
+            node = parent[node]
+        return node
+
+    stack = list(boxes)
+    while stack:
+        cond = stack.pop()
+        if isinstance(cond, Atom):
+            key = (cond.predicate, len(cond.args))
+            for i, ref in enumerate(cond.args):
+                parent[find(ref)] = find(key + (i,))
+        elif isinstance(cond, DRS):
+            stack.extend(cond.conditions)
+        elif isinstance(cond, Neg):
+            stack.append(cond.body)
+        elif isinstance(cond, Imp):
+            stack += (cond.antecedent, cond.consequent)
+        else:
+            stack += (cond.left, cond.right)
+    return classes_of(find, [node for node in parent if len(node) == 1])
+
+
+def classes_of(find, referents):
+    classes = {}
+    for ref in referents:
+        classes.setdefault(find(ref), set()).add(ref.name)
+    return sorted(sorted(c) for c in classes.values())
+
+
+def assert_task_sorts_match_reference(formula):
+    # each task's sorts are those of every atom on its chain and in its
+    # goal, and of no other
+    found = []
+    plain_run_task = _Engine.run_task
+
+    def recording(self, goal, context):
+        signs = context.signs.copy()
+        tableau._signed_keys(goal, "-", signs)
+        found.append(self._task_sorts(goal, context, signs))
+        return plain_run_task(self, goal, context)
+
+    with mock.patch.object(_Engine, "run_task", recording):
+        prove_lcon(formula)
+    for position, sorts in zip(auto_tag_positions(formula), found):
+        goal = formula_at(formula, position).drs
+        expected = reference_sorts([*chain_boxes(formula, position), goal])
+        referents = [Referent(name) for c in expected for name in c]
+        assert classes_of(lambda n: tableau._find(sorts, n), referents) == expected
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(alpha_free_lcon_formulas)
+def test_each_task_sorts_its_own_chain_and_goal(formula):
+    assert_task_sorts_match_reference(formula)
+
+
+def test_each_corpus_task_sorts_its_own_chain_and_goal(marriage_bg):
+    rng = random.Random(20260808)
+    for _ in range(300):
+        extraction = extract(corpus_drs(rng), marriage_bg)
+        if extraction.formula is not None:
+            assert_task_sorts_match_reference(extraction.formula)
+
+
+def test_what_the_sorts_decide_the_oracle_does_not_refute():
+    # every task that the sorted count decides is open_saturated, a
+    # non-entailment: wherever the finite-model oracle answers, it finds a
+    # countermodel
+    plain_test, plain_run_task = tableau._sorted_saturated, _Engine.run_task
+    by_sorts = []  # per task, in order: whether the sorted count decided it
+
+    def sorted_test(*args):
+        decided = plain_test(*args)
+        by_sorts[-1] |= decided
+        return decided
+
+    def recording(self, goal, context):
+        by_sorts.append(False)
+        return plain_run_task(self, goal, context)
+
+    rng = random.Random(20260808)  # the acceptance corpus
+    boxes = [parse_drs(s) for s in NEWLY_DECIDED_BOXES] + [corpus_drs(rng) for _ in range(300)]
+    oracle = Counter()
+    with mock.patch.object(tableau, "_sorted_saturated", sorted_test), mock.patch.object(
+        _Engine, "run_task", recording
+    ):
+        for box in boxes:
+            extraction = extract(box)
+            if extraction.formula is None:
+                continue
+            del by_sorts[:]
+            verdict, _ = prove_lcon(extraction.formula)
+            positions = auto_tag_positions(extraction.formula)
+            for (position, tag), decided in zip(positions.items(), by_sorts):
+                if not decided:
+                    continue
+                assert verdict[tag] == OPEN_SATURATED
+                premise = merge_all(chain_boxes(extraction.formula, position))
+                conclusion = formula_at(extraction.formula, position).drs
+                try:
+                    answer = model_check(premise, conclusion).status
+                except ResourceLimit:
+                    answer = "ceiling"
+                assert answer != "entailed", print_lcon(extraction.formula)
+                oracle[answer] += 1
+    assert oracle["refuted"] >= 50  # 54 tasks, each of which the oracle answers
+
+
+def test_a_skolem_constant_counts_in_its_referents_sort():
+    # a and b are Skolem constants of z's sort, so the task needs two
+    # instances of the universal; a count that left Skolem terms out of
+    # their referents' sorts would call it saturated after one
+    context = "[a, b | p(a), p(b), [z | p(z)] => [ | q(z)], [ | q(a), q(b)] => [ | r(a)]]"
+    for goal, status in (("r(a)", CLOSED), ("r(b)", OPEN_SATURATED)):
+        verdict, _ = prove_lcon(parse_lcon("in(%s, [ | %s])" % (context, goal)))
+        assert verdict.statuses == (("t1", status),), goal
 
 
 def test_deepening_in_place_saves_rule_applications(hank, marriage_bg):
@@ -1219,7 +1399,7 @@ def test_skolem_ids_unique_per_attempt():
     from ctxdrt.tableau import _Engine
 
     engine = _Engine(Bounds())
-    seen = {engine.fresh_skolem(()).fn for _ in range(50)}
+    seen = {engine.fresh_skolem(Referent("a"), ()).fn for _ in range(50)}
     assert len(seen) == 50
 
 
